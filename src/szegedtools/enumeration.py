@@ -1,39 +1,39 @@
 """Exhaustive enumeration of connected cacti by vertex and cycle count.
 
-The universe for a pair ``(n, k)`` is every connected graph on ``n`` labeled
-vertices whose blocks are single edges or cycles, with exactly ``k`` cycles.
-Such a graph always has ``n + k - 1`` edges, and the pair is feasible only
-when ``n >= 2k + 1`` (each cycle needs at least two private vertices).
+The universe for a pair ``(n, k)`` is every connected graph on ``n`` vertices
+whose blocks are single edges or cycles, with exactly ``k`` cycles.  Such a
+graph always has ``n + k - 1`` edges, and the pair is feasible only when
+``n >= 2k + 1`` (each cycle needs at least two private vertices).
 
-The search walks edge subsets of the complete graph in lexicographic index
-order, adding one edge at a time.  An edge inside the current component is
-admitted only when its endpoints are joined by a path of bridge edges; that
-path plus the new edge becomes a cycle block and its edges stop being
-bridges.  Every cycle is therefore closed exactly once, by its largest edge
-index, so each valid edge set is produced exactly once.  Three prunes keep
-the walk tight: the cycle budget, a ceiling on the largest index that still
-leaves enough edges to finish, and the last incident index of the smallest
-still-isolated vertex.
+Isomorphism classes are grown from smaller ones.  Every cactus with
+``n >= 2`` has a leaf block: a pendant edge or a cycle sharing a single vertex
+with the rest.  So the ``(n, k)`` classes are exactly those obtained by
+hanging a pendant vertex at each vertex of each ``(n - 1, k)`` class, plus
+those obtained by attaching an ``L``-cycle at each vertex of each
+``(n - L + 1, k - 1)`` class.  Candidates are canonicalized and one graph is
+kept per certificate (isomorph rejection in the sense of McKay 1998), and
+class lists come out sorted by certificate.
 
-Deduplication buckets labeled results by a color-refinement invariant and
-keeps one representative per bucket.  Buckets are then audited: a bucket
-holding a single isomorphism class must contain exactly ``n!/|Aut|`` labeled
-copies of its representative, so any invariant collision is detected by the
-count and resolved by an exact orbit-partition pass.  Class lists come out
-sorted by certificate, which makes the output independent of worker count.
+Labeled graphs come from a separate walk over edge subsets of the complete
+graph in lexicographic index order, adding one edge at a time.  An edge
+inside the current component is admitted only when its endpoints are joined
+by a path of bridge edges; that path plus the new edge becomes a cycle block
+and its edges stop being bridges.  Every cycle is therefore closed exactly
+once, by its largest edge index, so each valid edge set is produced exactly
+once.  Three prunes keep the walk tight: the cycle budget, a ceiling on the
+largest index that still leaves enough edges to finish, and the last incident
+index of the smallest still-isolated vertex.  Summing ``n!/|Aut|`` over the
+grown classes reproduces the walk's count, which cross-checks both.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations
-from math import factorial
 from typing import Callable, Iterator
 
 from .bounds import BoundCase, minimum_bound, second_minimum_bound
-from .canon import automorphism_count, canonical_pair
+from .canon import canonical_pair
 from .errors import CapError, InfeasibleError
 from .formats import emit_graph6
 from .graphs import Graph
@@ -226,125 +226,6 @@ def _patterns(n: int, m: int) -> list[int]:
     return [p for p in range(1, 1 << (n - 1)) if p.bit_count() <= m]
 
 
-def _fingerprint(
-    n: int, mask: int, edges: tuple[tuple[int, int], ...]
-) -> tuple:
-    """Isomorphism-invariant bucket key via three color-refinement rounds."""
-    adjm = [0] * n
-    pairs = []
-    mm = mask
-    while mm:
-        low = mm & -mm
-        u, v = edges[low.bit_length() - 1]
-        adjm[u] |= 1 << v
-        adjm[v] |= 1 << u
-        pairs.append((u, v))
-        mm &= mm - 1
-    colors = [adjm[v].bit_count() for v in range(n)]
-    for _ in range(3):
-        sigs = []
-        for v in range(n):
-            av = adjm[v]
-            nb = []
-            while av:
-                nb.append(colors[(av & -av).bit_length() - 1])
-                av &= av - 1
-            nb.sort()
-            sigs.append((colors[v], tuple(nb)))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [ranking[s] for s in sigs]
-    ecols = sorted(
-        (colors[u], colors[v]) if colors[u] <= colors[v] else (colors[v], colors[u])
-        for u, v in pairs
-    )
-    return (n, len(pairs), tuple(sorted(colors)), tuple(ecols))
-
-
-_Buckets = dict[tuple, list[int]]
-
-
-def _collect_buckets(args: tuple[int, int, list[int]]) -> _Buckets:
-    """Run the walk over a batch of vertex-0 patterns, bucketing by invariant.
-
-    Each bucket keeps the smallest labeled mask seen and the number of labeled
-    graphs that landed in it.  Top-level so worker processes can pickle it.
-    """
-    n, k, patterns = args
-    m = n + k - 1
-    edges, last = _edge_table(n)
-    buckets: _Buckets = {}
-
-    def sink(mask: int) -> None:
-        key = _fingerprint(n, mask, edges)
-        slot = buckets.get(key)
-        if slot is None:
-            buckets[key] = [mask, 1]
-        else:
-            slot[1] += 1
-            if mask < slot[0]:
-                slot[0] = mask
-
-    for pattern in patterns:
-        _walk_pattern(n, k, m, pattern, edges, last, sink)
-    return buckets
-
-
-def _merge_buckets(parts: list[_Buckets]) -> _Buckets:
-    merged: _Buckets = {}
-    for part in parts:
-        for key, (mask, count) in part.items():
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = [mask, count]
-            else:
-                slot[1] += count
-                if mask < slot[0]:
-                    slot[0] = mask
-    return merged
-
-
-def _split_bucket(
-    n: int, k: int, key: tuple, edges: tuple[tuple[int, int], ...]
-) -> list[Graph]:
-    """Exact orbit partition of one collided invariant bucket.
-
-    Re-walks the labeled universe, keeps the masks matching ``key``, and peels
-    off full relabeling orbits until every class in the bucket has one
-    canonical representative.  Slow but only reached when the invariant fails
-    to separate two classes, which the count audit detects.
-    """
-    m = n + k - 1
-    edge_index = {}
-    for idx, (u, v) in enumerate(edges):
-        edge_index[(u, v)] = idx
-    members: list[int] = []
-    _, last = _edge_table(n)
-
-    def keep_matching(mask: int) -> None:
-        if _fingerprint(n, mask, edges) == key:
-            members.append(mask)
-
-    for pattern in _patterns(n, m):
-        _walk_pattern(n, k, m, pattern, edges, last, keep_matching)
-    reps: list[Graph] = []
-    seen: set[int] = set()
-    for mask in members:
-        if mask in seen:
-            continue
-        pairs = _mask_edges(mask, edges)
-        for perm in permutations(range(n)):
-            relabeled = 0
-            for u, v in pairs:
-                a, b = perm[u], perm[v]
-                if a > b:
-                    a, b = b, a
-                relabeled |= 1 << edge_index[(a, b)]
-            seen.add(relabeled)
-        canon, _ = canonical_pair(_mask_graph(n, k, mask, edges))
-        reps.append(canon)
-    return reps
-
-
 _class_cache: dict[tuple[int, int], tuple[Graph, ...]] = {}
 
 
@@ -355,7 +236,8 @@ def cactus_classes(
 
     Infeasible pairs give an empty tuple.  Results are cached per ``(n, k)``,
     so repeated queries (counting, extremal search, claim verification) share
-    one enumeration.
+    one enumeration.  ``workers`` is accepted for compatibility and ignored:
+    generation runs in one process.
     """
     _check_cap(n, cap)
     if not is_feasible(n, k):
@@ -364,36 +246,26 @@ def cactus_classes(
     hit = _class_cache.get(cache_key)
     if hit is not None:
         return hit
-    if n == 1:
-        result = (Graph(1, ()),)
-        _class_cache[cache_key] = result
-        return result
-    m = n + k - 1
-    edges, _ = _edge_table(n)
-    patterns = _patterns(n, m)
-    if workers > 1 and len(patterns) > 1:
-        batches = [patterns[i::workers] for i in range(workers)]
-        batches = [b for b in batches if b]
-        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-            parts = list(pool.map(_collect_buckets, [(n, k, b) for b in batches]))
-        buckets = _merge_buckets(parts)
-    else:
-        buckets = _collect_buckets((n, k, patterns))
+    found: dict[bytes, Graph] = {}
 
-    reps: list[Graph] = []
-    nfact = factorial(n)
-    for key, (mask, count) in buckets.items():
-        g = _mask_graph(n, k, mask, edges)
-        canon, _ = canonical_pair(g)
-        orbit = nfact // automorphism_count(canon)
-        if count == orbit:
-            reps.append(canon)
-        else:
-            # Two classes shared an invariant value; the bucket count exceeds
-            # a single orbit, so split it exactly.
-            reps.extend(_split_bucket(n, k, key, edges))
-    reps.sort(key=lambda g: g._cert)
-    result = tuple(reps)
+    def keep(edges: tuple[tuple[int, int], ...]) -> None:
+        canon, cert = canonical_pair(Graph(n, edges))
+        found.setdefault(cert, canon)
+
+    if n == 1:
+        keep(())
+    # A leaf block is either a pendant edge ...
+    for g in cactus_classes(n - 1, k, cap=cap):
+        for v in range(n - 1):
+            keep(g.edges + ((v, n - 1),))
+    # ... or an end-block cycle sharing one vertex with the rest.
+    for length in range(3, n + 1):
+        base = n - length + 1
+        for g in cactus_classes(base, k - 1, cap=cap):
+            for v in range(base):
+                ring = (v,) + tuple(range(base, n))
+                keep(g.edges + tuple(zip(ring, ring[1:] + ring[:1])))
+    result = tuple(found[cert] for cert in sorted(found))
     _class_cache[cache_key] = result
     return result
 

@@ -467,7 +467,8 @@ def audit_off_quadrangle_floor(g: Graph) -> StructuralFloorAudit:
                 cycle_lengths=oddmix,
                 pendants=pendants,
             ),
-            matches_family=_matches_bundle_family(g, oddmix, pendants),
+            matches_family=pendants >= 0
+            and _matches_bundle_family(g, oddmix, pendants),
         )
     hexmix = (6,) + (4,) * (k - 1)
     floor = bundle_closed_form(hexmix, m) if sum(hexmix) <= m else None

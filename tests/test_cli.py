@@ -259,6 +259,11 @@ class TestSearch:
         assert code == 0
         assert "minimum 85/4" in out
 
+    def test_single_vertex(self):
+        code, out, _ = run_cli(["search", "--n", "1", "--k", "0"])
+        assert code == 0
+        assert json.loads(out)["class_count"] == 1
+
     def test_infeasible_exit_code(self):
         assert run_cli(["search", "--n", "4", "--k", "2"])[0] == 4
 

@@ -1,5 +1,6 @@
 """Exhaustive generation of cacti by vertex and cycle count."""
 
+import hashlib
 import json
 import math
 
@@ -51,6 +52,19 @@ KNOWN_COUNTS = {
 }
 
 
+# (classes, first 16 hex digits of sha256 over the newline-joined
+# certificates) at n = 8, pinning class order as well as class count
+N8_DIGESTS = {
+    0: (23, "2469be8b0ad7c02c"),
+    1: (89, "21024b31d32e0328"),
+    2: (65, "2af851a39f687931"),
+    3: (11, "ca4e672f3f41d92a"),
+}
+
+# OEIS A000083: cacti (unlabeled, any number of cycles) on n = 1.. vertices
+A000083 = (1, 1, 2, 4, 9, 23, 63, 188, 596)
+
+
 class TestFeasibility:
     def test_known(self):
         assert is_feasible(1, 0)
@@ -66,6 +80,19 @@ class TestClassCounts:
     @pytest.mark.parametrize("pair, want", sorted(KNOWN_COUNTS.items()))
     def test_frozen_counts(self, pair, want):
         assert count_cacti(*pair) == want
+
+    @pytest.mark.parametrize("k", sorted(N8_DIGESTS))
+    def test_class_order_pinned_at_n8(self, k):
+        classes = cactus_classes(8, k)
+        digest = hashlib.sha256(b"\n".join(g._cert for g in classes))
+        assert (len(classes), digest.hexdigest()[:16]) == N8_DIGESTS[k]
+
+    def test_totals_match_oeis_a000083(self):
+        totals = tuple(
+            sum(count_cacti(n, k) for k in range((n - 1) // 2 + 1))
+            for n in range(1, len(A000083) + 1)
+        )
+        assert totals == A000083
 
     def test_matches_powerset_oracle_everywhere_small(self):
         for n in range(1, 7):
@@ -110,13 +137,14 @@ class TestLabeledEnumeration:
         assert len(labeled) == 6**4
 
     def test_orbit_sum_matches_labeled_count(self):
-        for n, k in [(5, 1), (6, 1), (6, 2)]:
-            labeled = sum(1 for _ in enumerate_cacti(n, k, dedup=False))
-            orbit_sum = sum(
-                math.factorial(n) // automorphism_count(g)
-                for g in cactus_classes(n, k)
-            )
-            assert labeled == orbit_sum
+        for n in range(1, 8):
+            for k in range(0, (n - 1) // 2 + 1):
+                labeled = sum(1 for _ in enumerate_cacti(n, k, dedup=False))
+                orbit_sum = sum(
+                    math.factorial(n) // automorphism_count(g)
+                    for g in cactus_classes(n, k)
+                )
+                assert labeled == orbit_sum, (n, k)
 
     def test_labeled_graphs_are_valid_and_distinct(self):
         seen = set()
@@ -188,6 +216,11 @@ class TestSearchExtremal:
             above = [v for v in values if v > values[0]]
             if above:
                 assert report.second_value == above[0]
+
+    def test_single_vertex(self):
+        report = search_extremal(1, 0)
+        assert report.class_count == 1
+        assert report.min_value == QuarterInt(0)
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):

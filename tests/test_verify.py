@@ -18,6 +18,7 @@ from szegedtools import (
     audit_pendant_edges,
     cycle,
     feasible_pairs,
+    graph_from_edges,
     quadrangle_bundle,
     star,
     sweep_universe,
@@ -122,6 +123,18 @@ class TestStructuralFloorAudits:
         assert audit.applicable
         audit = audit_off_quadrangle_floor(quadrangle_bundle(9, 2))
         assert not audit.applicable
+
+    def test_off_quadrangle_with_too_few_vertices_for_the_bundle(self):
+        # n < 3k leaves the one-triangle bundle a negative pendant count.
+        chain = graph_from_edges(
+            7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4),
+                (4, 5), (5, 6), (4, 6)]
+        )
+        audit = audit_off_quadrangle_floor(chain)
+        assert audit.applicable
+        assert not audit.matches_family
+        assert audit.family.pendants == -2
+        assert audit.ok
 
     def test_inner_cycle_applies_to_spread_attachments(self):
         audit = audit_inner_cycle_floor(samples.c4_opposite())
