@@ -33,12 +33,17 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _canonical_search(g: Graph) -> tuple[list[int], list[int]]:
+def _canonical_search(g: Graph) -> tuple[list[int], int]:
     """Minimize the column bit string over degree-sorted placements.
 
-    Returns ``(placement, columns)`` where ``placement[i]`` is the original
-    vertex at position ``i`` and ``columns[p]`` packs position ``p``'s
-    adjacency bits to positions ``0..p-1`` (earlier bit = more significant).
+    Column ``p`` packs position ``p``'s adjacency bits to positions
+    ``0..p-1`` (earlier bit = more significant).  Returns ``(placement,
+    ties)``: ``placement[i]`` is the original vertex at position ``i`` of a
+    minimal placement, and ``ties`` counts the placements reproducing the
+    minimal bit string.  Only strictly larger prefixes are pruned, so every
+    such placement is reached as a leaf.  Any two of them differ by an
+    automorphism of the canonical graph, and composing with one gives
+    another, so ``ties`` is the order of the automorphism group.
     """
     n = g.n
     masks = _adjacency_masks(g)
@@ -47,13 +52,21 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[int]]:
 
     best_cols = [_HUGE] * n
     best_perm: list[int] | None = None
+    ties = 0
     perm = [0] * n
     used = [False] * n
 
     def place(pos: int) -> None:
-        nonlocal best_perm
+        nonlocal best_perm, ties
         if pos == n:
-            best_perm = perm.copy()
+            # best_perm is None exactly when this leaf beat the old minimum.
+            # Ties need no copy: every minimal placement gives the same
+            # canonical graph.
+            if best_perm is None:
+                best_perm = perm.copy()
+                ties = 1
+            else:
+                ties += 1
             return
         want = target[pos]
         for w in range(n):
@@ -78,47 +91,7 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[int]]:
 
     place(0)
     assert best_perm is not None
-    return best_perm, best_cols
-
-
-def _count_minimal_placements(g: Graph, cols: list[int]) -> int:
-    """Count degree-sorted placements reproducing ``cols`` exactly.
-
-    Any two such placements differ by an automorphism of the canonical graph,
-    and composing with one gives another, so the count is the order of the
-    automorphism group.
-    """
-    n = g.n
-    masks = _adjacency_masks(g)
-    degs = [len(g.adj[v]) for v in range(n)]
-    target = sorted(degs)
-    perm = [0] * n
-    used = [False] * n
-    count = 0
-
-    def place(pos: int) -> None:
-        nonlocal count
-        if pos == n:
-            count += 1
-            return
-        want = target[pos]
-        want_col = cols[pos]
-        for w in range(n):
-            if used[w] or degs[w] != want:
-                continue
-            col = 0
-            mw = masks[w]
-            for i in range(pos):
-                col = (col << 1) | ((mw >> perm[i]) & 1)
-            if col != want_col:
-                continue
-            perm[pos] = w
-            used[w] = True
-            place(pos + 1)
-            used[w] = False
-
-    place(0)
-    return count
+    return best_perm, ties
 
 
 def _require_small(g: Graph, what: str) -> None:
@@ -165,8 +138,7 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group."""
     _require_small(g, "automorphism count")
-    _, cols = _canonical_search(g)
-    return _count_minimal_placements(g, cols)
+    return _canonical_search(g)[1]
 
 
 def labeled_copy_count(g: Graph) -> int:

@@ -22,6 +22,7 @@ from .enumeration import (
     ABSOLUTE_CAP,
     count_cacti,
     enumerate_cacti,
+    is_feasible,
     search_extremal,
 )
 from .errors import (
@@ -45,18 +46,14 @@ from .formats import emit_graph6, parse_edge_list, parse_graph6
 from .graphs import Graph
 from .indices import edge_partitions, edge_revised_szeged, szeged, wiener
 from .verify import (
+    AUDITORS,
     CLAIM_IDS,
     Universe,
     VerificationReport,
     feasible_pairs,
-    verify_bundle_floor_claim,
-    verify_cycle_gap_claim,
-    verify_inner_cut_edge_claim,
-    verify_inner_cycle_claim,
+    verify_claim,
     verify_minimum_exhaustive,
     verify_minimum_formula,
-    verify_off_quadrangle_claim,
-    verify_pendant_edge_claim,
     verify_second_minimum,
 )
 
@@ -445,24 +442,29 @@ def _merge_reports(reports: list[VerificationReport]) -> VerificationReport:
 
 def _cmd_verify(args, started: float) -> int:
     claim = args.claim
-    lemma_runners = {
-        "lemma2.1": verify_pendant_edge_claim,
-        "lemma2.2-2.3": verify_cycle_gap_claim,
-        "lemma3.1": verify_bundle_floor_claim,
-        "lemma4.1": verify_inner_cut_edge_claim,
-        "lemma4.2": verify_off_quadrangle_claim,
-        "lemma4.3": verify_inner_cycle_claim,
-    }
-    if claim in lemma_runners:
-        if args.max_n is None and not args.samples:
-            raise FormatError(f"verify {claim} needs --max-n and/or --samples")
+    if claim in AUDITORS:
+        pairs = ()
+        if args.n is not None:
+            if args.k is None:
+                raise FormatError(f"verify {claim} --n needs --k")
+            if not is_feasible(args.n, args.k):
+                raise InfeasibleError(
+                    f"no cacti with n = {args.n}, k = {args.k}; nothing to verify"
+                )
+            pairs = ((args.n, args.k),)
+        elif args.max_n is not None:
+            pairs = feasible_pairs(args.max_n)
+        elif not args.samples:
+            raise FormatError(
+                f"verify {claim} needs --max-n, --n/--k and/or --samples"
+            )
         universe = Universe(
-            pairs=feasible_pairs(args.max_n) if args.max_n is not None else (),
+            pairs=pairs,
             samples=args.samples,
             sample_max_n=args.sample_max_n,
             seed=args.seed,
         )
-        report = lemma_runners[claim](universe, workers=args.workers)
+        report = verify_claim(claim, universe)
     elif claim == "thm3.2":
         if args.m is not None:
             if args.k is None:
@@ -471,11 +473,10 @@ def _cmd_verify(args, started: float) -> int:
         elif args.n is not None:
             if args.k is None:
                 raise FormatError("verify thm3.2 --n needs --k")
-            report = verify_minimum_exhaustive(args.n, args.k, workers=args.workers)
+            report = verify_minimum_exhaustive(args.n, args.k)
         elif args.max_n is not None:
             reports = [
-                verify_minimum_exhaustive(n, k, workers=args.workers)
-                for n, k in feasible_pairs(args.max_n)
+                verify_minimum_exhaustive(n, k) for n, k in feasible_pairs(args.max_n)
             ]
             report = _merge_reports(reports)
         else:
@@ -488,7 +489,6 @@ def _cmd_verify(args, started: float) -> int:
             args.k,
             samples=args.samples or 10_000,
             seed=args.seed,
-            workers=args.workers,
             cap=_cap_from(args),
         )
     if args.format == "json":

@@ -1,24 +1,32 @@
 """Mechanical verification of the extremal claims on enumerable universes.
 
-Each structural claim about the index comes in two parts: an inequality and
-an equality condition.  The auditors here check both, in both directions:
-every graph achieving equality must have the claimed structure, and every
-graph with the claimed structure must achieve equality.  Reports carry
-re-checkable witnesses (graph6 strings) for anything that fails, and record
-ties or boundary behavior as findings rather than failures.
+Each structural lemma comes in two parts: an inequality and an equality
+condition.  Its per-graph audit checks both, in both directions: every graph
+achieving equality must have the claimed structure (``fwd_ok``), and every
+graph with the claimed structure must achieve equality (``bwd_ok``).  The
+conditional floors of Lemmas 4.1–4.3 also say whether their hypothesis
+applies (``applicable``) and whether the edge count lies in the claimed
+domain (``in_domain``); the unconditional lemmas set both to ``True``.
 
-Claims whose stated domain starts beyond the enumeration cap cannot be
-checked exhaustively on this machine.  For those the harness verifies the
-closed forms against directly computed values on constructed families and
-runs a seeded random stress search, recording sample count and seed so a
-negative result is reproducible.
+So one table, ``AUDITORS``, maps each lemma's claim id to its audit, and one
+sweep, ``verify_claim``, folds any lemma's audits over a ``Universe`` into a
+report.  Reports carry re-checkable witnesses (graph6 strings) for anything
+that fails, and record ties or boundary behavior as findings rather than
+failures.
+
+The two theorems are checked on whole classes instead of per graph.  Claims
+whose stated domain starts beyond the enumeration cap cannot be checked
+exhaustively on this machine.  For those the harness verifies the closed
+forms against directly computed values on constructed families and runs a
+seeded random stress search, recording sample count and seed so a negative
+result is reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .bounds import (
     BoundCase,
@@ -64,6 +72,23 @@ CLAIM_IDS = (
 # per-graph audits
 
 
+def _require_cactus_profile(g: Graph, what: str):
+    profile = cactus_profile(g)
+    if not profile.is_cactus:
+        raise InvalidGraphError(f"{what} requires a cactus")
+    return profile
+
+
+class _TwoSidedAudit:
+    """An unconditional claim: every graph is in its hypothesis and domain."""
+
+    applicable = in_domain = True
+
+    @property
+    def ok(self) -> bool:
+        return self.holds and self.fwd_ok and self.bwd_ok
+
+
 @dataclass(frozen=True)
 class EdgeGapRecord:
     """One edge's squared side difference against the global ceiling."""
@@ -73,6 +98,9 @@ class EdgeGapRecord:
     bound: int
     equality: bool
     pendant: bool
+
+    gap = property(lambda self: self.gap_sq)
+    claimed = property(lambda self: self.pendant)
 
     def to_dict(self) -> dict:
         return {
@@ -85,30 +113,51 @@ class EdgeGapRecord:
 
 
 @dataclass(frozen=True)
-class PendantEdgeAudit:
-    """Per-edge audit: gap² ≤ (m−1)², equality exactly on pendant edges."""
+class CycleGapRecord:
+    """One cycle's summed squared gaps against its parity-dependent ceiling."""
+
+    length: int
+    gap_sum: int
+    bound: int
+    equality: bool
+    end_block: bool
+
+    gap = property(lambda self: self.gap_sum)
+    claimed = property(lambda self: self.end_block)
+
+    def to_dict(self) -> dict:
+        return {
+            "length": self.length,
+            "gap_sum": self.gap_sum,
+            "bound": self.bound,
+            "equality": self.equality,
+            "end_block": self.end_block,
+        }
+
+
+@dataclass(frozen=True)
+class GapAudit(_TwoSidedAudit):
+    """Per-part audit: every gap ≤ its ceiling, equality exactly on the
+    claimed parts (pendant edges for Lemma 2.1, end-block cycles for
+    Lemmas 2.2–2.3)."""
 
     graph6: str
     m: int
-    records: tuple[EdgeGapRecord, ...]
+    records: tuple[EdgeGapRecord, ...] | tuple[CycleGapRecord, ...]
 
     @property
     def holds(self) -> bool:
-        return all(r.gap_sq <= r.bound for r in self.records)
+        return all(r.gap <= r.bound for r in self.records)
 
     @property
     def fwd_ok(self) -> bool:
-        """Equality implies pendant."""
-        return all(r.pendant for r in self.records if r.equality)
+        """Equality implies the claimed structure."""
+        return all(r.claimed for r in self.records if r.equality)
 
     @property
     def bwd_ok(self) -> bool:
-        """Pendant implies equality."""
-        return all(r.equality for r in self.records if r.pendant)
-
-    @property
-    def ok(self) -> bool:
-        return self.holds and self.fwd_ok and self.bwd_ok
+        """The claimed structure implies equality."""
+        return all(r.equality for r in self.records if r.claimed)
 
     def to_dict(self) -> dict:
         return {
@@ -121,7 +170,7 @@ class PendantEdgeAudit:
         }
 
 
-def audit_pendant_edges(g: Graph) -> PendantEdgeAudit:
+def audit_pendant_edges(g: Graph) -> GapAudit:
     """Check every edge's squared gap against the pendant-edge ceiling."""
     parts = edge_partitions(g)
     m = len(g.edges)
@@ -139,69 +188,12 @@ def audit_pendant_edges(g: Graph) -> PendantEdgeAudit:
                 pendant=pendant,
             )
         )
-    return PendantEdgeAudit(graph6=emit_graph6(g), m=m, records=tuple(records))
+    return GapAudit(graph6=emit_graph6(g), m=m, records=tuple(records))
 
 
-@dataclass(frozen=True)
-class CycleGapRecord:
-    """One cycle's summed squared gaps against its parity-dependent ceiling."""
-
-    length: int
-    gap_sum: int
-    bound: int
-    equality: bool
-    end_block: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "gap_sum": self.gap_sum,
-            "bound": self.bound,
-            "equality": self.equality,
-            "end_block": self.end_block,
-        }
-
-
-@dataclass(frozen=True)
-class CycleGapAudit:
-    """Per-cycle audit: gap sum ≤ ceiling, equality exactly on end-blocks."""
-
-    graph6: str
-    m: int
-    records: tuple[CycleGapRecord, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(r.gap_sum <= r.bound for r in self.records)
-
-    @property
-    def fwd_ok(self) -> bool:
-        return all(r.end_block for r in self.records if r.equality)
-
-    @property
-    def bwd_ok(self) -> bool:
-        return all(r.equality for r in self.records if r.end_block)
-
-    @property
-    def ok(self) -> bool:
-        return self.holds and self.fwd_ok and self.bwd_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "m": self.m,
-            "records": [r.to_dict() for r in self.records],
-            "holds": self.holds,
-            "fwd_ok": self.fwd_ok,
-            "bwd_ok": self.bwd_ok,
-        }
-
-
-def audit_cycle_gaps(g: Graph) -> CycleGapAudit:
+def audit_cycle_gaps(g: Graph) -> GapAudit:
     """Check every cycle's summed squared gap against its ceiling."""
-    profile = cactus_profile(g)
-    if not profile.is_cactus:
-        raise InvalidGraphError("cycle gap audit requires a cactus")
+    profile = _require_cactus_profile(g, "cycle gap audit")
     m = len(g.edges)
     gap_sq = {}
     for (u, v), part in zip(g.edges, edge_partitions(g)):
@@ -222,11 +214,11 @@ def audit_cycle_gaps(g: Graph) -> CycleGapAudit:
             )
         )
     records.sort(key=lambda r: (r.length, r.gap_sum))
-    return CycleGapAudit(graph6=emit_graph6(g), m=m, records=tuple(records))
+    return GapAudit(graph6=emit_graph6(g), m=m, records=tuple(records))
 
 
 @dataclass(frozen=True)
-class BundleFloorAudit:
+class BundleFloorAudit(_TwoSidedAudit):
     """Whole-graph audit: index ≥ closed form at the graph's own cycle lengths,
     equality exactly when the graph is a one-hub bundle."""
 
@@ -251,10 +243,6 @@ class BundleFloorAudit:
     def bwd_ok(self) -> bool:
         return self.equality if self.is_bundle else True
 
-    @property
-    def ok(self) -> bool:
-        return self.holds and self.fwd_ok and self.bwd_ok
-
     def to_dict(self) -> dict:
         return {
             "graph6": self.graph6,
@@ -269,9 +257,7 @@ class BundleFloorAudit:
 
 def audit_bundle_floor(g: Graph) -> BundleFloorAudit:
     """Compare the index against the closed form at the graph's cycle lengths."""
-    profile = cactus_profile(g)
-    if not profile.is_cactus:
-        raise InvalidGraphError("bundle floor audit requires a cactus")
+    profile = _require_cactus_profile(g, "bundle floor audit")
     m = len(g.edges)
     floor = bundle_closed_form(profile.cycle_lengths, m)
     return BundleFloorAudit(
@@ -352,13 +338,6 @@ class StructuralFloorAudit:
             "holds": self.holds,
             "equality": self.equality,
         }
-
-
-def _require_cactus_profile(g: Graph, what: str):
-    profile = cactus_profile(g)
-    if not profile.is_cactus:
-        raise InvalidGraphError(f"{what} requires a cactus")
-    return profile
 
 
 def _matches_bundle_family(g: Graph, lengths: tuple[int, ...], pendants: int) -> bool:
@@ -588,9 +567,9 @@ class Universe:
                 )
         return "; ".join(parts) if parts else "empty"
 
-    def graphs(self, *, workers: int = 1) -> Iterator[Graph]:
+    def graphs(self) -> Iterator[Graph]:
         for n, k in self.pairs:
-            yield from cactus_classes(n, k, workers=workers)
+            yield from cactus_classes(n, k)
         if self.samples:
             rng = random.Random(self.seed)
             for _ in range(self.samples):
@@ -619,100 +598,34 @@ def sweep_universe(max_n: int, *, samples: int = 0, seed: int = 0,
     )
 
 
-def _two_sided_report(
-    claim: str,
-    universe: Universe,
-    audits: Iterable,
-) -> VerificationReport:
-    """Fold per-graph audits with holds/fwd_ok/bwd_ok into one report."""
+AUDITORS: dict[str, Callable[[Graph], object]] = {
+    "lemma2.1": audit_pendant_edges,
+    "lemma2.2-2.3": audit_cycle_gaps,
+    "lemma3.1": audit_bundle_floor,
+    "lemma4.1": audit_inner_cut_edge_floor,
+    "lemma4.2": audit_off_quadrangle_floor,
+    "lemma4.3": audit_inner_cycle_floor,
+}
+
+
+def verify_claim(claim: str, universe: Universe) -> VerificationReport:
+    """Fold one lemma's per-graph audits over a universe into one report.
+
+    Graphs outside the claim's hypothesis are skipped; applicable graphs
+    outside the m > 15, m > 4k domain are counted and compared
+    informationally only.
+    """
+    auditor = AUDITORS[claim]
     checked = 0
-    violations = []
-    fwd_fail = []
-    bwd_fail = []
-    for audit in audits:
-        checked += 1
-        if not audit.holds:
-            violations.append({"graph6": audit.graph6, "kind": "bound violated"})
-        if not audit.fwd_ok:
-            violations.append(
-                {"graph6": audit.graph6, "kind": "equality without claimed structure"}
-            )
-            fwd_fail.append(audit.graph6)
-        if not audit.bwd_ok:
-            violations.append(
-                {"graph6": audit.graph6, "kind": "claimed structure without equality"}
-            )
-            bwd_fail.append(audit.graph6)
-    equality_audit = {
-        "fwd": {
-            "statement": "equality implies claimed structure",
-            "failures": fwd_fail,
-        },
-        "bwd": {
-            "statement": "claimed structure implies equality",
-            "failures": bwd_fail,
-        },
-    }
-    return VerificationReport(
-        claim=claim,
-        universe=universe.describe(),
-        checked=checked,
-        violations=tuple(violations),
-        equality_audit=equality_audit,
-        seed=universe.seed if universe.samples else None,
-    )
-
-
-def verify_pendant_edge_claim(
-    universe: Universe, *, workers: int = 1
-) -> VerificationReport:
-    return _two_sided_report(
-        "lemma2.1",
-        universe,
-        (audit_pendant_edges(g) for g in universe.graphs(workers=workers)),
-    )
-
-
-def verify_cycle_gap_claim(
-    universe: Universe, *, workers: int = 1
-) -> VerificationReport:
-    return _two_sided_report(
-        "lemma2.2-2.3",
-        universe,
-        (audit_cycle_gaps(g) for g in universe.graphs(workers=workers)),
-    )
-
-
-def verify_bundle_floor_claim(
-    universe: Universe, *, workers: int = 1
-) -> VerificationReport:
-    return _two_sided_report(
-        "lemma3.1",
-        universe,
-        (audit_bundle_floor(g) for g in universe.graphs(workers=workers)),
-    )
-
-
-def _structural_claim_report(
-    claim: str,
-    auditor: Callable[[Graph], StructuralFloorAudit],
-    universe: Universe,
-    *,
-    workers: int = 1,
-) -> VerificationReport:
-    """Sweep a conditional floor claim; out-of-domain graphs are informational."""
-    checked = 0
-    applicable = 0
     out_of_domain = 0
     violations = []
     fwd_fail = []
     bwd_fail = []
-    for g in universe.graphs(workers=workers):
+    for g in universe.graphs():
         audit = auditor(g)
         checked += 1
         if not audit.applicable:
             continue
-        applicable += 1
         if not audit.in_domain:
             out_of_domain += 1
             continue
@@ -754,28 +667,29 @@ def _structural_claim_report(
     )
 
 
-def verify_inner_cut_edge_claim(
-    universe: Universe, *, workers: int = 1
-) -> VerificationReport:
-    return _structural_claim_report(
-        "lemma4.1", audit_inner_cut_edge_floor, universe, workers=workers
-    )
+# Named functions rather than partials, so each keeps its own ``__name__``.
+def verify_pendant_edge_claim(universe: Universe) -> VerificationReport:
+    return verify_claim("lemma2.1", universe)
 
 
-def verify_off_quadrangle_claim(
-    universe: Universe, *, workers: int = 1
-) -> VerificationReport:
-    return _structural_claim_report(
-        "lemma4.2", audit_off_quadrangle_floor, universe, workers=workers
-    )
+def verify_cycle_gap_claim(universe: Universe) -> VerificationReport:
+    return verify_claim("lemma2.2-2.3", universe)
 
 
-def verify_inner_cycle_claim(
-    universe: Universe, *, workers: int = 1
-) -> VerificationReport:
-    return _structural_claim_report(
-        "lemma4.3", audit_inner_cycle_floor, universe, workers=workers
-    )
+def verify_bundle_floor_claim(universe: Universe) -> VerificationReport:
+    return verify_claim("lemma3.1", universe)
+
+
+def verify_inner_cut_edge_claim(universe: Universe) -> VerificationReport:
+    return verify_claim("lemma4.1", universe)
+
+
+def verify_off_quadrangle_claim(universe: Universe) -> VerificationReport:
+    return verify_claim("lemma4.2", universe)
+
+
+def verify_inner_cycle_claim(universe: Universe) -> VerificationReport:
+    return verify_claim("lemma4.3", universe)
 
 
 # ---------------------------------------------------------------------------
@@ -834,9 +748,7 @@ def verify_minimum_formula(m: int, k: int) -> VerificationReport:
     )
 
 
-def verify_minimum_exhaustive(
-    n: int, k: int, *, workers: int = 1
-) -> VerificationReport:
+def verify_minimum_exhaustive(n: int, k: int) -> VerificationReport:
     """Exhaustive check that the closed-form minimum and its family are right.
 
     Enumerates every class at (n, k), takes the true minimum, and compares
@@ -846,7 +758,7 @@ def verify_minimum_exhaustive(
     if not is_feasible(n, k):
         raise InfeasibleError(f"no cacti with n = {n}, k = {k}; nothing to verify")
     m = n + k - 1
-    classes = cactus_classes(n, k, workers=workers)
+    classes = cactus_classes(n, k)
     values = [(edge_revised_szeged(g), g) for g in classes]
     true_min = min(v for v, _ in values)
     argmin = [g for v, g in values if v == true_min]
@@ -924,7 +836,6 @@ def verify_second_minimum(
     *,
     samples: int = 10_000,
     seed: int = 0,
-    workers: int = 1,
     cap: int | None = None,
 ) -> VerificationReport:
     """Check the runner-up claim at (n, k), exhaustively when possible.
@@ -942,17 +853,17 @@ def verify_second_minimum(
     from .enumeration import _effective_cap
 
     if n <= _effective_cap(cap):
-        return _second_minimum_exhaustive(n, k, case, bound, workers=workers)
+        return _second_minimum_exhaustive(n, k, case, bound)
     return _second_minimum_stress(
         n, k, case, bound, samples=samples, seed=seed
     )
 
 
 def _second_minimum_exhaustive(
-    n: int, k: int, case: BoundCase, bound: QuarterInt | None, *, workers: int = 1
+    n: int, k: int, case: BoundCase, bound: QuarterInt | None
 ) -> VerificationReport:
     m = n + k - 1
-    report = search_extremal(n, k, workers=workers)
+    report = search_extremal(n, k)
     violations = []
     findings = []
     if bound is None:

@@ -146,17 +146,18 @@ def cycle_count(n: int, edges) -> int:
     return len(simple_cycles(n, edges))
 
 
+def orbit(n: int, edges) -> set[tuple]:
+    """Sorted edge tuples of every relabeling of the graph by all n! maps."""
+    base = [(min(u, v), max(u, v)) for u, v in edges]
+    return {
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in base))
+        for p in permutations(range(n))
+    }
+
+
 def canonical_key(n: int, edges) -> tuple:
     """Min-over-all-relabelings edge set; a complete isomorphism invariant."""
-    base = [(min(u, v), max(u, v)) for u, v in edges]
-    best = None
-    for perm in permutations(range(n)):
-        relabeled = tuple(
-            sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in base)
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return (n, best)
+    return (n, min(orbit(n, edges)))
 
 
 def automorphism_count(n: int, edges) -> int:
@@ -177,9 +178,17 @@ def cacti_classes(n: int, k: int) -> set[tuple]:
     if m > len(all_edges) or m < 0:
         return set()
     classes = set()
+    # Subsets isomorphic to a class already found are skipped; the first
+    # subset of each class marks its whole orbit.  Subsets come out of
+    # ``combinations`` as sorted edge tuples, the same form ``orbit`` uses.
+    marked = set()
     for subset in combinations(all_edges, m):
+        if subset in marked:
+            continue
         if is_cactus(n, subset) and cycle_count(n, subset) == k:
-            classes.add(canonical_key(n, subset))
+            relabelings = orbit(n, subset)
+            marked |= relabelings
+            classes.add((n, min(relabelings)))
     return classes
 
 

@@ -144,6 +144,16 @@ class TestAutomorphisms:
                         g.n, g.edges
                     )
 
+    def test_group_order_total_through_n8(self):
+        # Pins the tie count of the canonical search on every class.
+        total = sum(
+            automorphism_count(g)
+            for n in range(1, 9)
+            for k in range(0, (n - 1) // 2 + 1)
+            for g in cactus_classes(n, k)
+        )
+        assert total == 7927
+
     def test_labeled_copy_count(self):
         # orbit-stabilizer: labelings on n vertices = n! / |Aut|
         g = samples.butterfly()

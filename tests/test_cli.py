@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -284,6 +285,18 @@ class TestVerify:
         assert code == 2
         assert "--max-n" in err
 
+    def test_lemma_single_class(self):
+        code, out, _ = run_cli(["verify", "lemma2.1", "--n", "6", "--k", "1"])
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["universe"] == "exhaustive (n,k) in [(6,1)]"
+        assert report["checked"] == 13
+
+    def test_lemma_single_class_infeasible(self):
+        code, _, err = run_cli(["verify", "lemma4.1", "--n", "5", "--k", "3"])
+        assert code == 4
+        assert "no cacti" in err
+
     def test_random_samples_human(self):
         code, out, _ = run_cli(
             ["verify", "lemma2.2-2.3", "--samples", "10", "--format", "human"]
@@ -326,6 +339,38 @@ class TestVerify:
             return json.dumps(body, sort_keys=True)
 
         assert normalized() == normalized()
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestVerifyReportBytes:
+    """Report bytes at exhaustive universes, JSON and human, frozen."""
+
+    @pytest.mark.parametrize(
+        "argv, json_digest, human_digest",
+        [
+            ("verify lemma2.1 --max-n 7", "303c7ce3602b8b88", "b256463e8baf1ea7"),
+            ("verify lemma2.2-2.3 --max-n 7", "3d1b46e38fadad53", "7efb51ca1e5a0b33"),
+            ("verify lemma3.1 --max-n 7", "32bfd2ed71aae72e", "b10389cfef2fcda8"),
+            ("verify lemma4.1 --max-n 7", "760463a97de568c4", "4084506660b7f5b1"),
+            ("verify lemma4.2 --max-n 7", "a1b695b19c5ad207", "20cabf597f560c69"),
+            ("verify lemma4.3 --max-n 7", "b7ca8520ea5ae67d", "b2b0682532c2551d"),
+            ("verify thm3.2 --max-n 7", "d3dd68cc237d351e", "6897153db065a9eb"),
+            ("verify thm3.2 --n 7 --k 2", "f4f31f6ba0c0f918", "a89670eb5ae47dff"),
+            ("verify thm3.2 --m 15 --k 2", "313074d1b4c91caa", "a7526ce203d72fa3"),
+            ("verify thm4.4 --n 7 --k 1", "78303c67f4155c29", "a620a505bc25a077"),
+        ],
+    )
+    def test_digests(self, argv, json_digest, human_digest):
+        code, out, _ = run_cli(argv.split())
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert _digest(json.dumps(report, sort_keys=True)) == json_digest
+        code, out, _ = run_cli(argv.split() + ["--format", "human"])
+        assert code == 0
+        assert _digest(out) == human_digest
 
 
 class TestTopLevel:
