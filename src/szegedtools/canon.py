@@ -7,8 +7,14 @@ is minimized over all placements by branch and bound. Restricting to
 degree-sorted placements keeps the search small and still yields a complete
 invariant: two graphs share a certificate exactly when they are isomorphic.
 
-Everything here is exhaustive, so sizes are capped; over the cap you get a
-clean error rather than an open-ended search.
+The search counts the placements that tie the minimum, which is the order of
+the automorphism group, without visiting each of them: twins (vertices whose
+neighbourhoods agree apart from each other) are interchangeable, so only one
+vertex per twin class is tried at each position and the branch is weighted by
+the class size. That covers pendant vertices at a common vertex and the
+symmetric vertices of triangles and quadrangles at a cut vertex. Other
+symmetries are still searched leaf by leaf, so sizes are capped; over the cap
+you get a clean error rather than an open-ended search.
 """
 
 from __future__ import annotations
@@ -40,15 +46,36 @@ def _canonical_search(g: Graph) -> tuple[list[int], int]:
     ``0..p-1`` (earlier bit = more significant).  Returns ``(placement,
     ties)``: ``placement[i]`` is the original vertex at position ``i`` of a
     minimal placement, and ``ties`` counts the placements reproducing the
-    minimal bit string.  Only strictly larger prefixes are pruned, so every
-    such placement is reached as a leaf.  Any two of them differ by an
-    automorphism of the canonical graph, and composing with one gives
-    another, so ``ties`` is the order of the automorphism group.
+    minimal bit string.  Any two of them differ by an automorphism of the
+    canonical graph, and composing with one gives another, so ``ties`` is
+    the order of the automorphism group.  Strictly larger prefixes are
+    pruned; a minimal placement never has one, so all of them are counted.
+
+    Twins are pruned.  ``u`` and ``v`` are twins when their neighbourhoods
+    agree apart from each other, so the transposition ``(u v)`` is an
+    automorphism fixing every other vertex.  While both are unplaced it
+    fixes every placed vertex too, so their subtrees are mirror images with
+    the same column strings and the same number of minimal leaves.  At each
+    position only the first unplaced vertex of each twin class is tried;
+    its branch carries a ``weight`` multiplied by the number of unplaced
+    members of that class, and a minimal leaf adds its weight to ``ties``
+    instead of 1.
     """
     n = g.n
     masks = _adjacency_masks(g)
     degs = [len(g.adj[v]) for v in range(n)]
     target = sorted(degs)
+    # twin[v]: the lowest member of v's twin class.  Twin transpositions
+    # compose, so comparing v with each earlier class representative is
+    # enough.  left[c]: unplaced members of class c.
+    twin = list(range(n))
+    left = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if twin[u] == u and masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
+                twin[v] = u
+                break
+        left[twin[v]] += 1
 
     best_cols = [_HUGE] * n
     best_perm: list[int] | None = None
@@ -56,7 +83,7 @@ def _canonical_search(g: Graph) -> tuple[list[int], int]:
     perm = [0] * n
     used = [False] * n
 
-    def place(pos: int) -> None:
+    def place(pos: int, weight: int) -> None:
         nonlocal best_perm, ties
         if pos == n:
             # best_perm is None exactly when this leaf beat the old minimum.
@@ -64,14 +91,19 @@ def _canonical_search(g: Graph) -> tuple[list[int], int]:
             # canonical graph.
             if best_perm is None:
                 best_perm = perm.copy()
-                ties = 1
+                ties = weight
             else:
-                ties += 1
+                ties += weight
             return
         want = target[pos]
+        tried = 0
         for w in range(n):
             if used[w] or degs[w] != want:
                 continue
+            c = twin[w]
+            if tried >> c & 1:
+                continue
+            tried |= 1 << c
             col = 0
             mw = masks[w]
             for i in range(pos):
@@ -86,10 +118,13 @@ def _canonical_search(g: Graph) -> tuple[list[int], int]:
                 best_perm = None
             perm[pos] = w
             used[w] = True
-            place(pos + 1)
+            k = left[c]
+            left[c] = k - 1
+            place(pos + 1, weight * k)
+            left[c] = k
             used[w] = False
 
-    place(0)
+    place(0, 1)
     assert best_perm is not None
     return best_perm, ties
 

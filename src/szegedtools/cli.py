@@ -442,6 +442,7 @@ def _merge_reports(reports: list[VerificationReport]) -> VerificationReport:
 
 def _cmd_verify(args, started: float) -> int:
     claim = args.claim
+    cap = _cap_from(args)
     if claim in AUDITORS:
         pairs = ()
         if args.n is not None:
@@ -463,6 +464,7 @@ def _cmd_verify(args, started: float) -> int:
             samples=args.samples,
             sample_max_n=args.sample_max_n,
             seed=args.seed,
+            cap=cap,
         )
         report = verify_claim(claim, universe)
     elif claim == "thm3.2":
@@ -473,10 +475,11 @@ def _cmd_verify(args, started: float) -> int:
         elif args.n is not None:
             if args.k is None:
                 raise FormatError("verify thm3.2 --n needs --k")
-            report = verify_minimum_exhaustive(args.n, args.k)
+            report = verify_minimum_exhaustive(args.n, args.k, cap=cap)
         elif args.max_n is not None:
             reports = [
-                verify_minimum_exhaustive(n, k) for n, k in feasible_pairs(args.max_n)
+                verify_minimum_exhaustive(n, k, cap=cap)
+                for n, k in feasible_pairs(args.max_n)
             ]
             report = _merge_reports(reports)
         else:
@@ -489,7 +492,7 @@ def _cmd_verify(args, started: float) -> int:
             args.k,
             samples=args.samples or 10_000,
             seed=args.seed,
-            cap=_cap_from(args),
+            cap=cap,
         )
     if args.format == "json":
         _print_json({"report": report.to_dict()}, args, started)

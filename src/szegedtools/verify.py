@@ -545,6 +545,7 @@ class Universe:
     sample_pair: tuple[int, int] | None = None
     sample_max_n: int = 40
     seed: int = 0
+    cap: int | None = None
 
     def describe(self) -> str:
         parts = []
@@ -569,7 +570,7 @@ class Universe:
 
     def graphs(self) -> Iterator[Graph]:
         for n, k in self.pairs:
-            yield from cactus_classes(n, k)
+            yield from cactus_classes(n, k, cap=self.cap)
         if self.samples:
             rng = random.Random(self.seed)
             for _ in range(self.samples):
@@ -748,7 +749,9 @@ def verify_minimum_formula(m: int, k: int) -> VerificationReport:
     )
 
 
-def verify_minimum_exhaustive(n: int, k: int) -> VerificationReport:
+def verify_minimum_exhaustive(
+    n: int, k: int, *, cap: int | None = None
+) -> VerificationReport:
     """Exhaustive check that the closed-form minimum and its family are right.
 
     Enumerates every class at (n, k), takes the true minimum, and compares
@@ -758,7 +761,7 @@ def verify_minimum_exhaustive(n: int, k: int) -> VerificationReport:
     if not is_feasible(n, k):
         raise InfeasibleError(f"no cacti with n = {n}, k = {k}; nothing to verify")
     m = n + k - 1
-    classes = cactus_classes(n, k)
+    classes = cactus_classes(n, k, cap=cap)
     values = [(edge_revised_szeged(g), g) for g in classes]
     true_min = min(v for v, _ in values)
     argmin = [g for v, g in values if v == true_min]
@@ -853,17 +856,17 @@ def verify_second_minimum(
     from .enumeration import _effective_cap
 
     if n <= _effective_cap(cap):
-        return _second_minimum_exhaustive(n, k, case, bound)
+        return _second_minimum_exhaustive(n, k, case, bound, cap)
     return _second_minimum_stress(
         n, k, case, bound, samples=samples, seed=seed
     )
 
 
 def _second_minimum_exhaustive(
-    n: int, k: int, case: BoundCase, bound: QuarterInt | None
+    n: int, k: int, case: BoundCase, bound: QuarterInt | None, cap: int | None
 ) -> VerificationReport:
     m = n + k - 1
-    report = search_extremal(n, k)
+    report = search_extremal(n, k, cap=cap)
     violations = []
     findings = []
     if bound is None:

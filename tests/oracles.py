@@ -3,8 +3,9 @@
 Everything here works from first principles on (n, edge list) pairs with no
 imports from the package under test: Floyd-Warshall distances, definitional
 partition counting, Fraction arithmetic, delete-and-retest bridge detection,
-simple-cycle enumeration, and min-over-all-relabelings isomorphism.  Slow on
-purpose; sized for the small universes the tests use.
+simple-cycle enumeration, min-over-all-relabelings isomorphism, and the
+unpruned degree-sorted canonical search.  Slow on purpose; sized for the
+small universes the tests use.
 """
 
 from __future__ import annotations
@@ -167,6 +168,65 @@ def automorphism_count(n: int, edges) -> int:
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in eset for u, v in eset):
             count += 1
     return count
+
+
+def degree_sorted_canonical(n: int, edges) -> tuple[tuple, int]:
+    """Canonical edges and tie count by the unpruned degree-sorted search.
+
+    Places vertices in nondecreasing degree order and minimizes the column
+    bit string (position p's adjacency to positions 0..p-1, earlier bit more
+    significant) by branch and bound, pruning only strictly larger prefixes.
+    Every placement that ties the minimum is reached as its own leaf, so the
+    tie count is the order of the automorphism group.  Returns the sorted
+    edge tuple of the first minimal placement and the tie count.
+    """
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    degs = [bin(mask).count("1") for mask in masks]
+    target = sorted(degs)
+    huge = 1 << (n + 1)
+    best_cols = [huge] * n
+    best = {"perm": None, "ties": 0}
+    perm = [0] * n
+    used = [False] * n
+
+    def place(pos):
+        if pos == n:
+            if best["perm"] is None:
+                best["perm"] = perm.copy()
+                best["ties"] = 1
+            else:
+                best["ties"] += 1
+            return
+        for w in range(n):
+            if used[w] or degs[w] != target[pos]:
+                continue
+            col = 0
+            for i in range(pos):
+                col = (col << 1) | ((masks[w] >> perm[i]) & 1)
+            if col > best_cols[pos]:
+                continue
+            if col < best_cols[pos]:
+                best_cols[pos] = col
+                for j in range(pos + 1, n):
+                    best_cols[j] = huge
+                best["perm"] = None
+            perm[pos] = w
+            used[w] = True
+            place(pos + 1)
+            used[w] = False
+
+    place(0)
+    newlabel = [0] * n
+    for pos, orig in enumerate(best["perm"]):
+        newlabel[orig] = pos
+    canon = sorted(
+        (min(newlabel[u], newlabel[v]), max(newlabel[u], newlabel[v]))
+        for u, v in edges
+    )
+    return tuple(canon), best["ties"]
 
 
 def cacti_classes(n: int, k: int) -> set[tuple]:

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import samples
@@ -16,11 +18,13 @@ from szegedtools import (
     canonical_form,
     certificate,
     cycle,
+    emit_graph6,
     graph_from_edges,
     labeled_copy_count,
     parse_graph6,
     path,
     star,
+    triangle_bundle,
 )
 
 
@@ -160,3 +164,77 @@ class TestAutomorphisms:
         assert labeled_copy_count(g) == math.factorial(5) // 8
         assert labeled_copy_count(cycle(3)) == 1
         assert labeled_copy_count(path(4)) == math.factorial(4) // 2
+
+
+def assert_matches_unpruned_search(g):
+    edges, ties = oracles.degree_sorted_canonical(g.n, g.edges)
+    canon = canonical_form(g)
+    assert canon.edges == edges
+    assert certificate(g) == emit_graph6(graph_from_edges(g.n, edges)).encode()
+    assert automorphism_count(g) == ties
+
+
+class TestAgainstUnprunedSearch:
+    """Twin pruning leaves the certificate and the tie count unchanged."""
+
+    def test_every_class_through_n8_relabeled(self):
+        rng = random.Random(8)
+        for n in range(1, 9):
+            for k in range(0, (n - 1) // 2 + 1):
+                for g in cactus_classes(n, k):
+                    for _ in range(3):
+                        perm = list(range(n))
+                        rng.shuffle(perm)
+                        assert_matches_unpruned_search(relabel(g, perm))
+
+    def test_empty_and_complete_graphs(self):
+        for n in range(1, 9):
+            assert_matches_unpruned_search(graph_from_edges(n, []))
+            complete = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            assert_matches_unpruned_search(graph_from_edges(n, complete))
+
+    def test_random_general_graphs(self):
+        # Sparse draws are mostly disconnected, dense ones near-complete.
+        rng = random.Random(2024)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            p = rng.choice((0.2, 0.5, 0.8))
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            assert_matches_unpruned_search(graph_from_edges(n, edges))
+
+
+class TestTwinHeavyGraphs:
+    """Stars and bundles: groups far too large to visit leaf by leaf."""
+
+    def test_star_at_cap(self):
+        g = star(12)
+        assert automorphism_count(g) == math.factorial(11)
+        assert certificate(g) == b"K?????????^~"
+
+    def test_triangle_bundle_at_cap(self):
+        g = triangle_bundle(12, 5)
+        assert automorphism_count(g) == 3840
+        assert certificate(g) == b"K???GOOGA?^~"
+
+
+@st.composite
+def relabeled_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    perm = draw(st.permutations(range(n)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    return graph_from_edges(n, edges), perm
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabeled_graphs())
+def test_certificate_and_group_order_invariant_under_relabeling(case):
+    g, perm = case
+    h = relabel(g, perm)
+    assert certificate(h) == certificate(g)
+    assert automorphism_count(h) == automorphism_count(g)
+    if g.n <= 6:
+        assert automorphism_count(g) == oracles.automorphism_count(g.n, g.edges)

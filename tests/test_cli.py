@@ -341,6 +341,40 @@ class TestVerify:
         assert normalized() == normalized()
 
 
+class TestVerifyCap:
+    @pytest.mark.parametrize("claim", ["lemma2.1", "thm3.2", "thm4.4"])
+    def test_cap_flag_raises_the_cap(self, claim):
+        code, out, err = run_cli(
+            ["verify", claim, "--n", "11", "--k", "5", "--cap", "11"]
+        )
+        assert code == 0, err
+        assert json.loads(out)["report"]["violations"] == []
+
+    def test_cap_flag_lowers_the_cap(self):
+        code, _, err = run_cli(
+            ["verify", "lemma2.1", "--n", "8", "--k", "1", "--cap", "7"]
+        )
+        assert code == 5
+        assert "n = 7" in err
+
+    def test_cap_flag_lowers_the_cap_for_a_sweep(self):
+        code, _, err = run_cli(["verify", "thm3.2", "--max-n", "8", "--cap", "7"])
+        assert code == 5
+        assert "n = 7" in err
+
+    def test_env_raises_the_cap(self, monkeypatch):
+        monkeypatch.setenv("SZEGED_MAX_N", "11")
+        code, out, _ = run_cli(["verify", "lemma4.3", "--n", "11", "--k", "5"])
+        assert code == 0
+        assert json.loads(out)["report"]["checked"] == 8
+
+    def test_env_lowers_the_cap(self, monkeypatch):
+        monkeypatch.setenv("SZEGED_MAX_N", "6")
+        code, _, err = run_cli(["verify", "thm3.2", "--n", "7", "--k", "1"])
+        assert code == 5
+        assert "n = 6" in err
+
+
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
