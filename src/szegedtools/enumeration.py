@@ -14,23 +14,20 @@ those obtained by attaching an ``L``-cycle at each vertex of each
 kept per certificate (isomorph rejection in the sense of McKay 1998), and
 class lists come out sorted by certificate.
 
-Labeled graphs come from a separate walk over edge subsets of the complete
-graph in lexicographic index order, adding one edge at a time.  An edge
-inside the current component is admitted only when its endpoints are joined
-by a path of bridge edges; that path plus the new edge becomes a cycle block
-and its edges stop being bridges.  Every cycle is therefore closed exactly
-once, by its largest edge index, so each valid edge set is produced exactly
-once.  Three prunes keep the walk tight: the cycle budget, a ceiling on the
-largest index that still leaves enough edges to finish, and the last incident
-index of the smallest still-isolated vertex.  Summing ``n!/|Aut|`` over the
-grown classes reproduces the walk's count, which cross-checks both.
+Labeled graphs are the relabelings of the class representatives.  Each
+representative is relabeled by every permutation of ``0..n-1`` in
+lexicographic order, and the first permutation giving each distinct edge set
+is kept.  Relabelings of different classes are never equal, so duplicates are
+tracked within one class only.  Summing ``n!/|Aut|`` over the classes
+reproduces the labeled count, which cross-checks the automorphism count.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import permutations
+from typing import Iterator
 
 from .bounds import BoundCase, minimum_bound, second_minimum_bound
 from .canon import canonical_pair
@@ -41,8 +38,6 @@ from .indices import QuarterInt, edge_revised_szeged
 
 DEFAULT_CAP = 10
 ABSOLUTE_CAP = 12
-
-_EdgeTable = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
 def is_feasible(n: int, k: int) -> bool:
@@ -62,168 +57,6 @@ def _check_cap(n: int, cap: int | None) -> None:
         raise CapError(
             f"exhaustive enumeration is capped at n = {limit}, got n = {n}"
         )
-
-
-def _edge_table(n: int) -> _EdgeTable:
-    """Lexicographic edge list of K_n plus each vertex's last incident index."""
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges.append((u, v))
-    last = [0] * n
-    for idx, (u, v) in enumerate(edges):
-        last[u] = idx
-        last[v] = idx
-    return tuple(edges), tuple(last)
-
-
-def _mask_edges(mask: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(edges[low.bit_length() - 1])
-        mask &= mask - 1
-    return out
-
-
-def _mask_graph(n: int, k: int, mask: int, edges: tuple[tuple[int, int], ...]) -> Graph:
-    pairs = _mask_edges(mask, edges)
-    assert len(pairs) == n + k - 1
-    return Graph(n, pairs)
-
-
-def _walk_pattern(
-    n: int,
-    k: int,
-    m: int,
-    pattern: int,
-    edges: tuple[tuple[int, int], ...],
-    last: tuple[int, ...],
-    emit: Callable[[int], None],
-) -> None:
-    """Emit every valid edge mask whose vertex-0 incidence equals ``pattern``.
-
-    ``pattern`` is a bitmask over the first ``n - 1`` edge indices, all of
-    which touch vertex 0.  Valid masks have ``m`` edges, one component, and
-    exactly ``k`` cycles; the edge-count identity makes the last two
-    equivalent once the cycle budget is enforced, so no final filter is
-    needed.
-    """
-    big = len(edges)
-    parent = list(range(n))
-    size = [1] * n
-    deg = [0] * n
-    badj = [0] * n
-    base_mask = 0
-    chosen = 0
-    pm = pattern
-    idx = 0
-    while pm:
-        if pm & 1:
-            v = edges[idx][1]
-            parent[v] = 0
-            size[0] += 1
-            deg[0] += 1
-            deg[v] += 1
-            badj[0] |= 1 << v
-            badj[v] |= 1
-            base_mask |= 1 << idx
-            chosen += 1
-        pm >>= 1
-        idx += 1
-    need0 = m - chosen
-    if need0 < 0 or (n > 1 and deg[0] == 0):
-        return
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def bridge_path(src: int, dst: int) -> list[int] | None:
-        # BFS over bridge edges only; used to decide whether a same-component
-        # edge closes a new cycle or would pierce an existing one.
-        prev = [-1] * n
-        prev[src] = src
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                mask = badj[a]
-                while mask:
-                    b = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    if prev[b] < 0:
-                        prev[b] = a
-                        if b == dst:
-                            path = [dst]
-                            while path[-1] != src:
-                                path.append(prev[path[-1]])
-                            return path
-                        nxt.append(b)
-            frontier = nxt
-        return None
-
-    def walk(start: int, need: int, mask: int, z: int) -> None:
-        if need == 0:
-            emit(mask)
-            return
-        limit = big - need
-        for v0 in range(n):
-            if not deg[v0]:
-                # last[] grows with the vertex index, so the first isolated
-                # vertex has the tightest deadline.
-                if last[v0] < limit:
-                    limit = last[v0]
-                break
-        j = start
-        while j <= limit:
-            u, v = edges[j]
-            ru = find(u)
-            rv = find(v)
-            if ru == rv:
-                if z < k:
-                    path = bridge_path(u, v)
-                    if path is not None:
-                        for i in range(len(path) - 1):
-                            a, b = path[i], path[i + 1]
-                            badj[a] &= ~(1 << b)
-                            badj[b] &= ~(1 << a)
-                        deg[u] += 1
-                        deg[v] += 1
-                        walk(j + 1, need - 1, mask | (1 << j), z + 1)
-                        deg[u] -= 1
-                        deg[v] -= 1
-                        for i in range(len(path) - 1):
-                            a, b = path[i], path[i + 1]
-                            badj[a] |= 1 << b
-                            badj[b] |= 1 << a
-            else:
-                if size[ru] < size[rv]:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-                size[ru] += size[rv]
-                deg[u] += 1
-                deg[v] += 1
-                badj[u] |= 1 << v
-                badj[v] |= 1 << u
-                walk(j + 1, need - 1, mask | (1 << j), z)
-                badj[u] &= ~(1 << v)
-                badj[v] &= ~(1 << u)
-                deg[u] -= 1
-                deg[v] -= 1
-                size[ru] -= size[rv]
-                parent[rv] = rv
-            j += 1
-
-    walk(n - 1, need0, base_mask, 0)
-
-
-def _patterns(n: int, m: int) -> list[int]:
-    """All possible vertex-0 incidence masks, ascending."""
-    if n == 1:
-        return []
-    return [p for p in range(1, 1 << (n - 1)) if p.bit_count() <= m]
 
 
 _class_cache: dict[tuple[int, int], tuple[Graph, ...]] = {}
@@ -282,25 +115,27 @@ def enumerate_cacti(
 
     With ``dedup`` (the default) each isomorphism class appears once, as its
     canonical labeling, in certificate order.  Without it, every labeled
-    graph on vertex set ``0..n-1`` is yielded, in a fixed search order.
-    Infeasible pairs yield nothing; ``n`` over the cap raises ``CapError``.
+    graph on vertex set ``0..n-1`` is yielded once: class by class in
+    certificate order, and within a class in lexicographic order of the first
+    permutation of the representative that gives it.  Infeasible pairs yield
+    nothing; ``n`` over the cap raises ``CapError``.
     """
-    _check_cap(n, cap)
+    classes = cactus_classes(n, k, workers=workers, cap=cap)
     if dedup:
-        yield from cactus_classes(n, k, workers=workers, cap=cap)
+        yield from classes
         return
-    if not is_feasible(n, k):
-        return
-    if n == 1:
-        yield Graph(1, ())
-        return
-    m = n + k - 1
-    edges, last = _edge_table(n)
-    for pattern in _patterns(n, m):
-        batch: list[int] = []
-        _walk_pattern(n, k, m, pattern, edges, last, batch.append)
-        for mask in batch:
-            yield _mask_graph(n, k, mask, edges)
+    # The key of a labeled graph is its adjacency matrix as one integer; tuple
+    # keys cost measurably more memory.
+    bit = [[1 << a * n + b | 1 << b * n + a for b in range(n)] for a in range(n)]
+    for g in classes:
+        seen = set()
+        for p in permutations(range(n)):
+            key = 0
+            for u, v in g.edges:
+                key |= bit[p[u]][p[v]]
+            if key not in seen:
+                seen.add(key)
+                yield Graph(n, [(p[u], p[v]) for u, v in g.edges])
 
 
 def count_cacti(

@@ -1,20 +1,29 @@
-"""Text encodings: graph6 (short form) and a plain edge-list format.
+"""Text encodings: graph6 and a plain edge-list format.
 
-graph6 short form covers n <= 62: one header byte ``n + 63`` followed by the
-upper triangle of the adjacency matrix in column-major order, packed six bits
-per byte (each byte offset by 63). Parsing is strict: bad characters,
-truncated or oversized payloads, and nonzero padding bits are all rejected
-with the byte offset of the problem.
+graph6 is a header encoding ``n`` followed by the upper triangle of the
+adjacency matrix in column-major order, packed six bits per byte (each byte
+offset by 63). The short-form header is one byte ``n + 63`` for n <= 62; the
+long form is ``~`` plus ``n`` in three such 6-bit bytes, for
+63 <= n <= 258047. Both forms are emitted; only the short form is parsed.
+Parsing is strict: bad characters, truncated or oversized payloads, and
+nonzero padding bits are all rejected with the byte offset of the problem.
 
 The edge-list format is one ``n m`` line followed by ``m`` lines ``u v``.
 """
 
 from __future__ import annotations
 
+import binascii
+
 from .errors import FormatError, InvalidGraphError
 from .graphs import Graph
 
-_G6_MAX_N = 62
+_G6_MAX_N = 258047
+# base64 and graph6 both write 6-bit groups, one alphabet symbol each.
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def _payload_len(n: int) -> int:
@@ -70,23 +79,20 @@ def parse_graph6(text: str) -> Graph:
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode a graph as a graph6 short-form string."""
-    if g.n > _G6_MAX_N:
-        raise FormatError(f"graph6 short form limited to n <= {_G6_MAX_N}")
-    bits = []
-    eset = g.edge_set
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if (u, v) in eset else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    """Encode a graph as graph6: short form for n <= 62, long form above."""
+    n = g.n
+    if n > _G6_MAX_N:
+        raise FormatError(f"graph6 limited to n <= {_G6_MAX_N}, got n = {n}")
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
+    for u, v in g.edges:
+        i = v * (v - 1) // 2 + u
+        bits[i >> 3] |= 128 >> (i & 7)
+    body = binascii.b2a_base64(bits, newline=False).translate(_BASE64_TO_G6)
+    return head + body[: _payload_len(n)].decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -6,6 +6,7 @@ import io
 import json
 import sys
 
+import networkx as nx
 import pytest
 
 from szegedtools import (
@@ -14,7 +15,9 @@ from szegedtools import (
     bundle,
     certificate,
     cycle,
+    edge_revised_szeged,
     parse_graph6,
+    path,
     triangle_bundle,
 )
 from szegedtools.cli import main
@@ -92,6 +95,18 @@ class TestCompute:
         assert result["n"] == 3
         assert result["edge_revised_szeged"] == {"num": 27, "den": 4}
 
+    def test_file_input_beyond_graph6_short_form(self, tmp_path):
+        p = tmp_path / "path100.el"
+        p.write_text("100 99\n" + "".join(f"{i} {i + 1}\n" for i in range(99)))
+        code, out, _ = run_cli(["compute", "--file", str(p)])
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        want = nx.to_graph6_bytes(nx.path_graph(100), header=False)
+        assert result["graph6"] == want.decode().strip()
+        assert result["edge_revised_szeged"] == edge_revised_szeged(
+            path(100)
+        ).to_dict()
+
     def test_graph6_content_in_edge_list_file_is_a_parse_error(self, tmp_path):
         p = tmp_path / "wrong.el"
         p.write_text("Bw\n")
@@ -144,6 +159,12 @@ class TestBuild:
         assert code == 0
         built = parse_graph6(out.strip())
         assert are_isomorphic(built, bundle(BundleSpec((3, 3), 0)))
+
+    def test_long_form_beyond_62_vertices(self):
+        code, out, _ = run_cli(["build", "cycle", "--n", "70"])
+        assert code == 0
+        want = nx.to_graph6_bytes(nx.cycle_graph(70), header=False)
+        assert out == want.decode()
 
     def test_json_format_describes_the_graph(self):
         code, out, _ = run_cli(

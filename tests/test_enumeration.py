@@ -61,6 +61,27 @@ N8_DIGESTS = {
     3: (11, "ca4e672f3f41d92a"),
 }
 
+# labeled cacti on vertex set 0..n-1, counted by an independent edge-subset
+# walk; the same numbers as the Σ n!/|Aut| orbit sums
+LABELED_COUNTS = {
+    (1, 0): 1,
+    (2, 0): 1,
+    (3, 0): 3,
+    (3, 1): 1,
+    (4, 0): 16,
+    (4, 1): 15,
+    (5, 0): 125,
+    (5, 1): 222,
+    (5, 2): 15,
+    (6, 0): 1296,
+    (6, 1): 3660,
+    (6, 2): 720,
+    (7, 0): 16807,
+    (7, 1): 68295,
+    (7, 2): 26145,
+    (7, 3): 735,
+}
+
 # OEIS A000083: cacti (unlabeled, any number of cycles) on n = 1.. vertices
 A000083 = (1, 1, 2, 4, 9, 23, 63, 188, 596)
 
@@ -115,6 +136,9 @@ class TestDedupAndDeterminism:
         a = [certificate(g) for g in enumerate_cacti(6, 1)]
         b = [certificate(g) for g in enumerate_cacti(6, 1)]
         assert a == b
+        a = [g.edges for g in enumerate_cacti(6, 1, dedup=False)]
+        b = [g.edges for g in enumerate_cacti(6, 1, dedup=False)]
+        assert a == b
 
     def test_worker_count_does_not_change_output(self):
         base = [certificate(g) for g in cactus_classes(6, 1)]
@@ -145,6 +169,20 @@ class TestLabeledEnumeration:
                     for g in cactus_classes(n, k)
                 )
                 assert labeled == orbit_sum, (n, k)
+
+    @pytest.mark.parametrize("pair, want", sorted(LABELED_COUNTS.items()))
+    def test_pinned_labeled_counts(self, pair, want):
+        assert sum(1 for _ in enumerate_cacti(*pair, dedup=False)) == want
+
+    def test_labeled_set_is_the_union_of_oracle_orbits(self):
+        for n in range(1, 7):
+            for k in range(0, (n - 1) // 2 + 1):
+                got = [g.edges for g in enumerate_cacti(n, k, dedup=False)]
+                assert len(set(got)) == len(got), (n, k)
+                want = set()
+                for _, edges in oracles.cacti_classes(n, k):
+                    want |= oracles.orbit(n, edges)
+                assert set(got) == want, (n, k)
 
     def test_labeled_graphs_are_valid_and_distinct(self):
         seen = set()
