@@ -18,8 +18,10 @@ import sys
 import time
 from typing import Sequence
 
+from .canon import labeled_copy_count
 from .enumeration import (
     ABSOLUTE_CAP,
+    cactus_classes,
     count_cacti,
     enumerate_cacti,
     is_feasible,
@@ -337,12 +339,8 @@ def _cmd_enumerate(args, started: float) -> int:
         total = (
             count_cacti(args.n, args.k, workers=args.workers, cap=cap)
             if not args.labeled
-            else sum(
-                1
-                for _ in enumerate_cacti(
-                    args.n, args.k, dedup=False, cap=cap
-                )
-            )
+            # Orbit-stabilizer: class g has n!/|Aut(g)| labeled copies.
+            else sum(map(labeled_copy_count, cactus_classes(args.n, args.k, cap=cap)))
         )
         if args.format == "json":
             _print_json({"n": args.n, "k": args.k, "count": total}, args, started)

@@ -274,11 +274,15 @@ def search_extremal(
 
 
 def random_cactus(n: int, k: int, seed: int = 0) -> Graph:
-    """Deterministic random cactus: ``k`` cycles of random length attached at
-    random existing vertices, then random pendant growth up to ``n`` vertices.
+    """Deterministic random cactus by leaf-block growth.
 
-    Cycle lengths are at least 3 and their total stays within the edge budget
-    ``n + k - 1``.  The same seed always gives the same graph.
+    Starting from one vertex, each step either hangs a pendant vertex or
+    attaches a cycle at a uniformly chosen existing vertex, in shuffled step
+    order.  Every cactus is the end point of some such sequence (peel its
+    leaf blocks in reverse), so every isomorphism class, cycles joined by
+    bridges included, has positive probability.  Cycle lengths are at least
+    3 and their total stays within the edge budget ``n + k - 1``.  The same
+    seed always gives the same graph.
     """
     if not is_feasible(n, k):
         raise InfeasibleError(
@@ -291,17 +295,19 @@ def random_cactus(n: int, k: int, seed: int = 0) -> Graph:
         extra = rng.randint(0, spare)
         spare -= extra
         lengths.append(3 + extra)
-    rng.shuffle(lengths)
+    # What is left of ``spare`` is the pendant count; a pendant is a 1-step.
+    steps = lengths + [1] * spare
+    rng.shuffle(steps)
     edges: list[tuple[int, int]] = []
     verts = 1
-    for length in lengths:
+    for length in steps:
         attach = rng.randrange(verts)
+        if length == 1:
+            edges.append((attach, verts))
+            verts += 1
+            continue
         ring = [attach] + list(range(verts, verts + length - 1))
         verts += length - 1
         for i in range(length):
             edges.append((ring[i], ring[(i + 1) % length]))
-    while verts < n:
-        attach = rng.randrange(verts)
-        edges.append((attach, verts))
-        verts += 1
     return Graph(n, edges)

@@ -4,7 +4,7 @@ graph6 is a header encoding ``n`` followed by the upper triangle of the
 adjacency matrix in column-major order, packed six bits per byte (each byte
 offset by 63). The short-form header is one byte ``n + 63`` for n <= 62; the
 long form is ``~`` plus ``n`` in three such 6-bit bytes, for
-63 <= n <= 258047. Both forms are emitted; only the short form is parsed.
+63 <= n <= 258047. Both forms are emitted and parsed.
 Parsing is strict: bad characters, truncated or oversized payloads, and
 nonzero padding bits are all rejected with the byte offset of the problem.
 
@@ -41,41 +41,47 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError("empty graph6 string", base)
     head = ord(text[0])
     if head == 126:
-        raise FormatError("long-form graph6 (n > 62) not supported", base)
-    if not 63 <= head <= 125:
+        if len(text) < 4:
+            raise FormatError("truncated long-form graph6 header", base + len(text))
+        n = 0
+        for i in range(1, 4):
+            val = ord(text[i]) - 63
+            if not 0 <= val <= 63:
+                raise FormatError(f"bad graph6 header byte {text[i]!r}", base + i)
+            n = n << 6 | val
+        if not 62 < n <= _G6_MAX_N:
+            raise FormatError(
+                f"long-form graph6 needs 63 <= n <= {_G6_MAX_N}, got n = {n}", base
+            )
+        start = 4
+    elif 63 <= head <= 125:
+        n = head - 63
+        start = 1
+    else:
         raise FormatError(f"bad graph6 header byte {head!r}", base)
-    n = head - 63
     if n < 1:
         raise FormatError("graph6 with zero vertices not supported", base)
     want = _payload_len(n)
-    body = text[1:]
+    body = text[start:]
+    base += start
     if len(body) < want:
         raise FormatError(
             f"truncated graph6 payload: expected {want} bytes, got {len(body)}",
-            base + 1 + len(body),
+            base + len(body),
         )
     if len(body) > want:
         raise FormatError(
-            f"oversized graph6 payload: expected {want} bytes", base + 1 + want
+            f"oversized graph6 payload: expected {want} bytes", base + want
         )
-    bits = []
     for i, ch in enumerate(body):
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise FormatError(f"bad graph6 payload byte {ch!r}", base + 1 + i)
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
-    for j in range(idx, len(bits)):
-        if bits[j]:
-            raise FormatError("nonzero padding bits", base + 1 + j // 6)
-    return Graph(n, edges)
+        if not 63 <= ord(ch) <= 126:
+            raise FormatError(f"bad graph6 payload byte {ch!r}", base + i)
+    bits = "".join(f"{ord(ch) - 63:06b}" for ch in body)
+    # Padding fills at most the last byte.
+    if "1" in bits[n * (n - 1) // 2 :]:
+        raise FormatError("nonzero padding bits", base + want - 1)
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    return Graph(n, [e for e, bit in zip(pairs, bits) if bit == "1"])
 
 
 def emit_graph6(g: Graph) -> str:

@@ -13,9 +13,13 @@ from .errors import DisconnectedError, InvalidGraphError
 
 
 class Graph:
-    """Immutable simple undirected graph."""
+    """Immutable simple undirected graph.
 
-    __slots__ = ("n", "edges", "adj", "edge_set", "_cert")
+    Being immutable, it keeps three derived facts once computed: the
+    certificate, the cactus profile and the per-edge gaps m_u - m_v.
+    """
+
+    __slots__ = ("n", "edges", "adj", "edge_set", "_cert", "_profile", "_gaps")
 
     def __init__(self, n: int, edges):
         if n < 1:
@@ -43,6 +47,8 @@ class Graph:
         object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(self, "edge_set", frozenset(norm))
         object.__setattr__(self, "_cert", None)
+        object.__setattr__(self, "_profile", None)
+        object.__setattr__(self, "_gaps", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -127,10 +133,7 @@ class BlockDecomposition:
 def _block_kind(block: frozenset[tuple[int, int]]) -> str:
     if len(block) == 1:
         return "edge"
-    verts = set()
-    for u, v in block:
-        verts.add(u)
-        verts.add(v)
+    verts = cycle_vertices(block)
     # A block is a cycle exactly when it has as many vertices as edges and
     # every vertex meets exactly two block edges.
     if len(verts) != len(block):
@@ -199,16 +202,17 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
 def cut_edges(g: Graph) -> frozenset[tuple[int, int]]:
     """All bridges of ``g``."""
-    return block_decomposition(g).bridges
+    return cactus_profile(g).bridges
 
 
 @dataclass(frozen=True)
 class CactusProfile:
-    """Cycle structure summary produced by :func:`cactus_profile`."""
+    """Block structure summary produced by :func:`cactus_profile`."""
 
     is_cactus: bool
     cycle_edge_sets: tuple[frozenset[tuple[int, int]], ...]
     end_block_flags: tuple[bool, ...]
+    bridges: frozenset[tuple[int, int]]
 
     @property
     def k(self) -> int:
@@ -232,15 +236,21 @@ def cactus_profile(g: Graph) -> CactusProfile:
 
     A graph is a cactus when every block is a single edge or a cycle. A cycle
     is an end block when all but at most one of its vertices have degree 2 in
-    the whole graph.
+    the whole graph. The bridges come from the same block decomposition.
+    Computed once per graph and kept on it, which is safe because a Graph
+    never changes.
     """
+    if g._profile is not None:
+        return g._profile
     dec = block_decomposition(g)
     ok = all(kind in ("edge", "cycle") for kind in dec.kinds)
     cycles = tuple(b for b, kind in zip(dec.blocks, dec.kinds) if kind == "cycle")
     flags = tuple(
         sum(1 for v in cycle_vertices(c) if g.degree(v) != 2) <= 1 for c in cycles
     )
-    return CactusProfile(ok, cycles, flags)
+    profile = CactusProfile(ok, cycles, flags, dec.bridges)
+    object.__setattr__(g, "_profile", profile)
+    return profile
 
 
 def is_cactus(g: Graph) -> bool:

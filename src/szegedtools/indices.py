@@ -220,14 +220,26 @@ def szeged(g: Graph) -> int:
     return total
 
 
+def edge_gaps(g: Graph) -> tuple[int, ...]:
+    """The gap m_u - m_v of every edge uv of ``g``, in ``g.edges`` order.
+
+    Computed once per graph and kept on it, which is safe because a Graph
+    never changes; keeping the gaps costs less memory than the partitions.
+    """
+    if g._gaps is None:
+        gaps = tuple(p.m_u - p.m_v for p in edge_partitions(g))
+        object.__setattr__(g, "_gaps", gaps)
+    return g._gaps
+
+
 def edge_revised_szeged(g: Graph) -> QuarterInt:
-    """Sum over edges of (m_u + m_0/2)(m_v + m_0/2), exactly."""
-    quarters = 0
-    for p in edge_partitions(g):
-        quarters += (2 * p.m_u + p.m_0) * (2 * p.m_v + p.m_0)
-    return QuarterInt(quarters)
+    """Sum over edges of (m_u + m_0/2)(m_v + m_0/2), exactly.
+
+    As m_u + m_v + m_0 = m, each edge gives m^2 - (m_u - m_v)^2 quarters.
+    """
+    return QuarterInt(g.m**3 - diff_square_sum(g))
 
 
 def diff_square_sum(g: Graph) -> int:
     """Sum over edges of (m_u - m_v)^2."""
-    return sum((p.m_u - p.m_v) ** 2 for p in edge_partitions(g))
+    return sum(d * d for d in edge_gaps(g))

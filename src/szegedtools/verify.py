@@ -53,8 +53,8 @@ from .families import (
     is_tailed_quadrangle_bundle,
 )
 from .formats import emit_graph6
-from .graphs import Graph, cactus_profile, cut_edges
-from .indices import QuarterInt, edge_partitions, edge_revised_szeged
+from .graphs import Graph, cactus_profile
+from .indices import QuarterInt, edge_gaps, edge_revised_szeged
 
 CLAIM_IDS = (
     "lemma2.1",
@@ -172,12 +172,10 @@ class GapAudit(_TwoSidedAudit):
 
 def audit_pendant_edges(g: Graph) -> GapAudit:
     """Check every edge's squared gap against the pendant-edge ceiling."""
-    parts = edge_partitions(g)
     m = len(g.edges)
     bound = pendant_diff_bound(m)
     records = []
-    for (u, v), part in zip(g.edges, parts):
-        gap = part.m_u - part.m_v
+    for (u, v), gap in zip(g.edges, edge_gaps(g)):
         pendant = len(g.adj[u]) == 1 or len(g.adj[v]) == 1
         records.append(
             EdgeGapRecord(
@@ -195,10 +193,7 @@ def audit_cycle_gaps(g: Graph) -> GapAudit:
     """Check every cycle's summed squared gap against its ceiling."""
     profile = _require_cactus_profile(g, "cycle gap audit")
     m = len(g.edges)
-    gap_sq = {}
-    for (u, v), part in zip(g.edges, edge_partitions(g)):
-        gap = part.m_u - part.m_v
-        gap_sq[(u, v)] = gap * gap
+    gap_sq = {e: gap * gap for e, gap in zip(g.edges, edge_gaps(g))}
     records = []
     for edge_set, end_block in zip(profile.cycle_edge_sets, profile.end_block_flags):
         length = len(edge_set)
@@ -359,45 +354,38 @@ def _matches_bundle_family(g: Graph, lengths: tuple[int, ...], pendants: int) ->
     return False
 
 
+def _structural_preamble(g: Graph, claim: str, what: str):
+    """The profile of cactus ``g``, and the fields every ``claim`` audit of
+    ``g`` shares: claim, graph6, m, k and whether m > 15 and m > 4k."""
+    profile = _require_cactus_profile(g, what)
+    m, k = len(g.edges), profile.k
+    shared = dict(
+        claim=claim, graph6=emit_graph6(g), m=m, k=k, in_domain=m > 15 and m > 4 * k
+    )
+    return profile, shared
+
+
 def audit_inner_cut_edge_floor(g: Graph) -> StructuralFloorAudit:
     """Floor for cacti carrying a cut edge that is not pendant.
 
     Claimed: the index is at least the all-quadrangle closed form plus m−2,
     with equality exactly for the quadrangle bundle wearing a length-2 tail.
     """
-    profile = _require_cactus_profile(g, "inner cut edge audit")
-    m = len(g.edges)
-    k = profile.k
-    g6 = emit_graph6(g)
-    in_domain = m > 15 and m > 4 * k
+    profile, shared = _structural_preamble(g, "lemma4.1", "inner cut edge audit")
+    m, k = shared["m"], shared["k"]
     deg = [len(a) for a in g.adj]
-    has_inner_cut = any(deg[u] > 1 and deg[v] > 1 for u, v in cut_edges(g))
-    if not has_inner_cut:
+    if not any(deg[u] > 1 and deg[v] > 1 for u, v in profile.bridges):
         return StructuralFloorAudit(
-            claim="lemma4.1",
-            graph6=g6,
-            applicable=False,
-            reason="every cut edge is pendant",
-            m=m,
-            k=k,
-            in_domain=in_domain,
+            **shared, applicable=False, reason="every cut edge is pendant"
         )
-    floor = inner_cut_edge_bound(m, k) if m >= 4 * k + 1 else None
-    n = g.n
-    family = FamilyRef(kind="tailed_quadrangle_bundle", n=n, k=k)
-    matches = is_tailed_quadrangle_bundle(g, k)
     return StructuralFloorAudit(
-        claim="lemma4.1",
-        graph6=g6,
+        **shared,
         applicable=True,
         reason="has a non-pendant cut edge",
-        m=m,
-        k=k,
-        in_domain=in_domain,
         value=edge_revised_szeged(g),
-        floor=floor,
-        family=family,
-        matches_family=matches,
+        floor=inner_cut_edge_bound(m, k) if m >= 4 * k + 1 else None,
+        family=FamilyRef(kind="tailed_quadrangle_bundle", n=g.n, k=k),
+        matches_family=is_tailed_quadrangle_bundle(g, k),
     )
 
 
@@ -408,37 +396,25 @@ def audit_off_quadrangle_floor(g: Graph) -> StructuralFloorAudit:
     equality case is that bundle; with all cycles even the floor is the
     one-hexagon mix and no equality condition is claimed.
     """
-    profile = _require_cactus_profile(g, "off-quadrangle cycle audit")
-    m = len(g.edges)
-    k = profile.k
-    g6 = emit_graph6(g)
-    in_domain = m > 15 and m > 4 * k
+    profile, shared = _structural_preamble(g, "lemma4.2", "off-quadrangle cycle audit")
+    m, k = shared["m"], shared["k"]
     lengths = profile.cycle_lengths
     if not any(length != 4 for length in lengths):
         return StructuralFloorAudit(
-            claim="lemma4.2",
-            graph6=g6,
+            **shared,
             applicable=False,
             reason="every cycle is a quadrangle" if lengths else "no cycles",
-            m=m,
-            k=k,
-            in_domain=in_domain,
         )
     value = edge_revised_szeged(g)
     if any(length % 2 for length in lengths):
-        floor = mix_closed_form(1, k, m) if m >= 4 * k - 1 else None
         oddmix = (3,) + (4,) * (k - 1)
         pendants = g.n - 1 - (sum(oddmix) - k)
         return StructuralFloorAudit(
-            claim="lemma4.2",
-            graph6=g6,
+            **shared,
             applicable=True,
             reason="has an odd cycle",
-            m=m,
-            k=k,
-            in_domain=in_domain,
             value=value,
-            floor=floor,
+            floor=mix_closed_form(1, k, m) if m >= 4 * k - 1 else None,
             family=FamilyRef(
                 kind="bundle",
                 n=g.n,
@@ -450,17 +426,12 @@ def audit_off_quadrangle_floor(g: Graph) -> StructuralFloorAudit:
             and _matches_bundle_family(g, oddmix, pendants),
         )
     hexmix = (6,) + (4,) * (k - 1)
-    floor = bundle_closed_form(hexmix, m) if sum(hexmix) <= m else None
     return StructuralFloorAudit(
-        claim="lemma4.2",
-        graph6=g6,
+        **shared,
         applicable=True,
         reason="all cycles even, one of length six or more",
-        m=m,
-        k=k,
-        in_domain=in_domain,
         value=value,
-        floor=floor,
+        floor=bundle_closed_form(hexmix, m) if sum(hexmix) <= m else None,
     )
 
 
@@ -470,20 +441,13 @@ def audit_inner_cycle_floor(g: Graph) -> StructuralFloorAudit:
     Claimed: the index is at least the smaller of the one-triangle mix and
     the all-quadrangle form plus 2m−10.  No equality condition.
     """
-    profile = _require_cactus_profile(g, "inner cycle audit")
-    m = len(g.edges)
-    k = profile.k
-    g6 = emit_graph6(g)
-    in_domain = m > 15 and m > 4 * k
+    profile, shared = _structural_preamble(g, "lemma4.3", "inner cycle audit")
+    m, k = shared["m"], shared["k"]
     if all(profile.end_block_flags):
         return StructuralFloorAudit(
-            claim="lemma4.3",
-            graph6=g6,
+            **shared,
             applicable=False,
             reason="every cycle is an end-block" if k else "no cycles",
-            m=m,
-            k=k,
-            in_domain=in_domain,
         )
     floor = None
     if m >= 4 * k:
@@ -492,13 +456,9 @@ def audit_inner_cycle_floor(g: Graph) -> StructuralFloorAudit:
             candidates.append(mix_closed_form(1, k, m))
         floor = min(candidates)
     return StructuralFloorAudit(
-        claim="lemma4.3",
-        graph6=g6,
+        **shared,
         applicable=True,
         reason="has a cycle that is not an end-block",
-        m=m,
-        k=k,
-        in_domain=in_domain,
         value=edge_revised_szeged(g),
         floor=floor,
     )

@@ -166,6 +166,14 @@ class TestBuild:
         want = nx.to_graph6_bytes(nx.cycle_graph(70), header=False)
         assert out == want.decode()
 
+    def test_long_form_output_reads_back(self):
+        _, built, _ = run_cli(["build", "cycle", "--n", "70"])
+        code, out, _ = run_cli(["compute", "--stdin"], stdin=built)
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert (result["n"], result["m"]) == (70, 70)
+        assert result["graph6"] == built.strip()
+
     def test_json_format_describes_the_graph(self):
         code, out, _ = run_cli(
             ["build", "cycle", "--n", "4", "--format", "json"]
@@ -194,6 +202,13 @@ class TestEnumerate:
         )
         assert code == 0
         assert out.strip() == "15"
+
+    def test_labeled_count_of_trees_is_cayley(self):
+        code, out, _ = run_cli(
+            ["enumerate", "--n", "10", "--k", "0", "--labeled", "--count"]
+        )
+        assert code == 0
+        assert out.strip() == str(10**8)
 
     def test_json_format(self):
         code, out, _ = run_cli(

@@ -301,3 +301,16 @@ class TestRandomCactus:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
             random_cactus(4, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 8) for k in range(n) if is_feasible(n, k)]
+    )
+    def test_every_class_is_reached(self, n, k):
+        # Cycles joined by a bridge or a path need pendant steps between
+        # cycle steps; the sampler must reach those classes too.
+        missing = {certificate(g) for g in cactus_classes(n, k)}
+        for seed in range(2000):
+            missing.discard(certificate(random_cactus(n, k, seed=seed)))
+            if not missing:
+                break
+        assert not missing

@@ -105,6 +105,30 @@ class TestGraph6:
         want = nx.to_graph6_bytes(h, header=False).decode().strip()
         assert emit_graph6(star(70)) == want
 
+    @pytest.mark.parametrize("n", [63, 70, 300])
+    def test_long_form_round_trip_against_networkx(self, n):
+        rng = random.Random(n)
+        h = nx.gnp_random_graph(n, 0.05, seed=rng.randrange(2**32))
+        text = nx.to_graph6_bytes(h, header=False).decode().strip()
+        assert text.startswith("~")
+        g = parse_graph6(text)
+        assert g.n == n
+        assert g.edge_set == {(min(u, v), max(u, v)) for u, v in h.edges()}
+        assert emit_graph6(g) == text
+
+    @pytest.mark.parametrize(
+        "bad,offset",
+        [("~", 1), ("~?@", 3), (">>graph6<<~?", 12), ("~\x7f??", 1), ("~??}", 0), ("~~???", 0)],
+    )
+    def test_long_form_header_errors_report_offsets(self, bad, offset):
+        with pytest.raises(FormatError, match=f"byte offset {offset}\\)"):
+            parse_graph6(bad)
+
+    def test_long_form_payload_offsets_count_the_header(self):
+        text = emit_graph6(star(70))
+        with pytest.raises(FormatError, match=f"byte offset {len(text)}\\)"):
+            parse_graph6(text + "?")
+
 
 class TestEdgeList:
     def test_emit_known(self):

@@ -1,6 +1,7 @@
 """Claim audits and the verification reports built from them."""
 
 import json
+import sys
 
 import pytest
 
@@ -34,6 +35,8 @@ from szegedtools import (
     verify_pendant_edge_claim,
     verify_second_minimum,
 )
+from szegedtools import graphs
+from szegedtools.verify import AUDITORS
 
 
 class TestPendantEdgeAudit:
@@ -144,6 +147,37 @@ class TestStructuralFloorAudits:
         assert audit.ok
         audit = audit_inner_cycle_floor(samples.butterfly())
         assert not audit.applicable
+
+
+def _count_calls_on(monkeypatch, fn, g):
+    """Wrap every binding of library function ``fn``; count calls made on ``g``.
+
+    Only calls whose argument is ``g`` itself count: some audits build
+    graphs of their own (``is_tailed_quadrangle_bundle`` peels leaves).
+    """
+    calls = []
+
+    def counting(h, *args, **kwargs):
+        if h is g:
+            calls.append(h)
+        return fn(h, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("szegedtools") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+def test_six_audits_share_one_analysis_per_graph(monkeypatch):
+    # A triangle with both a two-edge tail and a pendant: it has a
+    # non-pendant cut edge, an odd cycle, and a cycle that is no end-block,
+    # so every structural hypothesis applies and every audit does its work.
+    g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4), (2, 5)])
+    blocks = _count_calls_on(monkeypatch, graphs.block_decomposition, g)
+    bfs = _count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
+    audits = [auditor(g) for auditor in AUDITORS.values()]
+    assert all(a.applicable for a in audits)
+    assert (len(blocks), len(bfs)) == (1, 1)
 
 
 UNIVERSE_5 = Universe(pairs=feasible_pairs(5))
