@@ -441,6 +441,13 @@ def _merge_reports(reports: list[VerificationReport]) -> VerificationReport:
 def _cmd_verify(args, started: float) -> int:
     claim = args.claim
     cap = _cap_from(args)
+    for flag, value, least in (
+        ("--samples", args.samples, 0),
+        ("--sample-max-n", args.sample_max_n, 3),
+        ("--max-n", args.max_n, 1),
+    ):
+        if value is not None and value < least:
+            raise FormatError(f"verify {flag} must be at least {least}, got {value}")
     if claim in AUDITORS:
         pairs = ()
         if args.n is not None:

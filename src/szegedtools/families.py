@@ -173,32 +173,32 @@ def is_quadrangle_bundle(g: Graph, k: int | None = None) -> bool:
 def is_tailed_quadrangle_bundle(g: Graph, k: int | None = None) -> bool:
     """Exact recognizer for :func:`tailed_quadrangle_bundle` results.
 
-    Peeling the tail's outer leaf must leave a quadrangle bundle in which the
-    peeled vertex's neighbor became a hub pendant.
+    The tail ends in a leaf whose neighbor ``inner`` has degree 2, and the
+    hub is ``inner``'s other neighbor. Every cycle must be a quadrangle
+    through the hub, and every other vertex must be a leaf at the hub. The
+    other cycle vertices then have degree 2: a third neighbor could be
+    neither a leaf at the hub nor on a second cycle through the hub, which
+    would share two vertices with the first. When ``g`` has this shape, the
+    only other such leaf is the far end of a path on 3 or 4 vertices, which
+    is symmetric; so the first leaf found decides. Raises
+    :class:`DisconnectedError` on disconnected input, as :func:`as_bundle`
+    does.
     """
-    if g.n < 3:
+    profile = cactus_profile(g)
+    if not profile.is_cactus or (k is not None and profile.k != k):
         return False
-    for leaf in range(g.n):
-        if g.degree(leaf) != 1:
-            continue
-        inner = g.adj[leaf][0]
-        if g.degree(inner) != 2:
-            continue
-        keep = [v for v in range(g.n) if v != leaf]
-        relabel = {v: i for i, v in enumerate(keep)}
-        peeled = Graph(
-            g.n - 1,
-            [(relabel[u], relabel[v]) for u, v in g.edges if leaf not in (u, v)],
-        )
-        spec = as_bundle(peeled)
-        if spec is None or any(length != 4 for length in spec.cycle_lengths):
-            continue
-        if spec.pendants == 0:
-            continue
-        if k is not None and spec.k != k:
-            continue
-        # The peeled spot must sit on the hub, which as_bundle already
-        # guarantees for every pendant; check 'inner' really is one now.
-        if peeled.degree(relabel[inner]) == 1:
-            return True
-    return False
+    tail = next(
+        (b for b in range(g.n) if g.degree(b) == 1 and g.degree(g.adj[b][0]) == 2),
+        None,
+    )
+    if tail is None:
+        return False
+    inner = g.adj[tail][0]
+    hub = next(v for v in g.adj[inner] if v != tail)
+    placed = {hub, inner, tail}
+    for edges in profile.cycle_edge_sets:
+        ring = cycle_vertices(edges)
+        if len(ring) != 4 or hub not in ring:
+            return False
+        placed |= ring
+    return all(g.adj[v] == (hub,) for v in range(g.n) if v not in placed)

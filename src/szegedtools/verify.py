@@ -7,6 +7,9 @@ graph with the claimed structure must achieve equality (``bwd_ok``).  The
 conditional floors of Lemmas 4.1–4.3 also say whether their hypothesis
 applies (``applicable``) and whether the edge count lies in the claimed
 domain (``in_domain``); the unconditional lemmas set both to ``True``.
+Family membership is read off each graph's block structure (``as_bundle``,
+``is_tailed_quadrangle_bundle``), never from canonical forms, so the audits
+run no canonical search and work at any size.
 
 So one table, ``AUDITORS``, maps each lemma's claim id to its audit, and one
 sweep, ``verify_claim``, folds any lemma's audits over a ``Universe`` into a
@@ -42,13 +45,11 @@ from .bounds import (
     pendant_diff_bound,
     second_minimum_bound,
 )
-from .canon import CERT_CAP, certificate
 from .enumeration import cactus_classes, is_feasible, random_cactus, search_extremal
 from .errors import InfeasibleError, InvalidGraphError
 from .families import (
     BundleSpec,
     as_bundle,
-    bundle,
     is_quadrangle_bundle,
     is_tailed_quadrangle_bundle,
 )
@@ -335,25 +336,6 @@ class StructuralFloorAudit:
         }
 
 
-def _matches_bundle_family(g: Graph, lengths: tuple[int, ...], pendants: int) -> bool:
-    """Exact test against a one-hub bundle with the given shape.
-
-    Certificates decide when the graph is small enough to canonicalize;
-    otherwise the structural recognizer does (it is exact for bundles, whose
-    isomorphism class is determined by the length multiset and pendant count).
-    """
-    found = as_bundle(g)
-    if found is not None:
-        return (
-            tuple(sorted(found.cycle_lengths)) == tuple(sorted(lengths))
-            and found.pendants == pendants
-        )
-    if g.n <= CERT_CAP:
-        ref = bundle(BundleSpec(cycle_lengths=lengths, pendants=pendants))
-        return certificate(g) == certificate(ref)
-    return False
-
-
 def _structural_preamble(g: Graph, claim: str, what: str):
     """The profile of cactus ``g``, and the fields every ``claim`` audit of
     ``g`` shares: claim, graph6, m, k and whether m > 15 and m > 4k."""
@@ -423,7 +405,7 @@ def audit_off_quadrangle_floor(g: Graph) -> StructuralFloorAudit:
                 pendants=pendants,
             ),
             matches_family=pendants >= 0
-            and _matches_bundle_family(g, oddmix, pendants),
+            and as_bundle(g) == BundleSpec(oddmix, pendants),
         )
     hexmix = (6,) + (4,) * (k - 1)
     return StructuralFloorAudit(
@@ -715,8 +697,9 @@ def verify_minimum_exhaustive(
     """Exhaustive check that the closed-form minimum and its family are right.
 
     Enumerates every class at (n, k), takes the true minimum, and compares
-    value and argmin set against the case prediction.  Ties on the minimum
-    are findings.
+    value and argmin set against the case prediction.  Every predicted family
+    is a bundle, so a minimizer belongs to it exactly when ``as_bundle`` gives
+    the same shape.  Ties on the minimum are findings.
     """
     if not is_feasible(n, k):
         raise InfeasibleError(f"no cacti with n = {n}, k = {k}; nothing to verify")
@@ -744,7 +727,7 @@ def verify_minimum_exhaustive(
             )
         if case.family is not None and case.family_feasible:
             ref = case.family.build()
-            ref_cert = certificate(ref)
+            ref_spec = as_bundle(ref)
             ref_value = edge_revised_szeged(ref)
             if ref_value != bound:
                 bwd_fail.append(emit_graph6(ref))
@@ -757,7 +740,7 @@ def verify_minimum_exhaustive(
                     }
                 )
             for g in argmin:
-                if certificate(g) != ref_cert:
+                if as_bundle(g) != ref_spec:
                     fwd_fail.append(emit_graph6(g))
                     violations.append(
                         {

@@ -6,6 +6,11 @@ partition counting, Fraction arithmetic, delete-and-retest bridge detection,
 simple-cycle enumeration, min-over-all-relabelings isomorphism, and the
 unpruned degree-sorted canonical search.  Slow on purpose; sized for the
 small universes the tests use.
+
+The one exception is ``tailed_quadrangle_bundle_by_peeling``, the earlier
+recognizer of the tailed family, kept as the oracle for the structural one.
+It peels the tail's leaf into a new ``Graph`` and asks the package's
+``as_bundle``, which the tests check against certificates on its own.
 """
 
 from __future__ import annotations
@@ -250,6 +255,37 @@ def cacti_classes(n: int, k: int) -> set[tuple]:
             marked |= relabelings
             classes.add((n, min(relabelings)))
     return classes
+
+
+def tailed_quadrangle_bundle_by_peeling(g, k: int | None = None) -> bool:
+    """Does peeling some leaf of ``g`` leave a quadrangle bundle in which the
+    leaf's neighbor, of degree 2 before, is a hub pendant?"""
+    from szegedtools import Graph, as_bundle
+
+    if g.n < 3:
+        return False
+    for leaf in range(g.n):
+        if g.degree(leaf) != 1:
+            continue
+        inner = g.adj[leaf][0]
+        if g.degree(inner) != 2:
+            continue
+        keep = [v for v in range(g.n) if v != leaf]
+        relabel = {v: i for i, v in enumerate(keep)}
+        peeled = Graph(
+            g.n - 1,
+            [(relabel[u], relabel[v]) for u, v in g.edges if leaf not in (u, v)],
+        )
+        spec = as_bundle(peeled)
+        if spec is None or any(length != 4 for length in spec.cycle_lengths):
+            continue
+        if spec.pendants == 0:
+            continue
+        if k is not None and spec.k != k:
+            continue
+        if peeled.degree(relabel[inner]) == 1:
+            return True
+    return False
 
 
 def random_graph_edges(rng, n: int, extra: float = 0.3):

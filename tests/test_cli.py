@@ -365,6 +365,19 @@ class TestVerify:
     def test_unknown_claim_is_usage_error(self):
         assert run_cli(["verify", "bogus"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("verify lemma2.1 --samples -5", "--samples"),
+            ("verify lemma4.2 --samples 5 --sample-max-n 2", "--sample-max-n"),
+            ("verify thm3.2 --max-n 0", "--max-n"),
+        ],
+    )
+    def test_bad_numeric_flag_is_usage_error(self, argv, flag):
+        code, out, err = run_cli(argv.split())
+        assert (code, out) == (2, "")
+        assert f"verify {flag} must be at least" in err
+
     def test_byte_determinism_modulo_wall_time(self):
         def normalized():
             _, out, _ = run_cli(
@@ -416,7 +429,8 @@ def _digest(text):
 
 
 class TestVerifyReportBytes:
-    """Report bytes at exhaustive universes, JSON and human, frozen."""
+    """Report bytes at exhaustive and sampled universes, JSON and human,
+    frozen."""
 
     @pytest.mark.parametrize(
         "argv, json_digest, human_digest",
@@ -431,6 +445,13 @@ class TestVerifyReportBytes:
             ("verify thm3.2 --n 7 --k 2", "f4f31f6ba0c0f918", "a89670eb5ae47dff"),
             ("verify thm3.2 --m 15 --k 2", "313074d1b4c91caa", "a7526ce203d72fa3"),
             ("verify thm4.4 --n 7 --k 1", "78303c67f4155c29", "a620a505bc25a077"),
+            # Sampled graphs up to n = 12, where lemma 4.2 once fell back to
+            # certificates for every graph that is not a bundle.
+            (
+                "verify lemma4.2 --samples 2000 --sample-max-n 12 --seed 3",
+                "9c351b57906ac5ed",
+                "d1b826c7f05b95a4",
+            ),
         ],
     )
     def test_digests(self, argv, json_digest, human_digest):

@@ -1,19 +1,26 @@
 """Named extremal families: construction, recognition, feasibility."""
 
+import random
+
 import pytest
 
 import oracles
 import samples
 from szegedtools import (
     BundleSpec,
+    DisconnectedError,
+    Graph,
     InfeasibleError,
     QuarterInt,
     are_isomorphic,
     as_bundle,
     bundle,
+    cactus_classes,
     cactus_profile,
+    certificate,
     cycle,
     edge_revised_szeged,
+    feasible_pairs,
     graph_from_edges,
     is_cactus,
     is_quadrangle_bundle,
@@ -185,6 +192,57 @@ class TestTailedQuadrangleBundle:
         g = tailed_quadrangle_bundle(20, 4)
         assert is_tailed_quadrangle_bundle(g, 4)
         assert not is_tailed_quadrangle_bundle(quadrangle_bundle(20, 4), 4)
+
+    def test_recognizer_rejects_disconnected_input(self):
+        with pytest.raises(DisconnectedError):
+            is_tailed_quadrangle_bundle(graph_from_edges(4, [(0, 1), (1, 2)]))
+
+
+def _bundle_specs(n):
+    """Every bundle shape on n vertices: a multiset of cycle lengths, sorted,
+    and the pendants that make up the rest."""
+
+    def multisets(budget, least):
+        # A cycle of length L adds L - 1 vertices to the hub.
+        yield ()
+        for length in range(least, budget + 2):
+            for rest in multisets(budget - (length - 1), length):
+                yield (length,) + rest
+
+    for lengths in multisets(n - 1, 3):
+        yield BundleSpec(lengths, n - 1 - sum(length - 1 for length in lengths))
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestRecognizersAgainstOracles:
+    """The structural recognizers against certificates and the peeling
+    recognizer, on every class with n <= 9."""
+
+    def test_as_bundle_matches_bundle_certificates(self):
+        for n in range(1, 10):
+            specs = list(_bundle_specs(n))
+            by_cert = {certificate(bundle(spec)): spec for spec in specs}
+            assert len(by_cert) == len(specs)
+            for k in range((n - 1) // 2 + 1):
+                for g in cactus_classes(n, k):
+                    assert as_bundle(g) == by_cert.get(certificate(g)), g.edges
+
+    def test_tailed_recognizer_matches_peeling(self):
+        # Each class also in one random labeling, as the recognizer stops at
+        # the first leaf that could end a tail.
+        rng = random.Random(0)
+        for n, k in feasible_pairs(9):
+            for g in cactus_classes(n, k):
+                for h in (g, _relabeled(g, rng)):
+                    for want in (None, 0, 1, 2, 3, 4):
+                        got = is_tailed_quadrangle_bundle(h, want)
+                        peeled = oracles.tailed_quadrangle_bundle_by_peeling(h, want)
+                        assert got == peeled, (h.edges, want)
 
 
 class TestFamilyValuesAgainstOracle:

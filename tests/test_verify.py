@@ -35,7 +35,7 @@ from szegedtools import (
     verify_pendant_edge_claim,
     verify_second_minimum,
 )
-from szegedtools import graphs
+from szegedtools import canon, graphs
 from szegedtools.verify import AUDITORS
 
 
@@ -149,16 +149,17 @@ class TestStructuralFloorAudits:
         assert not audit.applicable
 
 
-def _count_calls_on(monkeypatch, fn, g):
+def _count_calls_on(monkeypatch, fn, g=None):
     """Wrap every binding of library function ``fn``; count calls made on ``g``.
 
-    Only calls whose argument is ``g`` itself count: some audits build
-    graphs of their own (``is_tailed_quadrangle_bundle`` peels leaves).
+    Only calls whose argument is ``g`` itself count, so work on graphs that
+    a caller builds for its own use would not; with ``g`` None every call
+    counts.
     """
     calls = []
 
     def counting(h, *args, **kwargs):
-        if h is g:
+        if g is None or h is g:
             calls.append(h)
         return fn(h, *args, **kwargs)
 
@@ -175,9 +176,21 @@ def test_six_audits_share_one_analysis_per_graph(monkeypatch):
     g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4), (2, 5)])
     blocks = _count_calls_on(monkeypatch, graphs.block_decomposition, g)
     bfs = _count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
+    # Family membership is decided on g's own structure: no canonical
+    # search and no new graph, such as a reference bundle or a peeled copy.
+    canon_calls = _count_calls_on(monkeypatch, canon.canonical_pair)
+    built = []
+    init = graphs.Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.Graph, "__init__", counting_init)
     audits = [auditor(g) for auditor in AUDITORS.values()]
     assert all(a.applicable for a in audits)
     assert (len(blocks), len(bfs)) == (1, 1)
+    assert (len(canon_calls), len(built)) == (0, 0)
 
 
 UNIVERSE_5 = Universe(pairs=feasible_pairs(5))
