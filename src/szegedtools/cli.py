@@ -163,7 +163,9 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--m", type=int, help="formula-level audit at this edge count (with --k)"
     )
-    p_verify.add_argument("--samples", type=int, default=0)
+    p_verify.add_argument(
+        "--samples", type=int, help="random cacti to draw (thm4.4: 10000 by default)"
+    )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--sample-max-n", type=int, default=40)
     p_verify.add_argument("--workers", type=int, default=1)
@@ -466,7 +468,7 @@ def _cmd_verify(args, started: float) -> int:
             )
         universe = Universe(
             pairs=pairs,
-            samples=args.samples,
+            samples=args.samples or 0,
             sample_max_n=args.sample_max_n,
             seed=args.seed,
             cap=cap,
@@ -495,7 +497,7 @@ def _cmd_verify(args, started: float) -> int:
         report = verify_second_minimum(
             args.n,
             args.k,
-            samples=args.samples or 10_000,
+            samples=10_000 if args.samples is None else args.samples,
             seed=args.seed,
             cap=cap,
         )

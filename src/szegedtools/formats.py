@@ -14,16 +14,19 @@ The edge-list format is one ``n m`` line followed by ``m`` lines ``u v``.
 from __future__ import annotations
 
 import binascii
+import math
+import re
 
 from .errors import FormatError, InvalidGraphError
 from .graphs import Graph
 
 _G6_MAX_N = 258047
 # base64 and graph6 both write 6-bit groups, one alphabet symbol each.
-_BASE64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_SYMBOLS = bytes(range(63, 127))
+_BASE64_TO_G6 = bytes.maketrans(_BASE64, _G6_SYMBOLS)
+_G6_TO_BASE64 = bytes.maketrans(_G6_SYMBOLS, _BASE64)
+_NONZERO_BYTE = re.compile(b"[^\\x00]")
 
 
 def _payload_len(n: int) -> int:
@@ -73,15 +76,30 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError(
             f"oversized graph6 payload: expected {want} bytes", base + want
         )
-    for i, ch in enumerate(body):
-        if not 63 <= ord(ch) <= 126:
-            raise FormatError(f"bad graph6 payload byte {ch!r}", base + i)
-    bits = "".join(f"{ord(ch) - 63:06b}" for ch in body)
-    # Padding fills at most the last byte.
-    if "1" in bits[n * (n - 1) // 2 :]:
-        raise FormatError("nonzero padding bits", base + want - 1)
-    pairs = ((u, v) for v in range(1, n) for u in range(v))
-    return Graph(n, [e for e, bit in zip(pairs, bits) if bit == "1"])
+    raw = body.encode("ascii", "replace")
+    # Checked in bulk; the loop only finds the first bad byte's offset.
+    if not body.isascii() or raw.translate(None, _G6_SYMBOLS):
+        for i, ch in enumerate(body):
+            if not 63 <= ord(ch) <= 126:
+                raise FormatError(f"bad graph6 payload byte {ch!r}", base + i)
+    # base64 needs whole 4-symbol groups; "A" pads with zero bits.
+    raw = raw.translate(_G6_TO_BASE64) + b"A" * (-want % 4)
+    bits = binascii.a2b_base64(raw)
+    limit = n * (n - 1) // 2
+    edges = []
+    for match in _NONZERO_BYTE.finditer(bits):
+        at = match.start()
+        byte = bits[at]
+        for shift in range(8):
+            if byte & (128 >> shift):
+                i = 8 * at + shift
+                if i >= limit:
+                    # Padding fills at most the last byte.
+                    raise FormatError("nonzero padding bits", base + want - 1)
+                # Bit i is the pair u < v with i = v (v - 1) / 2 + u.
+                v = (1 + math.isqrt(8 * i + 1)) // 2
+                edges.append((i - v * (v - 1) // 2, v))
+    return Graph(n, edges)
 
 
 def emit_graph6(g: Graph) -> str:

@@ -6,6 +6,31 @@ than to v, m_v the edges strictly closer to v, and m_0 the rest (the edge e
 itself always lands in m_0). Every value is therefore an integer number of
 quarters, and :class:`QuarterInt` keeps it that way; no floating point enters
 any computation here.
+
+On a cactus every one of these counts follows from block weights, so
+:func:`_cactus_distances` finds them all in one iterative DFS, in
+O(n + m) time and memory:
+
+- Each back edge closes exactly one cycle: the tree path from its upper end
+  down to its lower end, plus the back edge itself, in ring order.
+- Subtree vertex and edge counts, summed in post-order, give each ring
+  vertex its branch: the V_i vertices and E_i edges that hang off the ring
+  there. The ring's top vertex takes the complement.
+- A cut edge splits the graph into the two sides of the tree edge, so its
+  counts are the subtree counts and m_0 = 1.
+- On an edge of an L-cycle, a branch sides with the nearer endpoint. Prefix
+  sums around the doubled ring add up each side. For even L the antipodal
+  edge is the only other equidistant edge; for odd L the whole branch at the
+  opposite vertex is equidistant, and no ring edge but the edge itself.
+- The Wiener index adds V * V' over cut edges and, per cycle, the sum of
+  V_i V_j d(i, j) over ring pairs, which prefix sums of V_i and i * V_i
+  give in O(L).
+
+The same DFS detects a disconnected graph. It gives up at the first tree
+edge covered by two back edges, which happens exactly when the graph is no
+cactus. Such graphs take the general path: all-pairs BFS plus a sweep over
+all edges for each edge, O(n m + m^2) time. That path is also the reference
+the cactus pass is tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidGraphError
+from .errors import DisconnectedError, InvalidGraphError
 from .graphs import Graph, all_bfs_distances, bfs_distances, require_connected
 
 
@@ -185,15 +210,128 @@ def edge_partition(g: Graph, e) -> EdgePartition:
     return _edge_split(g.edges, bfs_distances(g, u), bfs_distances(g, v))
 
 
-def edge_partitions(g: Graph) -> list[EdgePartition]:
-    """Edge partition for every edge of ``g``, in ``g.edges`` order."""
+def _cactus_distances(g: Graph):
+    """Edge splits, Szeged and Wiener index of a cactus in one DFS.
+
+    Returns ``(rows, szeged, wiener)``, with one ``(m_u, m_v, m_0)`` row per
+    edge in ``g.edges`` order, or ``None`` when ``g`` is no cactus. Raises
+    :class:`DisconnectedError` when ``g`` is a disconnected cactus forest.
+    """
+    n, m, adj = g.n, g.m, g.adj
+    parent = [-1] * n
+    depth = [-1] * n
+    depth[0] = 0
+    order = [0]
+    # on_cycle[x]: the tree edge x-parent[x] lies on a cycle.
+    on_cycle = [False] * n
+    # Vertices and edges of each subtree; an edge belongs to its lower end.
+    sub_v = [1] * n
+    sub_e = [0] * n
+    rings = []
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if depth[w] < 0:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                order.append(w)
+                stack.append((w, iter(adj[w])))
+                break
+            if depth[w] < depth[v] and w != parent[v]:
+                # Back edge v-w: its cycle runs down the tree from w to v.
+                ring = []
+                x = v
+                while x != w:
+                    if on_cycle[x]:
+                        return None
+                    on_cycle[x] = True
+                    ring.append(x)
+                    x = parent[x]
+                ring.append(w)
+                ring.reverse()
+                rings.append(ring)
+                sub_e[v] += 1
+        else:
+            stack.pop()
+    if len(order) < n:
+        raise DisconnectedError("graph is not connected")
+
+    for x in reversed(order):
+        p = parent[x]
+        if p >= 0:
+            sub_e[x] += 1
+            sub_v[p] += sub_v[x]
+            sub_e[p] += sub_e[x]
+
+    split = {}
+    szeged_total = wiener_total = 0
+    for x in order[1:]:
+        if not on_cycle[x]:
+            below = sub_v[x]
+            split[(x, parent[x])] = (sub_e[x] - 1, m - sub_e[x], 1)
+            szeged_total += below * (n - below)
+            wiener_total += below * (n - below)
+    for ring in rings:
+        size = len(ring)
+        half = size // 2
+        # Branch weights at ring[0] (the top vertex), ring[1], ..., ring[-1].
+        verts = [n - sub_v[ring[1]]]
+        edges = [m - sub_e[ring[1]]]
+        for i in range(1, size - 1):
+            x, y = ring[i], ring[i + 1]
+            verts.append(sub_v[x] - sub_v[y])
+            edges.append(sub_e[x] - sub_e[y] - 1)
+        verts.append(sub_v[ring[-1]])
+        edges.append(sub_e[ring[-1]] - 2)
+        # Prefix sums around the doubled ring.
+        pv = [0]
+        pe = [0]
+        for a, b in zip(verts + verts, edges + edges):
+            pv.append(pv[-1] + a)
+            pe.append(pe[-1] + b)
+        # Ring edge i joins ring[i] and ring[i + 1]; ring[i - half + 1 .. i]
+        # side with ring[i], ring[i + 1 .. i + half] with ring[i + 1].
+        for i in range(size):
+            lo, mid, hi = i + size - half + 1, i + 1, i + half + 1
+            n_u = pv[i + size + 1] - pv[lo]
+            n_v = pv[hi] - pv[mid]
+            m_u = pe[i + size + 1] - pe[lo]
+            m_v = pe[hi] - pe[mid]
+            if size & 1:
+                row = (m_u + half, m_v + half, 1 + edges[hi % size])
+            else:
+                row = (m_u + half - 1, m_v + half - 1, 2)
+            split[(ring[i], ring[(i + 1) % size])] = row
+            szeged_total += n_u * n_v
+        # Sum over ring pairs j < i of V_j V_i d(j, i), where pairs at most
+        # half apart take i - j and the rest size - i + j.
+        pw = [0]
+        for i, a in enumerate(verts):
+            pw.append(pw[-1] + i * a)
+        for i, a in enumerate(verts):
+            lo = i - half if i > half else 0
+            near = i * (pv[i] - pv[lo]) - (pw[i] - pw[lo])
+            far = (size - i) * pv[lo] + pw[lo]
+            wiener_total += a * (near + far)
+
+    rows = []
+    for u, v in g.edges:
+        row = split.get((u, v))
+        if row is None:
+            m_v, m_u, m_0 = split[(v, u)]
+            row = (m_u, m_v, m_0)
+        rows.append(row)
+    return rows, szeged_total, wiener_total
+
+
+def _bfs_edge_partitions(g: Graph) -> list[EdgePartition]:
     require_connected(g)
     dist = all_bfs_distances(g)
     return [_edge_split(g.edges, dist[u], dist[v]) for u, v in g.edges]
 
 
-def wiener(g: Graph) -> int:
-    """Sum of distances over unordered vertex pairs."""
+def _bfs_wiener(g: Graph) -> int:
     require_connected(g)
     total = 0
     for s in range(g.n):
@@ -203,8 +341,7 @@ def wiener(g: Graph) -> int:
     return total
 
 
-def szeged(g: Graph) -> int:
-    """Sum over edges of n_u * n_v (vertex-partition product)."""
+def _bfs_szeged(g: Graph) -> int:
     require_connected(g)
     dist = all_bfs_distances(g)
     total = 0
@@ -220,6 +357,26 @@ def szeged(g: Graph) -> int:
     return total
 
 
+def edge_partitions(g: Graph) -> list[EdgePartition]:
+    """Edge partition for every edge of ``g``, in ``g.edges`` order."""
+    found = _cactus_distances(g)
+    if found is None:
+        return _bfs_edge_partitions(g)
+    return [EdgePartition(*row) for row in found[0]]
+
+
+def wiener(g: Graph) -> int:
+    """Sum of distances over unordered vertex pairs."""
+    found = _cactus_distances(g)
+    return _bfs_wiener(g) if found is None else found[2]
+
+
+def szeged(g: Graph) -> int:
+    """Sum over edges of n_u * n_v (vertex-partition product)."""
+    found = _cactus_distances(g)
+    return _bfs_szeged(g) if found is None else found[1]
+
+
 def edge_gaps(g: Graph) -> tuple[int, ...]:
     """The gap m_u - m_v of every edge uv of ``g``, in ``g.edges`` order.
 
@@ -227,7 +384,11 @@ def edge_gaps(g: Graph) -> tuple[int, ...]:
     never changes; keeping the gaps costs less memory than the partitions.
     """
     if g._gaps is None:
-        gaps = tuple(p.m_u - p.m_v for p in edge_partitions(g))
+        found = _cactus_distances(g)
+        if found is None:
+            gaps = tuple(p.m_u - p.m_v for p in _bfs_edge_partitions(g))
+        else:
+            gaps = tuple(m_u - m_v for m_u, m_v, _ in found[0])
         object.__setattr__(g, "_gaps", gaps)
     return g._gaps
 

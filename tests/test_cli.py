@@ -16,6 +16,7 @@ from szegedtools import (
     certificate,
     cycle,
     edge_revised_szeged,
+    minimum_bound,
     parse_graph6,
     path,
     triangle_bundle,
@@ -173,6 +174,29 @@ class TestBuild:
         (result,) = json.loads(out)["results"]
         assert (result["n"], result["m"]) == (70, 70)
         assert result["graph6"] == built.strip()
+
+    def test_quadrangle_bundle_at_ten_thousand_vertices(self):
+        # Case 3.2-i: 2500 quadrangles and 2500 pendants, m = 12500.
+        _, built, _ = run_cli(["build", "c1", "--n", "10001", "--k", "2500"])
+        code, out, _ = run_cli(["compute", "--stdin"], stdin=built)
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert (result["n"], result["m"]) == (10001, 12500)
+        _, bound = minimum_bound(12500, 2500)
+        assert result["edge_revised_szeged"] == bound.to_dict()
+
+    def test_cycle_at_ten_thousand_vertices(self):
+        n = 10_000
+        _, built, _ = run_cli(["build", "cycle", "--n", str(n)])
+        code, out, _ = run_cli(["compute", "--stdin", "--edges"], stdin=built)
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert (result["wiener"], result["szeged"]) == (n**3 // 8, n**3 // 4)
+        assert result["edge_revised_szeged"]["num"] == n**3
+        assert len(result["edges"]) == n
+        assert {(e["m_u"], e["m_v"], e["m_0"]) for e in result["edges"]} == {
+            (n // 2 - 1, n // 2 - 1, 2)
+        }
 
     def test_json_format_describes_the_graph(self):
         code, out, _ = run_cli(
@@ -361,6 +385,14 @@ class TestVerify:
         assert body["report"]["checked"] >= 20
         assert any("20 samples" in f for f in body["report"]["findings"])
         assert body["meta"]["seed"] == 0
+
+    def test_second_minimum_zero_samples(self):
+        code, out, _ = run_cli(
+            ["verify", "thm4.4", "--n", "20", "--k", "1", "--samples", "0"]
+        )
+        assert code == 0
+        findings = json.loads(out)["report"]["findings"]
+        assert any("0 samples" in f for f in findings)
 
     def test_unknown_claim_is_usage_error(self):
         assert run_cli(["verify", "bogus"])[0] == 2

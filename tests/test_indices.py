@@ -4,21 +4,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import samples
 from szegedtools import (
     DisconnectedError,
+    Graph,
     QuarterInt,
+    cactus_classes,
     diff_square_sum,
     edge_partition,
     edge_partitions,
     edge_revised_szeged,
     graph_from_edges,
+    random_cactus,
     szeged,
     vertex_partition,
     wiener,
 )
+from szegedtools import indices
+from szegedtools.indices import edge_gaps
 
 
 class TestQuarterInt:
@@ -202,3 +209,109 @@ class TestDisconnectedInputs:
             vertex_partition(g, (0, 1))
         with pytest.raises(DisconnectedError):
             edge_partition(g, (0, 1))
+
+
+def _relabel(g, perm):
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _assert_matches_bfs_path(g):
+    # A fresh copy, so no gaps cached by earlier tests stand in for the pass.
+    g = Graph(g.n, g.edges)
+    want = indices._bfs_edge_partitions(g)
+    assert edge_partitions(g) == want
+    assert edge_gaps(g) == tuple(p.m_u - p.m_v for p in want)
+    assert szeged(g) == indices._bfs_szeged(g)
+    assert wiener(g) == indices._bfs_wiener(g)
+
+
+class TestCactusPass:
+    """The one-DFS pass on cacti against the all-pairs BFS path."""
+
+    def test_every_class_through_n9(self):
+        count = 0
+        for n in range(1, 10):
+            for k in range((n - 1) // 2 + 1):
+                for g in cactus_classes(n, k):
+                    assert indices._cactus_distances(g) is not None
+                    _assert_matches_bfs_path(g)
+                    count += 1
+        assert count == 887
+
+    def test_random_cacti_through_n200(self):
+        rng = random.Random(7071)
+        for _ in range(300):
+            n = rng.randint(1, 200)
+            g = random_cactus(n, rng.randint(0, (n - 1) // 2), seed=rng.randrange(2**63))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _assert_matches_bfs_path(_relabel(g, perm))
+
+    def test_long_cycles(self):
+        # Even and odd rings: m_0 is 2, or 1 plus the opposite branch.
+        for n in (4, 5, 10, 11):
+            g = graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+            h = n // 2
+            want = (h - 1, h - 1, 2) if n % 2 == 0 else (h, h, 1)
+            assert {(p.m_u, p.m_v, p.m_0) for p in edge_partitions(g)} == {want}
+            _assert_matches_bfs_path(g)
+
+    @pytest.mark.parametrize("factory", [samples.k4, samples.diamond])
+    def test_non_cactus_takes_the_bfs_path(self, factory):
+        g = factory()
+        assert indices._cactus_distances(g) is None
+        assert [(p.m_u, p.m_v, p.m_0) for p in edge_partitions(g)] == [
+            oracles.edge_partition(g.n, g.edges, e) for e in g.edges
+        ]
+        assert szeged(g) == oracles.szeged(g.n, g.edges)
+        assert wiener(g) == oracles.wiener(g.n, g.edges)
+        assert diff_square_sum(g) == oracles.diff_square_sum(g.n, g.edges)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            # a cactus forest: the pass itself finds the second component
+            (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+            # a non-cactus plus an isolated vertex: the BFS path finds it
+            (5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        ],
+    )
+    def test_disconnected_input_raises(self, n, edges):
+        for fn in (edge_partitions, edge_gaps, szeged, wiener, edge_revised_szeged):
+            with pytest.raises(DisconnectedError):
+                fn(graph_from_edges(n, edges))
+
+
+@st.composite
+def relabeled_cactus(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, (n - 1) // 2))
+    g = random_cactus(n, k, seed=draw(st.integers(0, 2**32)))
+    return g, draw(st.permutations(range(n)))
+
+
+class TestCactusPassProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(relabeled_cactus(40))
+    def test_relabeling_preserves_every_value(self, case):
+        g, perm = case
+        h = _relabel(g, perm)
+        assert edge_revised_szeged(h) == edge_revised_szeged(g)
+        assert (szeged(h), wiener(h)) == (szeged(g), wiener(g))
+        parts_h = dict(zip(h.edges, edge_partitions(h)))
+        for (u, v), p in zip(g.edges, edge_partitions(g)):
+            a, b = perm[u], perm[v]
+            q = parts_h[(a, b) if a < b else (b, a)]
+            assert (q.m_u, q.m_v, q.m_0) == (
+                (p.m_u, p.m_v, p.m_0) if a < b else (p.m_v, p.m_u, p.m_0)
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabeled_cactus(12))
+    def test_cube_identity_against_oracle(self, case):
+        g, perm = case
+        g = _relabel(g, perm)
+        gaps = [p.m_u - p.m_v for p in edge_partitions(g)]
+        four_sz = 4 * oracles.edge_revised_szeged(g.n, g.edges)
+        assert four_sz == g.m**3 - sum(d * d for d in gaps)
+        assert edge_revised_szeged(g).as_fraction() == four_sz / 4
