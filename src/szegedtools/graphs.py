@@ -16,10 +16,11 @@ class Graph:
     """Immutable simple undirected graph.
 
     Being immutable, it keeps three derived facts once computed: the
-    certificate, the cactus profile and the per-edge gaps m_u - m_v.
+    certificate, the cactus profile and the distance analysis (per-edge
+    gaps m_u - m_v and m_0, the Szeged and the Wiener index).
     """
 
-    __slots__ = ("n", "edges", "adj", "edge_set", "_cert", "_profile", "_gaps")
+    __slots__ = ("n", "edges", "adj", "edge_set", "_cert", "_profile", "_dist")
 
     def __init__(self, n: int, edges):
         if n < 1:
@@ -38,17 +39,19 @@ class Graph:
             seen.add((u, v))
             norm.append((u, v))
         norm.sort()
+        # Walking the sorted edges appends each vertex's smaller neighbours,
+        # in increasing order, before its larger ones: every list is sorted.
         adj = [[] for _ in range(n)]
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
         object.__setattr__(self, "edge_set", frozenset(norm))
         object.__setattr__(self, "_cert", None)
         object.__setattr__(self, "_profile", None)
-        object.__setattr__(self, "_gaps", None)
+        object.__setattr__(self, "_dist", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

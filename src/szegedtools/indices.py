@@ -31,12 +31,19 @@ edge covered by two back edges, which happens exactly when the graph is no
 cactus. Such graphs take the general path: all-pairs BFS plus a sweep over
 all edges for each edge, O(n m + m^2) time. That path is also the reference
 the cactus pass is tested against.
+
+Either way the analysis runs once per graph and is kept on it (a Graph never
+changes): the gap m_u - m_v and m_0 of every edge, the Szeged index and the
+Wiener index. :func:`edge_partitions`, :func:`edge_gaps`,
+:func:`diff_square_sum`, :func:`edge_revised_szeged`, :func:`szeged` and
+:func:`wiener` all read it; m_u and m_v follow from m, m_0 and the gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DisconnectedError, InvalidGraphError
 from .graphs import Graph, all_bfs_distances, bfs_distances, require_connected
@@ -210,11 +217,20 @@ def edge_partition(g: Graph, e) -> EdgePartition:
     return _edge_split(g.edges, bfs_distances(g, u), bfs_distances(g, v))
 
 
-def _cactus_distances(g: Graph):
-    """Edge splits, Szeged and Wiener index of a cactus in one DFS.
+class _Distances(NamedTuple):
+    """What one distance pass knows about a graph: the gap m_u - m_v and the
+    m_0 of every edge in ``g.edges`` order, and the Szeged and Wiener index."""
 
-    Returns ``(rows, szeged, wiener)``, with one ``(m_u, m_v, m_0)`` row per
-    edge in ``g.edges`` order, or ``None`` when ``g`` is no cactus. Raises
+    gaps: tuple[int, ...]
+    zeros: tuple[int, ...]
+    szeged: int
+    wiener: int
+
+
+def _cactus_distances(g: Graph) -> _Distances | None:
+    """Edge gaps and m_0, Szeged and Wiener index of a cactus in one DFS.
+
+    Returns ``None`` when ``g`` is no cactus. Raises
     :class:`DisconnectedError` when ``g`` is a disconnected cactus forest.
     """
     n, m, adj = g.n, g.m, g.adj
@@ -264,12 +280,19 @@ def _cactus_distances(g: Graph):
             sub_v[p] += sub_v[x]
             sub_e[p] += sub_e[x]
 
+    # (gap, m_0) per edge (u, v) with u < v.
     split = {}
     szeged_total = wiener_total = 0
     for x in order[1:]:
         if not on_cycle[x]:
             below = sub_v[x]
-            split[(x, parent[x])] = (sub_e[x] - 1, m - sub_e[x], 1)
+            p = parent[x]
+            # m_u = sub_e[x] - 1 edges below x, m_v = m - sub_e[x] above it.
+            gap = 2 * sub_e[x] - 1 - m
+            if x < p:
+                split[(x, p)] = (gap, 1)
+            else:
+                split[(p, x)] = (-gap, 1)
             szeged_total += below * (n - below)
             wiener_total += below * (n - below)
     for ring in rings:
@@ -291,18 +314,20 @@ def _cactus_distances(g: Graph):
             pv.append(pv[-1] + a)
             pe.append(pe[-1] + b)
         # Ring edge i joins ring[i] and ring[i + 1]; ring[i - half + 1 .. i]
-        # side with ring[i], ring[i + 1 .. i + half] with ring[i + 1].
+        # side with ring[i], ring[i + 1 .. i + half] with ring[i + 1]. Each
+        # side also holds the same number of ring edges (half for odd L,
+        # half - 1 for even L), so the gap is that of the branch edges.
         for i in range(size):
             lo, mid, hi = i + size - half + 1, i + 1, i + half + 1
             n_u = pv[i + size + 1] - pv[lo]
             n_v = pv[hi] - pv[mid]
-            m_u = pe[i + size + 1] - pe[lo]
-            m_v = pe[hi] - pe[mid]
-            if size & 1:
-                row = (m_u + half, m_v + half, 1 + edges[hi % size])
+            gap = pe[i + size + 1] - pe[lo] - pe[hi] + pe[mid]
+            m_0 = 1 + edges[hi % size] if size & 1 else 2
+            a, b = ring[i], ring[(i + 1) % size]
+            if a < b:
+                split[(a, b)] = (gap, m_0)
             else:
-                row = (m_u + half - 1, m_v + half - 1, 2)
-            split[(ring[i], ring[(i + 1) % size])] = row
+                split[(b, a)] = (-gap, m_0)
             szeged_total += n_u * n_v
         # Sum over ring pairs j < i of V_j V_i d(j, i), where pairs at most
         # half apart take i - j and the rest size - i + j.
@@ -315,82 +340,90 @@ def _cactus_distances(g: Graph):
             far = (size - i) * pv[lo] + pw[lo]
             wiener_total += a * (near + far)
 
-    rows = []
-    for u, v in g.edges:
-        row = split.get((u, v))
-        if row is None:
-            m_v, m_u, m_0 = split[(v, u)]
-            row = (m_u, m_v, m_0)
-        rows.append(row)
-    return rows, szeged_total, wiener_total
+    rows = [split[e] for e in g.edges]
+    return _Distances(
+        tuple(gap for gap, _ in rows),
+        tuple(m_0 for _, m_0 in rows),
+        szeged_total,
+        wiener_total,
+    )
 
 
-def _bfs_edge_partitions(g: Graph) -> list[EdgePartition]:
-    require_connected(g)
+def _bfs_analysis(g: Graph) -> tuple[list[EdgePartition], int, int]:
+    """Edge partitions, Szeged and Wiener index of any connected graph.
+
+    One all-pairs BFS; the general path, and the reference the cactus pass
+    is tested against.
+    """
     dist = all_bfs_distances(g)
-    return [_edge_split(g.edges, dist[u], dist[v]) for u, v in g.edges]
-
-
-def _bfs_wiener(g: Graph) -> int:
-    require_connected(g)
-    total = 0
-    for s in range(g.n):
-        ds = bfs_distances(g, s)
-        for t in range(s + 1, g.n):
-            total += ds[t]
-    return total
-
-
-def _bfs_szeged(g: Graph) -> int:
-    require_connected(g)
-    dist = all_bfs_distances(g)
-    total = 0
+    if -1 in dist[0]:
+        raise DisconnectedError("graph is not connected")
+    parts = []
+    szeged_total = 0
     for u, v in g.edges:
         du, dv = dist[u], dist[v]
+        parts.append(_edge_split(g.edges, du, dv))
         n_u = n_v = 0
-        for w in range(g.n):
-            if du[w] < dv[w]:
+        for a, b in zip(du, dv):
+            if a < b:
                 n_u += 1
-            elif dv[w] < du[w]:
+            elif b < a:
                 n_v += 1
-        total += n_u * n_v
-    return total
+        szeged_total += n_u * n_v
+    return parts, szeged_total, sum(map(sum, dist)) // 2
+
+
+def _analysis(g: Graph) -> _Distances:
+    """The distance analysis of ``g``, run once and kept on it.
+
+    Safe because a Graph never changes. Per edge only the gap and m_0 are
+    kept: m_u and m_v follow from them, and full rows cost more memory on
+    the many small graphs that enumeration caches.
+    """
+    if g._dist is None:
+        found = _cactus_distances(g)
+        if found is None:
+            parts, szeged_total, wiener_total = _bfs_analysis(g)
+            found = _Distances(
+                tuple(p.m_u - p.m_v for p in parts),
+                tuple(p.m_0 for p in parts),
+                szeged_total,
+                wiener_total,
+            )
+        object.__setattr__(g, "_dist", found)
+    return g._dist
 
 
 def edge_partitions(g: Graph) -> list[EdgePartition]:
-    """Edge partition for every edge of ``g``, in ``g.edges`` order."""
-    found = _cactus_distances(g)
-    if found is None:
-        return _bfs_edge_partitions(g)
-    return [EdgePartition(*row) for row in found[0]]
+    """Edge partition for every edge of ``g``, in ``g.edges`` order.
+
+    Rebuilt from the kept analysis: m_u = (m - m_0 + gap) / 2 and
+    m_v = (m - m_0 - gap) / 2.
+    """
+    found = _analysis(g)
+    m = g.m
+    return [
+        EdgePartition((m - m_0 + gap) // 2, (m - m_0 - gap) // 2, m_0)
+        for gap, m_0 in zip(found.gaps, found.zeros)
+    ]
 
 
 def wiener(g: Graph) -> int:
     """Sum of distances over unordered vertex pairs."""
-    found = _cactus_distances(g)
-    return _bfs_wiener(g) if found is None else found[2]
+    return _analysis(g).wiener
 
 
 def szeged(g: Graph) -> int:
     """Sum over edges of n_u * n_v (vertex-partition product)."""
-    found = _cactus_distances(g)
-    return _bfs_szeged(g) if found is None else found[1]
+    return _analysis(g).szeged
 
 
 def edge_gaps(g: Graph) -> tuple[int, ...]:
     """The gap m_u - m_v of every edge uv of ``g``, in ``g.edges`` order.
 
-    Computed once per graph and kept on it, which is safe because a Graph
-    never changes; keeping the gaps costs less memory than the partitions.
+    Read from the analysis kept on ``g``, as every index here is.
     """
-    if g._gaps is None:
-        found = _cactus_distances(g)
-        if found is None:
-            gaps = tuple(p.m_u - p.m_v for p in _bfs_edge_partitions(g))
-        else:
-            gaps = tuple(m_u - m_v for m_u, m_v, _ in found[0])
-        object.__setattr__(g, "_gaps", gaps)
-    return g._gaps
+    return _analysis(g).gaps
 
 
 def edge_revised_szeged(g: Graph) -> QuarterInt:

@@ -1,0 +1,25 @@
+"""Call counters for library functions, shared across the test files."""
+
+from __future__ import annotations
+
+import sys
+
+
+def count_calls_on(monkeypatch, fn, g=None):
+    """Wrap every binding of library function ``fn``; count calls made on ``g``.
+
+    Only calls whose argument is ``g`` itself count, so work on graphs that
+    a caller builds for its own use would not; with ``g`` None every call
+    counts.
+    """
+    calls = []
+
+    def counting(h, *args, **kwargs):
+        if g is None or h is g:
+            calls.append(h)
+        return fn(h, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("szegedtools") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls

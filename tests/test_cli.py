@@ -9,6 +9,7 @@ import sys
 import networkx as nx
 import pytest
 
+from spies import count_calls_on
 from szegedtools import (
     BundleSpec,
     are_isomorphic,
@@ -21,6 +22,7 @@ from szegedtools import (
     path,
     triangle_bundle,
 )
+from szegedtools import graphs, indices
 from szegedtools.cli import main
 
 
@@ -494,6 +496,34 @@ class TestVerifyReportBytes:
         code, out, _ = run_cli(argv.split() + ["--format", "human"])
         assert code == 0
         assert _digest(out) == human_digest
+
+
+class TestComputeReportBytes:
+    """``compute --edges`` reports, frozen, and one distance pass per graph."""
+
+    @pytest.mark.parametrize(
+        "g6, digest, bfs_passes",
+        [
+            # quadrangle_bundle(2001, 400): a cactus, so no all-pairs BFS.
+            (None, "bc6714b216ddc4dd", 0),
+            # The Petersen graph: no cactus, so one all-pairs BFS.
+            ("IheA@GUAo", "278377ac168e26ae", 1),
+        ],
+    )
+    def test_digest_and_one_pass(self, monkeypatch, g6, digest, bfs_passes):
+        if g6 is None:
+            _, built, _ = run_cli(["build", "c1", "--n", "2001", "--k", "400"])
+            argv, stdin = ["compute", "--stdin"], built
+        else:
+            argv, stdin = ["compute", "--g6", g6], None
+        passes = count_calls_on(monkeypatch, indices._cactus_distances)
+        bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances)
+        code, out, _ = run_cli(argv + ["--edges", "--format", "json"], stdin=stdin)
+        assert code == 0
+        assert (len(passes), len(bfs)) == (1, bfs_passes)
+        body = json.loads(out)
+        del body["meta"]["wall_ms"]
+        assert _digest(json.dumps(body, sort_keys=True)) == digest
 
 
 class TestTopLevel:

@@ -57,6 +57,23 @@ class TestConstruction:
         with pytest.raises(InvalidGraphError):
             graph_from_edges(3, [(0, 3)])
 
+    def test_adjacency_is_sorted_whatever_the_edge_order(self):
+        # Adjacency is built from the sorted edge list without sorting each
+        # neighbour list; shuffled input in both endpoint orders must still
+        # give sorted neighbours.
+        rng = random.Random(2024)
+        for _ in range(2000):
+            n = rng.randint(1, 15)
+            all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            p = rng.random()
+            edges = [e for e in all_edges if rng.random() < p]
+            edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+            rng.shuffle(edges)
+            g = graph_from_edges(n, edges)
+            for v in range(n):
+                want = sorted(b if a == v else a for a, b in edges if v in (a, b))
+                assert g.adj[v] == tuple(want)
+
 
 class TestConnectivity:
     def test_known(self):

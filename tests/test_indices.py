@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 import samples
+from spies import count_calls_on
 from szegedtools import (
     DisconnectedError,
     Graph,
@@ -24,7 +25,7 @@ from szegedtools import (
     vertex_partition,
     wiener,
 )
-from szegedtools import indices
+from szegedtools import graphs, indices
 from szegedtools.indices import edge_gaps
 
 
@@ -216,13 +217,13 @@ def _relabel(g, perm):
 
 
 def _assert_matches_bfs_path(g):
-    # A fresh copy, so no gaps cached by earlier tests stand in for the pass.
+    # A fresh copy, so no analysis kept by earlier tests stands in for the pass.
     g = Graph(g.n, g.edges)
-    want = indices._bfs_edge_partitions(g)
+    want, want_szeged, want_wiener = indices._bfs_analysis(g)
     assert edge_partitions(g) == want
     assert edge_gaps(g) == tuple(p.m_u - p.m_v for p in want)
-    assert szeged(g) == indices._bfs_szeged(g)
-    assert wiener(g) == indices._bfs_wiener(g)
+    assert szeged(g) == want_szeged
+    assert wiener(g) == want_wiener
 
 
 class TestCactusPass:
@@ -280,6 +281,75 @@ class TestCactusPass:
         for fn in (edge_partitions, edge_gaps, szeged, wiener, edge_revised_szeged):
             with pytest.raises(DisconnectedError):
                 fn(graph_from_edges(n, edges))
+
+
+INDEX_FUNCTIONS = (
+    edge_partitions,
+    edge_gaps,
+    diff_square_sum,
+    edge_revised_szeged,
+    szeged,
+    wiener,
+)
+
+
+def _call_all_repeatedly(g, first, seed):
+    """Call ``first`` on ``g``, then every index function three times in a
+    shuffled order; each call must give the value the first one gave."""
+    order = list(INDEX_FUNCTIONS) * 3
+    random.Random(seed).shuffle(order)
+    seen = {}
+    for fn in [first] + order:
+        seen.setdefault(fn, fn(g))
+        assert fn(g) == seen[fn]
+    return seen
+
+
+class TestOneAnalysisPerGraph:
+    """Every index reads one distance analysis, kept on the Graph."""
+
+    @pytest.mark.parametrize("first", INDEX_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_cactus_runs_the_pass_once(self, monkeypatch, first):
+        # A triangle and a quadrangle joined by a path, with pendants.
+        g = graph_from_edges(
+            9,
+            [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+             (4, 7), (5, 8)],
+        )
+        passes = count_calls_on(monkeypatch, indices._cactus_distances, g)
+        bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
+        seen = _call_all_repeatedly(g, first, seed=INDEX_FUNCTIONS.index(first))
+        assert (len(passes), len(bfs)) == (1, 0)
+        assert seen[szeged] == oracles.szeged(g.n, g.edges)
+        assert seen[wiener] == oracles.wiener(g.n, g.edges)
+
+    @pytest.mark.parametrize("factory", [samples.k4, samples.diamond])
+    @pytest.mark.parametrize("first", INDEX_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_non_cactus_runs_one_all_pairs_bfs(self, monkeypatch, factory, first):
+        g = factory()
+        passes = count_calls_on(monkeypatch, indices._cactus_distances, g)
+        bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
+        seen = _call_all_repeatedly(g, first, seed=INDEX_FUNCTIONS.index(first))
+        assert (len(passes), len(bfs)) == (1, 1)
+        n, edges = g.n, g.edges
+        assert [(p.m_u, p.m_v, p.m_0) for p in seen[edge_partitions]] == [
+            oracles.edge_partition(n, edges, e) for e in edges
+        ]
+        assert seen[diff_square_sum] == oracles.diff_square_sum(n, edges)
+        assert seen[edge_revised_szeged].as_fraction() == oracles.edge_revised_szeged(
+            n, edges
+        )
+        assert (seen[szeged], seen[wiener]) == (
+            oracles.szeged(n, edges),
+            oracles.wiener(n, edges),
+        )
+
+    def test_edge_partitions_returns_a_fresh_list(self):
+        g = samples.butterfly()
+        parts = edge_partitions(g)
+        parts.clear()
+        assert len(edge_partitions(g)) == g.m
+        assert edge_partitions(g) is not edge_partitions(g)
 
 
 @st.composite

@@ -1,11 +1,11 @@
 """Claim audits and the verification reports built from them."""
 
 import json
-import sys
 
 import pytest
 
 import samples
+from spies import count_calls_on as _count_calls_on
 from szegedtools import (
     CLAIM_IDS,
     InvalidGraphError,
@@ -147,26 +147,6 @@ class TestStructuralFloorAudits:
         assert audit.ok
         audit = audit_inner_cycle_floor(samples.butterfly())
         assert not audit.applicable
-
-
-def _count_calls_on(monkeypatch, fn, g=None):
-    """Wrap every binding of library function ``fn``; count calls made on ``g``.
-
-    Only calls whose argument is ``g`` itself count, so work on graphs that
-    a caller builds for its own use would not; with ``g`` None every call
-    counts.
-    """
-    calls = []
-
-    def counting(h, *args, **kwargs):
-        if g is None or h is g:
-            calls.append(h)
-        return fn(h, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("szegedtools") and getattr(module, fn.__name__, None) is fn:
-            monkeypatch.setattr(module, fn.__name__, counting)
-    return calls
 
 
 def test_six_audits_share_one_analysis_per_graph(monkeypatch):
