@@ -15,6 +15,11 @@ the class size. That covers pendant vertices at a common vertex and the
 symmetric vertices of triangles and quadrangles at a cut vertex. Other
 symmetries are still searched leaf by leaf, so sizes are capped; over the cap
 you get a clean error rather than an open-ended search.
+
+The orbits of the point stabilizers (the automorphisms fixing ``0..i-1``)
+come from one search per candidate image, which the same twin classes
+prune.  They describe the least member of each coset of the group, which is
+how labeled graphs are enumerated.
 """
 
 from __future__ import annotations
@@ -39,6 +44,23 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
+def _twin_classes(masks: list[int]) -> list[int]:
+    """``twin[v]``: the lowest member of ``v``'s twin class.
+
+    ``u`` and ``v`` are twins when their neighbourhoods agree apart from each
+    other, so the transposition ``(u v)`` is an automorphism fixing every
+    other vertex.  Twin transpositions compose, so comparing ``v`` with each
+    earlier class representative is enough.
+    """
+    twin = list(range(len(masks)))
+    for v in range(len(masks)):
+        for u in range(v):
+            if twin[u] == u and masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
+                twin[v] = u
+                break
+    return twin
+
+
 def _canonical_search(g: Graph) -> tuple[list[int], int]:
     """Minimize the column bit string over degree-sorted placements.
 
@@ -51,31 +73,23 @@ def _canonical_search(g: Graph) -> tuple[list[int], int]:
     the order of the automorphism group.  Strictly larger prefixes are
     pruned; a minimal placement never has one, so all of them are counted.
 
-    Twins are pruned.  ``u`` and ``v`` are twins when their neighbourhoods
-    agree apart from each other, so the transposition ``(u v)`` is an
-    automorphism fixing every other vertex.  While both are unplaced it
-    fixes every placed vertex too, so their subtrees are mirror images with
-    the same column strings and the same number of minimal leaves.  At each
-    position only the first unplaced vertex of each twin class is tried;
-    its branch carries a ``weight`` multiplied by the number of unplaced
-    members of that class, and a minimal leaf adds its weight to ``ties``
-    instead of 1.
+    Twins (see :func:`_twin_classes`) are pruned.  While two twins are
+    unplaced, their transposition fixes every placed vertex, so their
+    subtrees are mirror images with the same column strings and the same
+    number of minimal leaves.  At each position only the first unplaced
+    vertex of each twin class is tried; its branch carries a ``weight``
+    multiplied by the number of unplaced members of that class, and a
+    minimal leaf adds its weight to ``ties`` instead of 1.
     """
     n = g.n
     masks = _adjacency_masks(g)
     degs = [len(g.adj[v]) for v in range(n)]
     target = sorted(degs)
-    # twin[v]: the lowest member of v's twin class.  Twin transpositions
-    # compose, so comparing v with each earlier class representative is
-    # enough.  left[c]: unplaced members of class c.
-    twin = list(range(n))
+    twin = _twin_classes(masks)
+    # left[c]: unplaced members of twin class c.
     left = [0] * n
-    for v in range(n):
-        for u in range(v):
-            if twin[u] == u and masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
-                twin[v] = u
-                break
-        left[twin[v]] += 1
+    for c in twin:
+        left[c] += 1
 
     best_cols = [_HUGE] * n
     best_perm: list[int] | None = None
@@ -146,7 +160,7 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
     newlabel = [0] * g.n
     for pos, orig in enumerate(placement):
         newlabel[orig] = pos
-    canon = Graph(g.n, [(newlabel[u], newlabel[v]) for u, v in g.edges])
+    canon = g._relabeled(newlabel)
     cert = emit_graph6(canon).encode("ascii")
     object.__setattr__(g, "_cert", cert)
     object.__setattr__(canon, "_cert", cert)
@@ -174,6 +188,112 @@ def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group."""
     _require_small(g, "automorphism count")
     return _canonical_search(g)[1]
+
+
+def stabilizer_orbits(g: Graph) -> list[tuple[int, ...]]:
+    """Orbits along the point-stabilizer chain of the automorphism group.
+
+    ``orbits[i]`` is the orbit of ``i``, in increasing order, under the
+    automorphisms of ``g`` that fix ``0..i-1`` pointwise.  It holds ``i``
+    and larger vertices only, and the product of the orbit sizes is the
+    order of the group.  A permutation ``p`` is the lexicographically least
+    member of its coset ``{p∘a : a in Aut(g)}`` exactly when ``p[i] < p[j]``
+    for every ``j != i`` in ``orbits[i]``.
+
+    The orbits are found from ``i = n-1`` down.  An automorphism found for a
+    later ``i`` also fixes ``0..i-1``, so the vertices it moves into each
+    other are already known to share an orbit.  For each ``j > i`` not yet
+    known to share ``i``'s orbit, one backtracking search looks for an
+    automorphism fixing ``0..i-1`` and sending ``i`` to ``j``.  A hit joins
+    the known orbits along its cycles; a miss rules out ``j``'s whole known
+    orbit.  The search places the other vertices in breadth-first order
+    from ``0..i``, so each image is a neighbour of an earlier image, and it
+    skips an image that is a twin (see :func:`_twin_classes`) of one already
+    tried at that step: the transposition of two unused twins fixes every
+    placed image, so it turns any extension through the one into an
+    extension through the other.
+    """
+    _require_small(g, "stabilizer orbits")
+    n = g.n
+    masks = _adjacency_masks(g)
+    degs = [len(a) for a in g.adj]
+    twin = _twin_classes(masks)
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    image = [0] * n
+    orbits: list[tuple[int, ...]] = [()] * n
+    for i in reversed(range(n)):
+        # Breadth-first order of i+1..n-1 from the fixed vertices 0..i, then
+        # of whatever they do not reach; back[x]: x's neighbours placed
+        # before it.
+        queue = list(range(i + 1))
+        seen = (1 << (i + 1)) - 1
+        head = 0
+        for start in range(i, n):
+            if not seen >> start & 1:
+                seen |= 1 << start
+                queue.append(start)
+            while head < len(queue):
+                for w in g.adj[queue[head]]:
+                    if not seen >> w & 1:
+                        seen |= 1 << w
+                        queue.append(w)
+                head += 1
+        rank = [0] * n
+        for r, v in enumerate(queue):
+            rank[v] = r
+        order = queue[i + 1 :]
+        back = [[u for u in g.adj[x] if rank[u] < rank[x]] for x in range(n)]
+
+        def extend(t: int, used: int) -> bool:
+            if t == len(order):
+                return True
+            x = order[t]
+            bx = back[x]
+            want = degs[x]
+            tried = 0
+            for y in g.adj[image[bx[0]]] if bx else range(n):
+                if used >> y & 1 or degs[y] != want:
+                    continue
+                c = twin[y]
+                if tried >> c & 1:
+                    continue
+                tried |= 1 << c
+                # Checking edges alone suffices: a bijection that maps every
+                # edge onto an edge maps the edge set onto itself.
+                my = masks[y]
+                if any(not my >> image[z] & 1 for z in bx):
+                    continue
+                image[x] = y
+                if extend(t + 1, used | 1 << y):
+                    return True
+            return False
+
+        low = (1 << i) - 1
+        for z in range(i):
+            image[z] = z
+        ruled_out = set()
+        for j in range(i + 1, n):
+            r = find(j)
+            if r == find(i) or r in ruled_out:
+                continue
+            if degs[j] == degs[i] and masks[j] & low == masks[i] & low:
+                image[i] = j
+                if extend(0, low | 1 << j):
+                    for x in range(n):
+                        a, b = find(x), find(image[x])
+                        if a != b:
+                            root[a] = b
+                    continue
+            ruled_out.add(find(j))
+        top = find(i)
+        orbits[i] = tuple(v for v in range(i, n) if find(v) == top)
+    return orbits
 
 
 def labeled_copy_count(g: Graph) -> int:

@@ -14,23 +14,26 @@ those obtained by attaching an ``L``-cycle at each vertex of each
 kept per certificate (isomorph rejection in the sense of McKay 1998), and
 class lists come out sorted by certificate.
 
-Labeled graphs are the relabelings of the class representatives.  Each
-representative is relabeled by every permutation of ``0..n-1`` in
-lexicographic order, and the first permutation giving each distinct edge set
-is kept.  Relabelings of different classes are never equal, so duplicates are
-tracked within one class only.  Summing ``n!/|Aut|`` over the classes
-reproduces the labeled count, which cross-checks the automorphism count.
+Labeled graphs are the relabelings of the class representatives, class by
+class, and within a class in lexicographic order of the first permutation of
+``0..n-1`` that gives each one.  Two permutations give the same labeled
+graph exactly when they differ by an automorphism, so that first
+permutation is the least member of its coset ``p∘Aut``.  The cosets'
+least members are generated directly, in that order, from the stabilizer
+orbits of :func:`~szegedtools.canon.stabilizer_orbits`, and each is applied
+once, without validating the image again: ``n!/|Aut|`` relabelings per
+class, and no set of graphs already seen.  The labeled count, the sum of
+``n!/|Aut|`` over the classes, cross-checks the automorphism count.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Iterator
 
 from .bounds import BoundCase, minimum_bound, second_minimum_bound
-from .canon import canonical_pair
+from .canon import canonical_pair, stabilizer_orbits
 from .errors import CapError, InfeasibleError
 from .formats import emit_graph6
 from .graphs import Graph
@@ -124,18 +127,56 @@ def enumerate_cacti(
     if dedup:
         yield from classes
         return
-    # The key of a labeled graph is its adjacency matrix as one integer; tuple
-    # keys cost measurably more memory.
-    bit = [[1 << a * n + b | 1 << b * n + a for b in range(n)] for a in range(n)]
     for g in classes:
-        seen = set()
-        for p in permutations(range(n)):
-            key = 0
-            for u, v in g.edges:
-                key |= bit[p[u]][p[v]]
-            if key not in seen:
-                seen.add(key)
-                yield Graph(n, [(p[u], p[v]) for u, v in g.edges])
+        for p in _coset_representatives(stabilizer_orbits(g)):
+            yield g._relabeled(p)
+
+
+def _coset_representatives(orbits: list[tuple[int, ...]]) -> Iterator[list[int]]:
+    """Permutations ``p`` of ``0..n-1`` in lexicographic order with
+    ``p[i] < p[j]`` for every ``j`` in ``orbits[i]`` other than ``i``.
+
+    With the stabilizer orbits of ``Aut(g)`` these are the least members of
+    the cosets ``p∘Aut(g)``, one per labeled copy of ``g``.  The orbits are
+    laminar: ``orbits[j]`` lies inside ``orbits[i]`` when ``j`` is in it and
+    is disjoint from it otherwise.  So ``p[j]`` needs only exceed the value
+    at ``above[j]``, the last ``i < j`` whose orbit holds ``j``, and must
+    leave ``len(orbits[j]) - 1`` larger values free for the rest of its
+    orbit.  The same list is yielded each time, refilled.
+    """
+    n = len(orbits)
+    above = [-1] * n
+    for i, orbit in enumerate(orbits):
+        for j in orbit[1:]:
+            above[j] = i
+    larger = [len(orbit) - 1 for orbit in orbits]
+    p = [0] * n
+    free = [0] * n  # free[pos]: values not in p[:pos], as a bitmask
+    free[0] = (1 << n) - 1
+    floor = [0] * n  # floor[pos]: the least value still to try at pos
+    pos = 0
+    while pos >= 0:
+        avail = free[pos]
+        low = floor[pos]
+        if above[pos] >= 0 and p[above[pos]] >= low:
+            low = p[above[pos]] + 1
+        cand = avail >> low << low
+        if not cand:
+            pos -= 1
+            continue
+        v = (cand & -cand).bit_length() - 1
+        if (avail >> v + 1).bit_count() < larger[pos]:
+            pos -= 1
+            continue
+        p[pos] = v
+        floor[pos] = v + 1
+        if pos == n - 1:
+            yield p
+            pos -= 1
+            continue
+        pos += 1
+        free[pos] = avail & ~(1 << v)
+        floor[pos] = 0
 
 
 def count_cacti(

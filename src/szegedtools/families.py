@@ -130,16 +130,16 @@ def as_bundle(g: Graph) -> BundleSpec | None:
             return BundleSpec((), g.n - 1)
         return None
     rings = [cycle_vertices(c) for c in profile.cycle_edge_sets]
+    # Two cycles of a cactus share at most one vertex, so a common vertex of
+    # several is the hub; a second vertex of degree > 2 on a single cycle
+    # fails the degree-2 test below.
     if k == 1:
-        heavy = [v for v in rings[0] if g.degree(v) > 2]
-        if len(heavy) > 1:
-            return None
-        hub = heavy[0] if heavy else next(iter(rings[0]))
+        hub = next((v for v in rings[0] if g.degree(v) > 2), next(iter(rings[0])))
     else:
         common = set(rings[0])
         for ring in rings[1:]:
             common &= ring
-        if len(common) != 1:
+        if not common:
             return None
         hub = next(iter(common))
     # Every non-hub cycle vertex must have degree 2, every other vertex must

@@ -39,19 +39,40 @@ class Graph:
             seen.add((u, v))
             norm.append((u, v))
         norm.sort()
+        self._fill(n, norm)
+
+    def _fill(self, n: int, norm: list[tuple[int, int]]) -> None:
+        """Set every slot from ``norm``: sorted, distinct ``(u, v)``, ``u < v``."""
         # Walking the sorted edges appends each vertex's smaller neighbours,
         # in increasing order, before its larger ones: every list is sorted.
         adj = [[] for _ in range(n)]
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
-        object.__setattr__(self, "edge_set", frozenset(norm))
-        object.__setattr__(self, "_cert", None)
-        object.__setattr__(self, "_profile", None)
-        object.__setattr__(self, "_dist", None)
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "edges", tuple(norm))
+        put(self, "adj", tuple(map(tuple, adj)))
+        put(self, "edge_set", frozenset(norm))
+        put(self, "_cert", None)
+        put(self, "_profile", None)
+        put(self, "_dist", None)
+
+    def _relabeled(self, perm) -> Graph:
+        """The image of this graph under the bijection ``v -> perm[v]``.
+
+        Skips validation: the image of a valid graph under a bijection of
+        ``0..n-1`` is valid.  ``perm`` must be such a bijection.
+        """
+        norm = []
+        for u, v in self.edges:
+            a = perm[u]
+            b = perm[v]
+            norm.append((a, b) if a < b else (b, a))
+        norm.sort()
+        image = object.__new__(Graph)
+        image._fill(self.n, norm)
+        return image
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

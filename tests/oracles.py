@@ -3,9 +3,10 @@
 Everything here works from first principles on (n, edge list) pairs with no
 imports from the package under test: Floyd-Warshall distances, definitional
 partition counting, Fraction arithmetic, delete-and-retest bridge detection,
-simple-cycle enumeration, min-over-all-relabelings isomorphism, and the
-unpruned degree-sorted canonical search.  Slow on purpose; sized for the
-small universes the tests use.
+simple-cycle enumeration, min-over-all-relabelings isomorphism,
+automorphisms by exhaustive extension, the unpruned degree-sorted canonical
+search, and labeled copies by walking all n! relabelings.  Slow on purpose;
+sized for the small universes the tests use.
 
 The one exception is ``tailed_quadrangle_bundle_by_peeling``, the earlier
 recognizer of the tailed family, kept as the oracle for the structural one.
@@ -166,13 +167,66 @@ def canonical_key(n: int, edges) -> tuple:
     return (n, min(orbit(n, edges)))
 
 
+def automorphisms(n: int, edges) -> list[tuple[int, ...]]:
+    """Every automorphism as an image tuple, in lexicographic order.
+
+    Images are chosen for 0, 1, .. in turn, each checked against the
+    adjacency to every earlier vertex, so only partial maps that are still
+    isomorphisms on their domain are extended.
+    """
+    adj = [[False] * n for _ in range(n)]
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = True
+    found = []
+    image = []
+
+    def extend():
+        x = len(image)
+        if x == n:
+            found.append(tuple(image))
+            return
+        for y in range(n):
+            if y in image:
+                continue
+            if all(adj[x][z] == adj[y][image[z]] for z in range(x)):
+                image.append(y)
+                extend()
+                image.pop()
+
+    extend()
+    return found
+
+
 def automorphism_count(n: int, edges) -> int:
-    eset = {(min(u, v), max(u, v)) for u, v in edges}
-    count = 0
-    for perm in permutations(range(n)):
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in eset for u, v in eset):
-            count += 1
-    return count
+    return len(automorphisms(n, edges))
+
+
+def stabilizer_orbits(n: int, edges) -> list[tuple[int, ...]]:
+    """Orbit of each i under the automorphisms fixing 0..i-1 pointwise."""
+    auts = automorphisms(n, edges)
+    return [
+        tuple(sorted({a[i] for a in auts if a[:i] == tuple(range(i))}))
+        for i in range(n)
+    ]
+
+
+def labeled_by_permutations(n: int, edges) -> list[tuple]:
+    """Sorted edge tuples of the distinct relabelings of one graph, each at
+    the first permutation of ``0..n-1``, in lexicographic order, that gives
+    it; duplicates are caught by the adjacency matrix as one integer."""
+    bit = [[1 << a * n + b | 1 << b * n + a for b in range(n)] for a in range(n)]
+    seen = set()
+    out = []
+    for p in permutations(range(n)):
+        key = 0
+        for u, v in edges:
+            key |= bit[p[u]][p[v]]
+        if key not in seen:
+            seen.add(key)
+            out.append(
+                tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+            )
+    return out
 
 
 def degree_sorted_canonical(n: int, edges) -> tuple[tuple, int]:

@@ -26,6 +26,7 @@ from szegedtools import (
     star,
     triangle_bundle,
 )
+from szegedtools.canon import stabilizer_orbits
 
 
 def relabel(g, perm):
@@ -238,3 +239,28 @@ def test_certificate_and_group_order_invariant_under_relabeling(case):
     assert automorphism_count(h) == automorphism_count(g)
     if g.n <= 6:
         assert automorphism_count(g) == oracles.automorphism_count(g.n, g.edges)
+
+
+class TestStabilizerOrbits:
+    def test_orbit_sizes_multiply_to_the_group_order(self):
+        hubs = [(0, 1)] + [(0, v) for v in range(2, 6)]
+        double_star = graph_from_edges(11, hubs + [(1, v) for v in range(6, 11)])
+        graphs = [star(12), cycle(12), path(12), triangle_bundle(12, 5), double_star]
+        for n in range(1, 10):
+            for k in range(0, (n - 1) // 2 + 1):
+                graphs.extend(cactus_classes(n, k))
+        for g in graphs:
+            sizes = [len(orbit) for orbit in stabilizer_orbits(g)]
+            assert math.prod(sizes) == automorphism_count(g), g.edges
+
+    def test_orbits_match_the_automorphism_list(self):
+        # Sparse draws are mostly disconnected, dense ones near-complete.
+        rng = random.Random(99)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            p = rng.choice((0.2, 0.5, 0.8))
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            g = graph_from_edges(n, edges)
+            assert stabilizer_orbits(g) == oracles.stabilizer_orbits(n, g.edges), edges

@@ -184,6 +184,17 @@ class TestLabeledEnumeration:
                     want |= oracles.orbit(n, edges)
                 assert set(got) == want, (n, k)
 
+    def test_stream_equals_the_permutation_walk_in_order(self):
+        pairs = [(n, k) for n in range(1, 8) for k in range((n - 1) // 2 + 1)]
+        for n, k in pairs + [(8, 3)]:
+            got = [g.edges for g in enumerate_cacti(n, k, dedup=False)]
+            want = [
+                edges
+                for rep in cactus_classes(n, k)
+                for edges in oracles.labeled_by_permutations(n, rep.edges)
+            ]
+            assert got == want, (n, k)
+
     def test_labeled_graphs_are_valid_and_distinct(self):
         seen = set()
         for g in enumerate_cacti(5, 2, dedup=False):

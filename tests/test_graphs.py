@@ -74,6 +74,24 @@ class TestConstruction:
                 want = sorted(b if a == v else a for a, b in edges if v in (a, b))
                 assert g.adj[v] == tuple(want)
 
+    def test_relabeled_equals_the_validated_build(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            p = rng.random()
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            image = graph_from_edges(n, edges)._relabeled(perm)
+            want = graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+            assert image.n == n
+            assert image.edges == want.edges
+            assert image.adj == want.adj
+            assert image.edge_set == want.edge_set
+            assert (image._cert, image._profile, image._dist) == (None, None, None)
+
 
 class TestConnectivity:
     def test_known(self):
