@@ -22,7 +22,8 @@ permutation is the least member of its coset ``p∘Aut``.  The cosets'
 least members are generated directly, in that order, from the stabilizer
 orbits of :func:`~szegedtools.canon.stabilizer_orbits`, and each is applied
 once, without validating the image again: ``n!/|Aut|`` relabelings per
-class, and no set of graphs already seen.  The labeled count, the sum of
+class, and no set of graphs already seen.  An image builds its adjacency
+only when something reads it.  The labeled count, the sum of
 ``n!/|Aut|`` over the classes, cross-checks the automorphism count.
 """
 

@@ -103,7 +103,13 @@ def parse_graph6(text: str) -> Graph:
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode a graph as graph6: short form for n <= 62, long form above."""
+    """Encode a graph as graph6: short form for n <= 62, long form above.
+
+    The string is kept on the graph, so each graph is encoded once.
+    """
+    cached = g._g6
+    if cached is not None:
+        return cached
     n = g.n
     if n > _G6_MAX_N:
         raise FormatError(f"graph6 limited to n <= {_G6_MAX_N}, got n = {n}")
@@ -116,7 +122,9 @@ def emit_graph6(g: Graph) -> str:
         i = v * (v - 1) // 2 + u
         bits[i >> 3] |= 128 >> (i & 7)
     body = binascii.b2a_base64(bits, newline=False).translate(_BASE64_TO_G6)
-    return head + body[: _payload_len(n)].decode("ascii")
+    text = head + body[: _payload_len(n)].decode("ascii")
+    object.__setattr__(g, "_g6", text)
+    return text
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -15,12 +15,20 @@ from .errors import DisconnectedError, InvalidGraphError
 class Graph:
     """Immutable simple undirected graph.
 
-    Being immutable, it keeps three derived facts once computed: the
-    certificate, the cactus profile and the distance analysis (per-edge
-    gaps m_u - m_v and m_0, the Szeged and the Wiener index).
+    Being immutable, it keeps four derived facts once computed: the
+    certificate, the graph6 string, the cactus profile and the distance
+    analysis (per-edge gaps m_u - m_v and m_0, the Szeged and the Wiener
+    index).
+
+    ``Graph(n, edges)`` validates its input and builds the adjacency tuples
+    ``adj`` and the frozenset ``edge_set`` at once.  An image made by
+    :meth:`_relabeled` (the labeled stream, canonical forms) builds them on
+    their first read instead, since most images are only counted or printed.
     """
 
-    __slots__ = ("n", "edges", "adj", "edge_set", "_cert", "_profile", "_dist")
+    __slots__ = (
+        "n", "edges", "adj", "edge_set", "_cert", "_g6", "_profile", "_dist"
+    )
 
     def __init__(self, n: int, edges):
         if n < 1:
@@ -40,29 +48,37 @@ class Graph:
             norm.append((u, v))
         norm.sort()
         self._fill(n, norm)
+        self._fill_adjacency(seen)
 
     def _fill(self, n: int, norm: list[tuple[int, int]]) -> None:
-        """Set every slot from ``norm``: sorted, distinct ``(u, v)``, ``u < v``."""
-        # Walking the sorted edges appends each vertex's smaller neighbours,
-        # in increasing order, before its larger ones: every list is sorted.
-        adj = [[] for _ in range(n)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
+        """Set ``n``, ``edges`` and the empty caches from ``norm``: sorted,
+        distinct ``(u, v)``, ``u < v``.  ``adj`` and ``edge_set`` stay unset."""
         put = object.__setattr__
         put(self, "n", n)
         put(self, "edges", tuple(norm))
-        put(self, "adj", tuple(map(tuple, adj)))
-        put(self, "edge_set", frozenset(norm))
         put(self, "_cert", None)
+        put(self, "_g6", None)
         put(self, "_profile", None)
         put(self, "_dist", None)
+
+    def _fill_adjacency(self, edge_set) -> None:
+        """Set ``adj`` from ``edges``; ``edge_set`` freezes a collection of
+        the same edges."""
+        # Walking the sorted edges appends each vertex's smaller neighbours,
+        # in increasing order, before its larger ones: every list is sorted.
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "edge_set", frozenset(edge_set))
 
     def _relabeled(self, perm) -> Graph:
         """The image of this graph under the bijection ``v -> perm[v]``.
 
         Skips validation: the image of a valid graph under a bijection of
-        ``0..n-1`` is valid.  ``perm`` must be such a bijection.
+        ``0..n-1`` is valid.  ``perm`` must be such a bijection.  The image's
+        ``adj`` and ``edge_set`` are built on their first read.
         """
         norm = []
         for u, v in self.edges:
@@ -70,9 +86,14 @@ class Graph:
             b = perm[v]
             norm.append((a, b) if a < b else (b, a))
         norm.sort()
-        image = object.__new__(Graph)
+        image = object.__new__(_Unfilled)
         image._fill(self.n, norm)
         return image
+
+    def __reduce__(self):
+        # The default reduce restores slots through the blocked __setattr__;
+        # rebuilding from n and edges also works on an image not yet filled.
+        return Graph, (self.n, self.edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -102,6 +123,29 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class _Unfilled(Graph):
+    """An image made by :meth:`Graph._relabeled` whose ``adj`` and
+    ``edge_set`` are not built yet.
+
+    The first read of either builds both and turns the object into a plain
+    Graph.  A ``__getattr__`` on Graph itself would slow every attribute read
+    of every graph (about twofold on CPython 3.11), not only these.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # Runs only when normal lookup fails: here, on the first read of an
+        # unset ``adj`` or ``edge_set``.
+        if name == "adj" or name == "edge_set":
+            self._fill_adjacency(self.edges)
+            object.__setattr__(self, "__class__", Graph)
+            return object.__getattribute__(self, name)
+        raise AttributeError(
+            f"'Graph' object has no attribute {name!r}", name=name, obj=self
+        )
 
 
 def graph_from_edges(n: int, edges) -> Graph:

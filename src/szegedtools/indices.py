@@ -157,12 +157,12 @@ class VertexPartition:
     n_0: int
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(NamedTuple):
     """Edge counts (closer to u, closer to v, equidistant) for an edge uv.
 
     Edge-to-vertex distance is the smaller endpoint distance; the edge uv
-    itself is equidistant by construction, so ``m_0 >= 1``.
+    itself is equidistant by construction, so ``m_0 >= 1``.  A tuple, so it
+    compares equal to the plain triple ``(m_u, m_v, m_0)``.
     """
 
     m_u: int

@@ -18,6 +18,7 @@ from szegedtools import (
     certificate,
     count_cacti,
     cycle,
+    emit_graph6,
     enumerate_cacti,
     graph_from_edges,
     is_cactus,
@@ -194,6 +195,35 @@ class TestLabeledEnumeration:
                 for edges in oracles.labeled_by_permutations(n, rep.edges)
             ]
             assert got == want, (n, k)
+
+    @pytest.mark.parametrize("first", ["index", "profile", "graph6"])
+    def test_images_agree_with_their_class_representative(self, first):
+        # Every image comes fresh from the stream with its adjacency unbuilt,
+        # so the function under test is the first to read it.
+        classes = cactus_classes(6, 1)
+        reps = [
+            rep
+            for rep in classes
+            for _ in range(math.factorial(6) // automorphism_count(rep))
+        ]
+        images = list(enumerate_cacti(6, 1, dedup=False))
+        assert len(images) == len(reps)
+        for rep, g in zip(reps, images):
+            validated = graph_from_edges(g.n, g.edges)
+            if first == "index":
+                assert edge_revised_szeged(g) == edge_revised_szeged(rep)
+            elif first == "profile":
+                got, want = cactus_profile(g), cactus_profile(rep)
+                assert got == cactus_profile(validated)
+                assert (got.is_cactus, got.cycle_lengths, len(got.bridges)) == (
+                    want.is_cactus,
+                    want.cycle_lengths,
+                    len(want.bridges),
+                )
+                assert sorted(got.end_block_flags) == sorted(want.end_block_flags)
+            else:
+                assert emit_graph6(g) == emit_graph6(validated)
+                assert certificate(g) == certificate(rep)
 
     def test_labeled_graphs_are_valid_and_distinct(self):
         seen = set()

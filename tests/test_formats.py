@@ -4,6 +4,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import samples
@@ -128,6 +130,70 @@ class TestGraph6:
         text = emit_graph6(star(70))
         with pytest.raises(FormatError, match=f"byte offset {len(text)}\\)"):
             parse_graph6(text + "?")
+
+    def test_emit_keeps_the_string_on_the_graph(self):
+        g = star(70)
+        text = emit_graph6(g)
+        assert g._g6 is text
+        assert emit_graph6(g) is text
+        assert text == emit_graph6(graph_from_edges(g.n, g.edges))
+
+
+HEADER = ">>graph6<<"
+
+
+@st.composite
+def graph6_texts(draw):
+    """graph6 of a random graph with a non-empty payload, short or long form."""
+    n = draw(st.one_of(st.integers(2, 20), st.integers(63, 70)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random()
+    edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+    return emit_graph6(graph_from_edges(n, edges))
+
+
+def _offset(text: str) -> int:
+    with pytest.raises(FormatError) as info:
+        parse_graph6(text)
+    return info.value.offset
+
+
+def _head_len(text: str) -> int:
+    return 4 if text.startswith("~") else 1
+
+
+# Any character outside 63..126, newline included: a bad last byte that the
+# trailing-newline strip removes is reported as truncation at that offset.
+BAD_BYTES = st.characters().filter(lambda ch: not 63 <= ord(ch) <= 126)
+
+
+class TestGraph6ErrorOffsets:
+    """The documented byte offsets of ``parse_graph6`` errors, fuzzed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph6_texts(), st.data(), BAD_BYTES, st.booleans())
+    def test_bad_payload_byte_is_reported_at_its_index(self, text, data, bad, prefixed):
+        i = data.draw(st.integers(_head_len(text), len(text) - 1))
+        broken = text[:i] + bad + text[i + 1 :]
+        base = len(HEADER) if prefixed else 0
+        assert _offset(HEADER * prefixed + broken) == base + i
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph6_texts(), st.data(), st.booleans())
+    def test_truncated_payload_is_reported_at_its_end(self, text, data, prefixed):
+        cut = data.draw(st.integers(_head_len(text), len(text) - 1))
+        short = HEADER * prefixed + text[:cut]
+        assert _offset(short) == len(short)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph6_texts(),
+        st.text(st.characters().filter(lambda ch: ch != "\n"), min_size=1),
+        st.booleans(),
+    )
+    def test_extended_payload_is_reported_after_the_payload(self, text, extra, prefixed):
+        base = len(HEADER) if prefixed else 0
+        assert _offset(HEADER * prefixed + text + extra) == base + len(text)
 
 
 class TestEdgeList:

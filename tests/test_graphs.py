@@ -1,5 +1,7 @@
 """Graph construction, connectivity, blocks, bridges, and cactus structure."""
 
+import copy
+import pickle
 import random
 
 import networkx as nx
@@ -9,6 +11,7 @@ import oracles
 import samples
 from szegedtools import (
     DisconnectedError,
+    Graph,
     InvalidGraphError,
     block_decomposition,
     cactus_profile,
@@ -91,6 +94,97 @@ class TestConstruction:
             assert image.adj == want.adj
             assert image.edge_set == want.edge_set
             assert (image._cert, image._profile, image._dist) == (None, None, None)
+
+
+def _is_set(g, name):
+    """Whether slot ``name`` is set, read past ``__getattr__``."""
+    try:
+        object.__getattribute__(g, name)
+    except AttributeError:
+        return False
+    return True
+
+
+def _random_images(seed, count):
+    """(validated build, unfilled image) pairs of random labeled graphs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        want = graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        yield want, graph_from_edges(n, edges)._relabeled(perm)
+
+
+FIRST_READS = {
+    "adj": lambda g: g.adj,
+    "edge_set": lambda g: g.edge_set,
+    "degree": lambda g: [g.degree(v) for v in range(g.n)],
+    "neighbors": lambda g: [g.neighbors(v) for v in range(g.n)],
+    "has_edge": lambda g: [g.has_edge(u, v) for u in range(g.n) for v in range(g.n)],
+}
+
+
+ROUND_TRIPS = [
+    copy.copy,
+    copy.deepcopy,
+    lambda g: pickle.loads(pickle.dumps(g)),
+]
+
+
+class TestDeferredAdjacency:
+    def test_validated_build_sets_adjacency_before_any_read(self):
+        g = samples.paw()
+        assert type(g) is Graph
+        assert _is_set(g, "adj") and _is_set(g, "edge_set")
+
+    def test_image_sets_adjacency_on_first_read(self):
+        image = samples.paw()._relabeled([3, 2, 1, 0])
+        assert not _is_set(image, "adj") and not _is_set(image, "edge_set")
+        # n, m and edges leave the adjacency unbuilt.
+        assert (image.n, image.m) == (4, 4)
+        assert image.edges == ((0, 3), (1, 2), (1, 3), (2, 3))
+        assert not _is_set(image, "adj")
+        assert image.adj == ((3,), (2, 3), (1, 3), (0, 1, 2))
+        assert _is_set(image, "edge_set")
+        assert type(image) is Graph
+
+    @pytest.mark.parametrize("first", sorted(FIRST_READS))
+    def test_first_read_matches_the_validated_build(self, first):
+        read = FIRST_READS[first]
+        for want, image in _random_images(11, 200):
+            assert read(image) == read(want)
+            assert (image.adj, image.edge_set) == (want.adj, want.edge_set)
+
+    def test_unknown_attribute_raises(self):
+        image = samples.paw()._relabeled([1, 0, 2, 3])
+        for g in (samples.paw(), image):
+            with pytest.raises(AttributeError, match="no attribute 'colour'"):
+                g.colour
+            assert not hasattr(g, "colour")
+        # Only adj and edge_set build the adjacency.
+        assert not _is_set(image, "adj")
+
+    def test_graph_is_still_immutable(self):
+        for g in (samples.paw(), samples.paw()._relabeled([1, 0, 2, 3])):
+            with pytest.raises(AttributeError):
+                g.adj = ()
+            with pytest.raises(AttributeError):
+                g.colour = "red"
+
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS)
+    def test_copy_and_pickle_round_trip(self, round_trip):
+        for want, image in _random_images(14, 50):
+            for g in (want, image):
+                back = round_trip(g)
+                assert type(back) is Graph
+                assert back == want
+                assert _is_set(back, "adj") and _is_set(back, "edge_set")
+                assert back.adj == want.adj and back.edge_set == want.edge_set
+            # The image round-tripped without building its own adjacency.
+            assert not _is_set(image, "adj")
 
 
 class TestConnectivity:
