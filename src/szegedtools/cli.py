@@ -549,7 +549,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head`` does: nothing is
+        # wrong. Later writes, the interpreter's flush at exit included, go
+        # to os.devnull, so they cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

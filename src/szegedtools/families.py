@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .graphs import Graph, cactus_profile, cycle_vertices
+from .graphs import Graph, cactus_profile
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def as_bundle(g: Graph) -> BundleSpec | None:
         if g.m == g.n - 1 and centers:
             return BundleSpec((), g.n - 1)
         return None
-    rings = [cycle_vertices(c) for c in profile.cycle_edge_sets]
+    rings = profile.cycle_vertex_sets
     # Two cycles of a cactus share at most one vertex, so a common vertex of
     # several is the hub; a second vertex of degree > 2 on a single cycle
     # fails the degree-2 test below.
@@ -196,8 +196,7 @@ def is_tailed_quadrangle_bundle(g: Graph, k: int | None = None) -> bool:
     inner = g.adj[tail][0]
     hub = next(v for v in g.adj[inner] if v != tail)
     placed = {hub, inner, tail}
-    for edges in profile.cycle_edge_sets:
-        ring = cycle_vertices(edges)
+    for ring in profile.cycle_vertex_sets:
         if len(ring) != 4 or hub not in ring:
             return False
         placed |= ring

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import binascii
 import math
-import re
 
 from .errors import FormatError, InvalidGraphError
 from .graphs import Graph
@@ -25,8 +24,12 @@ _G6_MAX_N = 258047
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6_SYMBOLS = bytes(range(63, 127))
 _BASE64_TO_G6 = bytes.maketrans(_BASE64, _G6_SYMBOLS)
-_G6_TO_BASE64 = bytes.maketrans(_G6_SYMBOLS, _BASE64)
-_NONZERO_BYTE = re.compile(b"[^\\x00]")
+# Classes of payload bytes: 0 for "?" (six zero bits), 1 for the other
+# symbols, 2 for bytes that are no symbol. ``find`` on the classes is a
+# memchr, so zero runs cost next to nothing.
+_G6_CLASSES = bytes(
+    0 if b == 63 else 1 if 63 < b <= 126 else 2 for b in range(256)
+)
 
 
 def _payload_len(n: int) -> int:
@@ -77,28 +80,27 @@ def parse_graph6(text: str) -> Graph:
             f"oversized graph6 payload: expected {want} bytes", base + want
         )
     raw = body.encode("ascii", "replace")
+    classes = raw.translate(_G6_CLASSES)
     # Checked in bulk; the loop only finds the first bad byte's offset.
-    if not body.isascii() or raw.translate(None, _G6_SYMBOLS):
+    if not body.isascii() or classes.find(2) >= 0:
         for i, ch in enumerate(body):
             if not 63 <= ord(ch) <= 126:
                 raise FormatError(f"bad graph6 payload byte {ch!r}", base + i)
-    # base64 needs whole 4-symbol groups; "A" pads with zero bits.
-    raw = raw.translate(_G6_TO_BASE64) + b"A" * (-want % 4)
-    bits = binascii.a2b_base64(raw)
     limit = n * (n - 1) // 2
     edges = []
-    for match in _NONZERO_BYTE.finditer(bits):
-        at = match.start()
-        byte = bits[at]
-        for shift in range(8):
-            if byte & (128 >> shift):
-                i = 8 * at + shift
+    at = classes.find(1)
+    while at >= 0:
+        bits = raw[at] - 63
+        for shift in range(6):
+            if bits & (32 >> shift):
+                i = 6 * at + shift
                 if i >= limit:
-                    # Padding fills at most the last byte.
+                    # Padding fills at most the last symbol.
                     raise FormatError("nonzero padding bits", base + want - 1)
                 # Bit i is the pair u < v with i = v (v - 1) / 2 + u.
                 v = (1 + math.isqrt(8 * i + 1)) // 2
                 edges.append((i - v * (v - 1) // 2, v))
+        at = classes.find(1, at + 1)
     return Graph(n, edges)
 
 

@@ -3,11 +3,46 @@
 Vertices are ``0 .. n-1``. Edges are stored as sorted ``(u, v)`` tuples with
 ``u < v``; the edge list itself is sorted, so two Graph objects compare equal
 exactly when they are the same labeled graph.
+
+On a cactus one iterative DFS, :func:`_cactus_distances`, finds every cycle
+and every cut edge, and from the same walk every edge's distance partition,
+in O(n + m) time and memory:
+
+- Each back edge closes exactly one cycle: the tree path from its upper end
+  down to its lower end, plus the back edge itself, in ring order. The walk
+  records the ring when it leaves the ring's second vertex, which is when
+  :func:`block_decomposition` pops the same block, so both list the cycles
+  in the same order. The tree edges on no ring are the cut edges.
+- Subtree vertex and edge counts, summed in post-order, give each ring
+  vertex its branch: the V_i vertices and E_i edges that hang off the ring
+  there. The ring's top vertex takes the complement.
+- A cut edge splits the graph into the two sides of the tree edge, so its
+  counts are the subtree counts and m_0 = 1.
+- On an edge of an L-cycle, a branch sides with the nearer endpoint. Prefix
+  sums around the doubled ring add up each side. For even L the antipodal
+  edge is the only other equidistant edge; for odd L the whole branch at the
+  opposite vertex is equidistant, and no ring edge but the edge itself.
+- The Wiener index adds V * V' over cut edges and, per cycle, the sum of
+  V_i V_j d(i, j) over ring pairs, which prefix sums of V_i and i * V_i
+  give in O(L).
+
+The walk detects a disconnected graph. It gives up at the first tree edge
+covered by two back edges, which happens exactly when the graph is no
+cactus; such graphs take :func:`block_decomposition` for their profile and
+the all-pairs BFS in :mod:`szegedtools.indices` for their distances.
+
+A cactus runs the walk once, whichever of :func:`cactus_profile` or an index
+function asks first, and keeps its result on the Graph: the rings, the gap
+m_u - m_v and m_0 of every edge, the Szeged and the Wiener index. The
+profile's edge and vertex sets are built from the rings on the first read of
+:func:`cactus_profile`, so a caller that only wants indices never pays for
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DisconnectedError, InvalidGraphError
 
@@ -273,14 +308,161 @@ def cut_edges(g: Graph) -> frozenset[tuple[int, int]]:
     return cactus_profile(g).bridges
 
 
+class _Distances(NamedTuple):
+    """What one distance pass knows about a graph: the gap m_u - m_v and the
+    m_0 of every edge in ``g.edges`` order, the Szeged and Wiener index, and
+    the rings in block order (each top vertex first, then ring order), or
+    ``None`` when the graph is no cactus."""
+
+    gaps: tuple[int, ...]
+    zeros: tuple[int, ...]
+    szeged: int
+    wiener: int
+    rings: tuple[tuple[int, ...], ...] | None
+
+
+def _cactus_distances(g: Graph) -> _Distances | None:
+    """Rings, edge gaps and m_0, Szeged and Wiener index of a cactus in one
+    DFS (see the module docstring).
+
+    Returns ``None`` when ``g`` is no cactus. Raises
+    :class:`DisconnectedError` when ``g`` is a disconnected cactus forest.
+    """
+    n, m, adj = g.n, g.m, g.adj
+    parent = [-1] * n
+    depth = [-1] * n
+    depth[0] = 0
+    order = [0]
+    # on_cycle[x]: the tree edge x-parent[x] lies on a cycle.
+    on_cycle = [False] * n
+    # closes[x]: the ring whose second vertex is x.
+    closes = [None] * n
+    # Vertices and edges of each subtree; an edge belongs to its lower end.
+    sub_v = [1] * n
+    sub_e = [0] * n
+    rings = []
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if depth[w] < 0:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                order.append(w)
+                stack.append((w, iter(adj[w])))
+                break
+            if depth[w] < depth[v] and w != parent[v]:
+                # Back edge v-w: its cycle runs down the tree from w to v.
+                ring = []
+                x = v
+                while x != w:
+                    if on_cycle[x]:
+                        return None
+                    on_cycle[x] = True
+                    ring.append(x)
+                    x = parent[x]
+                ring.append(w)
+                ring.reverse()
+                closes[ring[1]] = ring
+                sub_e[v] += 1
+        else:
+            stack.pop()
+            if closes[v] is not None:
+                rings.append(closes[v])
+    if len(order) < n:
+        raise DisconnectedError("graph is not connected")
+
+    for x in reversed(order):
+        p = parent[x]
+        if p >= 0:
+            sub_e[x] += 1
+            sub_v[p] += sub_v[x]
+            sub_e[p] += sub_e[x]
+
+    # (gap, m_0) per edge (u, v) with u < v.
+    split = {}
+    szeged_total = wiener_total = 0
+    for x in order[1:]:
+        if not on_cycle[x]:
+            below = sub_v[x]
+            p = parent[x]
+            # m_u = sub_e[x] - 1 edges below x, m_v = m - sub_e[x] above it.
+            gap = 2 * sub_e[x] - 1 - m
+            if x < p:
+                split[(x, p)] = (gap, 1)
+            else:
+                split[(p, x)] = (-gap, 1)
+            szeged_total += below * (n - below)
+            wiener_total += below * (n - below)
+    for ring in rings:
+        size = len(ring)
+        half = size // 2
+        # Branch weights at ring[0] (the top vertex), ring[1], ..., ring[-1].
+        verts = [n - sub_v[ring[1]]]
+        edges = [m - sub_e[ring[1]]]
+        for i in range(1, size - 1):
+            x, y = ring[i], ring[i + 1]
+            verts.append(sub_v[x] - sub_v[y])
+            edges.append(sub_e[x] - sub_e[y] - 1)
+        verts.append(sub_v[ring[-1]])
+        edges.append(sub_e[ring[-1]] - 2)
+        # Prefix sums around the doubled ring.
+        pv = [0]
+        pe = [0]
+        for a, b in zip(verts + verts, edges + edges):
+            pv.append(pv[-1] + a)
+            pe.append(pe[-1] + b)
+        # Ring edge i joins ring[i] and ring[i + 1]; ring[i - half + 1 .. i]
+        # side with ring[i], ring[i + 1 .. i + half] with ring[i + 1]. Each
+        # side also holds the same number of ring edges (half for odd L,
+        # half - 1 for even L), so the gap is that of the branch edges.
+        for i in range(size):
+            lo, mid, hi = i + size - half + 1, i + 1, i + half + 1
+            n_u = pv[i + size + 1] - pv[lo]
+            n_v = pv[hi] - pv[mid]
+            gap = pe[i + size + 1] - pe[lo] - pe[hi] + pe[mid]
+            m_0 = 1 + edges[hi % size] if size & 1 else 2
+            a, b = ring[i], ring[(i + 1) % size]
+            if a < b:
+                split[(a, b)] = (gap, m_0)
+            else:
+                split[(b, a)] = (-gap, m_0)
+            szeged_total += n_u * n_v
+        # Sum over ring pairs j < i of V_j V_i d(j, i), where pairs at most
+        # half apart take i - j and the rest size - i + j.
+        pw = [0]
+        for i, a in enumerate(verts):
+            pw.append(pw[-1] + i * a)
+        for i, a in enumerate(verts):
+            lo = i - half if i > half else 0
+            near = i * (pv[i] - pv[lo]) - (pw[i] - pw[lo])
+            far = (size - i) * pv[lo] + pw[lo]
+            wiener_total += a * (near + far)
+
+    rows = [split[e] for e in g.edges]
+    return _Distances(
+        tuple(gap for gap, _ in rows),
+        tuple(m_0 for _, m_0 in rows),
+        szeged_total,
+        wiener_total,
+        # Built as tuples once the walk is done: keeping the lists the walk
+        # grew raised the peak RSS of the index_large benchmark by 2 MB.
+        tuple(map(tuple, rings)),
+    )
+
+
 @dataclass(frozen=True)
 class CactusProfile:
-    """Block structure summary produced by :func:`cactus_profile`."""
+    """Block structure summary produced by :func:`cactus_profile`.
+
+    ``cycle_vertex_sets[i]`` holds the vertices of ``cycle_edge_sets[i]``.
+    """
 
     is_cactus: bool
     cycle_edge_sets: tuple[frozenset[tuple[int, int]], ...]
     end_block_flags: tuple[bool, ...]
     bridges: frozenset[tuple[int, int]]
+    cycle_vertex_sets: tuple[frozenset[int], ...]
 
     @property
     def k(self) -> int:
@@ -299,24 +481,55 @@ def cycle_vertices(block: frozenset[tuple[int, int]]) -> frozenset[int]:
     return frozenset(verts)
 
 
+def _is_end_block(g: Graph, ring) -> bool:
+    # All but at most one ring vertex have degree 2 in the whole graph.
+    return sum(1 for v in ring if len(g.adj[v]) != 2) <= 1
+
+
 def cactus_profile(g: Graph) -> CactusProfile:
     """Classify ``g``'s blocks and flag which cycles are end blocks.
 
     A graph is a cactus when every block is a single edge or a cycle. A cycle
     is an end block when all but at most one of its vertices have degree 2 in
-    the whole graph. The bridges come from the same block decomposition.
-    Computed once per graph and kept on it, which is safe because a Graph
-    never changes.
+    the whole graph.
+
+    A cactus reads its cycles and bridges off the rings of the one DFS that
+    also gives its distances (see the module docstring), running it if no
+    index has yet; the cycles come in :func:`block_decomposition`'s order.
+    Any other graph takes :func:`block_decomposition`, never an all-pairs
+    BFS. Computed once per graph and kept on it, which is safe because a
+    Graph never changes.
     """
     if g._profile is not None:
         return g._profile
-    dec = block_decomposition(g)
-    ok = all(kind in ("edge", "cycle") for kind in dec.kinds)
-    cycles = tuple(b for b, kind in zip(dec.blocks, dec.kinds) if kind == "cycle")
-    flags = tuple(
-        sum(1 for v in cycle_vertices(c) if g.degree(v) != 2) <= 1 for c in cycles
-    )
-    profile = CactusProfile(ok, cycles, flags, dec.bridges)
+    found = g._dist
+    if found is None:
+        found = _cactus_distances(g)
+        if found is not None:
+            object.__setattr__(g, "_dist", found)
+    if found is not None and found.rings is not None:
+        cycles = []
+        for ring in found.rings:
+            # Consecutive ring vertices, and the back edge from the last one
+            # to the top.
+            last = ring[-1]
+            cycle = []
+            for v in ring:
+                cycle.append((v, last) if v < last else (last, v))
+                last = v
+            cycles.append(frozenset(cycle))
+        vertex_sets = tuple(map(frozenset, found.rings))
+        flags = tuple(_is_end_block(g, ring) for ring in found.rings)
+        profile = CactusProfile(
+            True, tuple(cycles), flags, g.edge_set.difference(*cycles), vertex_sets
+        )
+    else:
+        dec = block_decomposition(g)
+        ok = all(kind in ("edge", "cycle") for kind in dec.kinds)
+        cycles = tuple(b for b, kind in zip(dec.blocks, dec.kinds) if kind == "cycle")
+        vertex_sets = tuple(map(cycle_vertices, cycles))
+        flags = tuple(_is_end_block(g, ring) for ring in vertex_sets)
+        profile = CactusProfile(ok, cycles, flags, dec.bridges, vertex_sets)
     object.__setattr__(g, "_profile", profile)
     return profile
 

@@ -7,36 +7,20 @@ itself always lands in m_0). Every value is therefore an integer number of
 quarters, and :class:`QuarterInt` keeps it that way; no floating point enters
 any computation here.
 
-On a cactus every one of these counts follows from block weights, so
-:func:`_cactus_distances` finds them all in one iterative DFS, in
-O(n + m) time and memory:
-
-- Each back edge closes exactly one cycle: the tree path from its upper end
-  down to its lower end, plus the back edge itself, in ring order.
-- Subtree vertex and edge counts, summed in post-order, give each ring
-  vertex its branch: the V_i vertices and E_i edges that hang off the ring
-  there. The ring's top vertex takes the complement.
-- A cut edge splits the graph into the two sides of the tree edge, so its
-  counts are the subtree counts and m_0 = 1.
-- On an edge of an L-cycle, a branch sides with the nearer endpoint. Prefix
-  sums around the doubled ring add up each side. For even L the antipodal
-  edge is the only other equidistant edge; for odd L the whole branch at the
-  opposite vertex is equidistant, and no ring edge but the edge itself.
-- The Wiener index adds V * V' over cut edges and, per cycle, the sum of
-  V_i V_j d(i, j) over ring pairs, which prefix sums of V_i and i * V_i
-  give in O(L).
-
-The same DFS detects a disconnected graph. It gives up at the first tree
-edge covered by two back edges, which happens exactly when the graph is no
-cactus. Such graphs take the general path: all-pairs BFS plus a sweep over
-all edges for each edge, O(n m + m^2) time. That path is also the reference
-the cactus pass is tested against.
+On a cactus every one of these counts follows from block weights, so the
+one DFS that also finds the cactus's cycles and cut edges,
+:func:`szegedtools.graphs._cactus_distances`, gives them all in O(n + m)
+time. Any other graph takes the general path: all-pairs BFS plus a sweep
+over all edges for each edge, O(n m + m^2) time. That path is also the
+reference the cactus pass is tested against.
 
 Either way the analysis runs once per graph and is kept on it (a Graph never
 changes): the gap m_u - m_v and m_0 of every edge, the Szeged index and the
-Wiener index. :func:`edge_partitions`, :func:`edge_gaps`,
-:func:`diff_square_sum`, :func:`edge_revised_szeged`, :func:`szeged` and
-:func:`wiener` all read it; m_u and m_v follow from m, m_0 and the gap.
+Wiener index, and on a cactus its rings. :func:`edge_partitions`,
+:func:`edge_gaps`, :func:`diff_square_sum`, :func:`edge_revised_szeged`,
+:func:`szeged` and :func:`wiener` all read it, and so does
+:func:`szegedtools.graphs.cactus_profile`, whichever asks first; m_u and m_v
+follow from m, m_0 and the gap.
 """
 
 from __future__ import annotations
@@ -46,7 +30,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DisconnectedError, InvalidGraphError
-from .graphs import Graph, all_bfs_distances, bfs_distances, require_connected
+from .graphs import (
+    Graph,
+    _cactus_distances,
+    _Distances,
+    all_bfs_distances,
+    bfs_distances,
+    require_connected,
+)
 
 
 class QuarterInt:
@@ -217,138 +208,6 @@ def edge_partition(g: Graph, e) -> EdgePartition:
     return _edge_split(g.edges, bfs_distances(g, u), bfs_distances(g, v))
 
 
-class _Distances(NamedTuple):
-    """What one distance pass knows about a graph: the gap m_u - m_v and the
-    m_0 of every edge in ``g.edges`` order, and the Szeged and Wiener index."""
-
-    gaps: tuple[int, ...]
-    zeros: tuple[int, ...]
-    szeged: int
-    wiener: int
-
-
-def _cactus_distances(g: Graph) -> _Distances | None:
-    """Edge gaps and m_0, Szeged and Wiener index of a cactus in one DFS.
-
-    Returns ``None`` when ``g`` is no cactus. Raises
-    :class:`DisconnectedError` when ``g`` is a disconnected cactus forest.
-    """
-    n, m, adj = g.n, g.m, g.adj
-    parent = [-1] * n
-    depth = [-1] * n
-    depth[0] = 0
-    order = [0]
-    # on_cycle[x]: the tree edge x-parent[x] lies on a cycle.
-    on_cycle = [False] * n
-    # Vertices and edges of each subtree; an edge belongs to its lower end.
-    sub_v = [1] * n
-    sub_e = [0] * n
-    rings = []
-    stack = [(0, iter(adj[0]))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            if depth[w] < 0:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                order.append(w)
-                stack.append((w, iter(adj[w])))
-                break
-            if depth[w] < depth[v] and w != parent[v]:
-                # Back edge v-w: its cycle runs down the tree from w to v.
-                ring = []
-                x = v
-                while x != w:
-                    if on_cycle[x]:
-                        return None
-                    on_cycle[x] = True
-                    ring.append(x)
-                    x = parent[x]
-                ring.append(w)
-                ring.reverse()
-                rings.append(ring)
-                sub_e[v] += 1
-        else:
-            stack.pop()
-    if len(order) < n:
-        raise DisconnectedError("graph is not connected")
-
-    for x in reversed(order):
-        p = parent[x]
-        if p >= 0:
-            sub_e[x] += 1
-            sub_v[p] += sub_v[x]
-            sub_e[p] += sub_e[x]
-
-    # (gap, m_0) per edge (u, v) with u < v.
-    split = {}
-    szeged_total = wiener_total = 0
-    for x in order[1:]:
-        if not on_cycle[x]:
-            below = sub_v[x]
-            p = parent[x]
-            # m_u = sub_e[x] - 1 edges below x, m_v = m - sub_e[x] above it.
-            gap = 2 * sub_e[x] - 1 - m
-            if x < p:
-                split[(x, p)] = (gap, 1)
-            else:
-                split[(p, x)] = (-gap, 1)
-            szeged_total += below * (n - below)
-            wiener_total += below * (n - below)
-    for ring in rings:
-        size = len(ring)
-        half = size // 2
-        # Branch weights at ring[0] (the top vertex), ring[1], ..., ring[-1].
-        verts = [n - sub_v[ring[1]]]
-        edges = [m - sub_e[ring[1]]]
-        for i in range(1, size - 1):
-            x, y = ring[i], ring[i + 1]
-            verts.append(sub_v[x] - sub_v[y])
-            edges.append(sub_e[x] - sub_e[y] - 1)
-        verts.append(sub_v[ring[-1]])
-        edges.append(sub_e[ring[-1]] - 2)
-        # Prefix sums around the doubled ring.
-        pv = [0]
-        pe = [0]
-        for a, b in zip(verts + verts, edges + edges):
-            pv.append(pv[-1] + a)
-            pe.append(pe[-1] + b)
-        # Ring edge i joins ring[i] and ring[i + 1]; ring[i - half + 1 .. i]
-        # side with ring[i], ring[i + 1 .. i + half] with ring[i + 1]. Each
-        # side also holds the same number of ring edges (half for odd L,
-        # half - 1 for even L), so the gap is that of the branch edges.
-        for i in range(size):
-            lo, mid, hi = i + size - half + 1, i + 1, i + half + 1
-            n_u = pv[i + size + 1] - pv[lo]
-            n_v = pv[hi] - pv[mid]
-            gap = pe[i + size + 1] - pe[lo] - pe[hi] + pe[mid]
-            m_0 = 1 + edges[hi % size] if size & 1 else 2
-            a, b = ring[i], ring[(i + 1) % size]
-            if a < b:
-                split[(a, b)] = (gap, m_0)
-            else:
-                split[(b, a)] = (-gap, m_0)
-            szeged_total += n_u * n_v
-        # Sum over ring pairs j < i of V_j V_i d(j, i), where pairs at most
-        # half apart take i - j and the rest size - i + j.
-        pw = [0]
-        for i, a in enumerate(verts):
-            pw.append(pw[-1] + i * a)
-        for i, a in enumerate(verts):
-            lo = i - half if i > half else 0
-            near = i * (pv[i] - pv[lo]) - (pw[i] - pw[lo])
-            far = (size - i) * pv[lo] + pw[lo]
-            wiener_total += a * (near + far)
-
-    rows = [split[e] for e in g.edges]
-    return _Distances(
-        tuple(gap for gap, _ in rows),
-        tuple(m_0 for _, m_0 in rows),
-        szeged_total,
-        wiener_total,
-    )
-
-
 def _bfs_analysis(g: Graph) -> tuple[list[EdgePartition], int, int]:
     """Edge partitions, Szeged and Wiener index of any connected graph.
 
@@ -374,7 +233,8 @@ def _bfs_analysis(g: Graph) -> tuple[list[EdgePartition], int, int]:
 
 
 def _analysis(g: Graph) -> _Distances:
-    """The distance analysis of ``g``, run once and kept on it.
+    """The distance analysis of ``g``, run once and kept on it, here or by
+    :func:`szegedtools.graphs.cactus_profile` on a cactus.
 
     Safe because a Graph never changes. Per edge only the gap and m_0 are
     kept: m_u and m_v follow from them, and full rows cost more memory on
@@ -389,6 +249,7 @@ def _analysis(g: Graph) -> _Distances:
                 tuple(p.m_0 for p in parts),
                 szeged_total,
                 wiener_total,
+                None,
             )
         object.__setattr__(g, "_dist", found)
     return g._dist

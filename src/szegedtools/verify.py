@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .bounds import (
     BoundCase,
@@ -90,8 +90,7 @@ class _TwoSidedAudit:
         return self.holds and self.fwd_ok and self.bwd_ok
 
 
-@dataclass(frozen=True)
-class EdgeGapRecord:
+class EdgeGapRecord(NamedTuple):
     """One edge's squared side difference against the global ceiling."""
 
     edge: tuple[int, int]
@@ -113,8 +112,7 @@ class EdgeGapRecord:
         }
 
 
-@dataclass(frozen=True)
-class CycleGapRecord:
+class CycleGapRecord(NamedTuple):
     """One cycle's summed squared gaps against its parity-dependent ceiling."""
 
     length: int
@@ -175,18 +173,13 @@ def audit_pendant_edges(g: Graph) -> GapAudit:
     """Check every edge's squared gap against the pendant-edge ceiling."""
     m = len(g.edges)
     bound = pendant_diff_bound(m)
+    adj = g.adj
     records = []
-    for (u, v), gap in zip(g.edges, edge_gaps(g)):
-        pendant = len(g.adj[u]) == 1 or len(g.adj[v]) == 1
-        records.append(
-            EdgeGapRecord(
-                edge=(u, v),
-                gap_sq=gap * gap,
-                bound=bound,
-                equality=gap * gap == bound,
-                pendant=pendant,
-            )
-        )
+    for e, gap in zip(g.edges, edge_gaps(g)):
+        u, v = e
+        sq = gap * gap
+        pendant = len(adj[u]) == 1 or len(adj[v]) == 1
+        records.append(EdgeGapRecord(e, sq, bound, sq == bound, pendant))
     return GapAudit(graph6=emit_graph6(g), m=m, records=tuple(records))
 
 
@@ -198,17 +191,9 @@ def audit_cycle_gaps(g: Graph) -> GapAudit:
     records = []
     for edge_set, end_block in zip(profile.cycle_edge_sets, profile.end_block_flags):
         length = len(edge_set)
-        total = sum(gap_sq[e] for e in sorted(edge_set))
+        total = sum(gap_sq[e] for e in edge_set)
         bound = cycle_diff_bound(length, m)
-        records.append(
-            CycleGapRecord(
-                length=length,
-                gap_sum=total,
-                bound=bound,
-                equality=total == bound,
-                end_block=end_block,
-            )
-        )
+        records.append(CycleGapRecord(length, total, bound, total == bound, end_block))
     records.sort(key=lambda r: (r.length, r.gap_sum))
     return GapAudit(graph6=emit_graph6(g), m=m, records=tuple(records))
 

@@ -8,10 +8,13 @@ automorphisms by exhaustive extension, the unpruned degree-sorted canonical
 search, and labeled copies by walking all n! relabelings.  Slow on purpose;
 sized for the small universes the tests use.
 
-The one exception is ``tailed_quadrangle_bundle_by_peeling``, the earlier
-recognizer of the tailed family, kept as the oracle for the structural one.
-It peels the tail's leaf into a new ``Graph`` and asks the package's
-``as_bundle``, which the tests check against certificates on its own.
+Two exceptions use the package.  ``tailed_quadrangle_bundle_by_peeling``,
+the earlier recognizer of the tailed family, is kept as the oracle for the
+structural one.  It peels the tail's leaf into a new ``Graph`` and asks the
+package's ``as_bundle``, which the tests check against certificates on its
+own.  ``block_profile`` builds a cactus profile from the package's
+``block_decomposition``, which the tests check against networkx's
+biconnected components; it is the reference for the one-DFS profile.
 """
 
 from __future__ import annotations
@@ -340,6 +343,22 @@ def tailed_quadrangle_bundle_by_peeling(g, k: int | None = None) -> bool:
         if peeled.degree(relabel[inner]) == 1:
             return True
     return False
+
+
+def block_profile(g):
+    """The ``CactusProfile`` of ``g`` from ``block_decomposition``: cycles in
+    the order the blocks pop, vertex sets read off their edges, and a cycle
+    an end block when at most one of its vertices has degree other than 2."""
+    from szegedtools import CactusProfile, block_decomposition
+
+    dec = block_decomposition(g)
+    cycles = tuple(b for b, kind in zip(dec.blocks, dec.kinds) if kind == "cycle")
+    vertex_sets = tuple(frozenset(v for e in c for v in e) for c in cycles)
+    flags = tuple(
+        sum(1 for v in verts if g.degree(v) != 2) <= 1 for verts in vertex_sets
+    )
+    ok = all(kind in ("edge", "cycle") for kind in dec.kinds)
+    return CactusProfile(ok, cycles, flags, dec.bridges, vertex_sets)
 
 
 def random_graph_edges(rng, n: int, extra: float = 0.3):

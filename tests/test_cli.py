@@ -4,7 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -22,7 +25,8 @@ from szegedtools import (
     path,
     triangle_bundle,
 )
-from szegedtools import graphs, indices
+import szegedtools
+from szegedtools import graphs
 from szegedtools.cli import main
 
 
@@ -516,7 +520,7 @@ class TestComputeReportBytes:
             argv, stdin = ["compute", "--stdin"], built
         else:
             argv, stdin = ["compute", "--g6", g6], None
-        passes = count_calls_on(monkeypatch, indices._cactus_distances)
+        passes = count_calls_on(monkeypatch, graphs._cactus_distances)
         bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances)
         code, out, _ = run_cli(argv + ["--edges", "--format", "json"], stdin=stdin)
         assert code == 0
@@ -524,6 +528,47 @@ class TestComputeReportBytes:
         body = json.loads(out)
         del body["meta"]["wall_ms"]
         assert _digest(json.dumps(body, sort_keys=True)) == digest
+
+
+def _cli_process(argv):
+    """The command line in a child process, every stream a pipe."""
+    src = str(Path(szegedtools.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen(
+        [sys.executable, "-m", "szegedtools.cli", *argv],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early, as ``| head`` does, ends the
+    command quietly with exit 0. Both outputs are far larger than a pipe
+    buffer, so the command is still writing when the pipe closes."""
+
+    def _finish(self, proc):
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=60), err
+
+    def test_labeled_stream_read_one_line(self):
+        proc = _cli_process(["enumerate", "--n", "7", "--k", "1", "--labeled"])
+        proc.stdin.close()
+        line = proc.stdout.readline()
+        assert line.strip() and line.isascii()
+        assert self._finish(proc) == (0, b"")
+
+    def test_compute_report_read_300_bytes(self):
+        _, built, _ = run_cli(["build", "c1", "--n", "2001", "--k", "400"])
+        proc = _cli_process(["compute", "--stdin", "--edges"])
+        proc.stdin.write(built.encode())
+        proc.stdin.close()
+        head = proc.stdout.read(300)
+        assert head.startswith(b'{"meta": ') and len(head) == 300
+        assert self._finish(proc) == (0, b"")
 
 
 class TestTopLevel:

@@ -9,20 +9,27 @@ import pytest
 
 import oracles
 import samples
+from spies import count_calls_on
 from szegedtools import (
     DisconnectedError,
     Graph,
     InvalidGraphError,
     block_decomposition,
+    cactus_classes,
     cactus_profile,
     cut_edges,
     cycle,
+    edge_revised_szeged,
     graph_from_edges,
     is_cactus,
     is_connected,
     path,
+    random_cactus,
     star,
+    szeged,
 )
+from szegedtools import graphs
+from szegedtools.indices import edge_gaps
 
 
 class TestConstruction:
@@ -342,3 +349,120 @@ class TestCactusProfile:
             assert not (seen & s)
             seen |= s
         assert seen == {e for e in g.edge_set if e not in cut_edges(g)}
+
+
+def _relabel(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _assert_matches_block_profile(g):
+    # Fresh copies, so nothing kept by earlier calls stands in for the pass.
+    got = cactus_profile(Graph(g.n, g.edges))
+    assert got == oracles.block_profile(Graph(g.n, g.edges))
+
+
+def _petersen():
+    return Graph(10, nx.petersen_graph().edges)
+
+
+class TestOnePassProfile:
+    """A cactus's profile comes from the DFS that gives its distances; the
+    block decomposition is the reference, cycle order included."""
+
+    def test_every_class_through_n9_as_generated_and_relabeled(self):
+        rng = random.Random(9009)
+        count = 0
+        for n in range(1, 10):
+            for k in range((n - 1) // 2 + 1):
+                for g in cactus_classes(n, k):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    _assert_matches_block_profile(g)
+                    _assert_matches_block_profile(_relabel(g, perm))
+                    count += 1
+        assert count == 887
+
+    def test_random_cacti_through_n200(self):
+        rng = random.Random(2718)
+        for _ in range(300):
+            n = rng.randint(1, 200)
+            g = random_cactus(n, rng.randint(0, (n - 1) // 2), seed=rng.randrange(2**63))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _assert_matches_block_profile(_relabel(g, perm))
+
+    @pytest.mark.parametrize("profile_first", [True, False])
+    def test_either_order_runs_one_pass(self, monkeypatch, profile_first):
+        # Two triangles and a quadrangle, a bridge between them, pendants.
+        g = graph_from_edges(
+            10,
+            [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6),
+             (6, 7), (7, 8), (5, 8), (8, 9)],
+        )
+        passes = count_calls_on(monkeypatch, graphs._cactus_distances, g)
+        blocks = count_calls_on(monkeypatch, graphs.block_decomposition, g)
+        bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
+        if profile_first:
+            profile = cactus_profile(g)
+            values = (edge_gaps(g), szeged(g), edge_revised_szeged(g))
+        else:
+            values = (edge_gaps(g), szeged(g), edge_revised_szeged(g))
+            # An index alone builds no profile.
+            assert g._profile is None
+            profile = cactus_profile(g)
+        assert cactus_profile(g) is profile
+        assert (len(passes), len(blocks), len(bfs)) == (1, 0, 0)
+        assert profile == oracles.block_profile(Graph(g.n, g.edges))
+        # The cycles come as their blocks pop: the deepest first.
+        assert [len(c) for c in profile.cycle_edge_sets] == [4, 3, 3]
+        assert profile.end_block_flags == (False, False, True)
+        assert profile.bridges == frozenset({(4, 5), (8, 9)})
+        fresh = Graph(g.n, g.edges)
+        assert values == (edge_gaps(fresh), szeged(fresh), edge_revised_szeged(fresh))
+
+    @pytest.mark.parametrize(
+        "factory",
+        [samples.k4, samples.diamond, _petersen]
+        + [
+            lambda seed=seed: graph_from_edges(
+                9, oracles.random_graph_edges(random.Random(seed), 9, extra=0.5)
+            )
+            for seed in range(6)
+        ],
+    )
+    def test_non_cactus_keeps_the_block_path(self, monkeypatch, factory):
+        g = factory()
+        assert graphs._cactus_distances(g) is None
+        for profile_first in (True, False):
+            g = factory()
+            blocks = count_calls_on(monkeypatch, graphs.block_decomposition, g)
+            bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
+            if not profile_first:
+                edge_gaps(g)
+            before = len(bfs)
+            profile = cactus_profile(g)
+            # The profile never runs the all-pairs BFS.
+            assert len(bfs) == before
+            assert len(blocks) == 1
+            assert not profile.is_cactus
+            assert profile == oracles.block_profile(factory())
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            # a cactus forest: the pass itself finds the second component
+            (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+            # a non-cactus plus an isolated vertex: the block path finds it
+            (5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        ],
+    )
+    @pytest.mark.parametrize("profile_first", [True, False])
+    def test_disconnected_raises_in_either_order(self, n, edges, profile_first):
+        g = graph_from_edges(n, edges)
+        calls = [cactus_profile, edge_gaps]
+        if not profile_first:
+            calls.reverse()
+        for fn in calls:
+            with pytest.raises(DisconnectedError):
+                fn(g)

@@ -15,6 +15,7 @@ from szegedtools import (
     Graph,
     QuarterInt,
     cactus_classes,
+    cactus_profile,
     diff_square_sum,
     edge_partition,
     edge_partitions,
@@ -234,7 +235,7 @@ class TestCactusPass:
         for n in range(1, 10):
             for k in range((n - 1) // 2 + 1):
                 for g in cactus_classes(n, k):
-                    assert indices._cactus_distances(g) is not None
+                    assert graphs._cactus_distances(g) is not None
                     _assert_matches_bfs_path(g)
                     count += 1
         assert count == 887
@@ -260,7 +261,7 @@ class TestCactusPass:
     @pytest.mark.parametrize("factory", [samples.k4, samples.diamond])
     def test_non_cactus_takes_the_bfs_path(self, factory):
         g = factory()
-        assert indices._cactus_distances(g) is None
+        assert graphs._cactus_distances(g) is None
         assert [(p.m_u, p.m_v, p.m_0) for p in edge_partitions(g)] == [
             oracles.edge_partition(g.n, g.edges, e) for e in g.edges
         ]
@@ -316,7 +317,7 @@ class TestOneAnalysisPerGraph:
             [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
              (4, 7), (5, 8)],
         )
-        passes = count_calls_on(monkeypatch, indices._cactus_distances, g)
+        passes = count_calls_on(monkeypatch, graphs._cactus_distances, g)
         bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
         seen = _call_all_repeatedly(g, first, seed=INDEX_FUNCTIONS.index(first))
         assert (len(passes), len(bfs)) == (1, 0)
@@ -327,7 +328,7 @@ class TestOneAnalysisPerGraph:
     @pytest.mark.parametrize("first", INDEX_FUNCTIONS, ids=lambda fn: fn.__name__)
     def test_non_cactus_runs_one_all_pairs_bfs(self, monkeypatch, factory, first):
         g = factory()
-        passes = count_calls_on(monkeypatch, indices._cactus_distances, g)
+        passes = count_calls_on(monkeypatch, graphs._cactus_distances, g)
         bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
         seen = _call_all_repeatedly(g, first, seed=INDEX_FUNCTIONS.index(first))
         assert (len(passes), len(bfs)) == (1, 1)
@@ -360,6 +361,10 @@ def relabeled_cactus(draw, max_n):
     return g, draw(st.permutations(range(n)))
 
 
+def _profile_shape(profile):
+    return sorted(zip(map(len, profile.cycle_edge_sets), profile.end_block_flags))
+
+
 class TestCactusPassProperties:
     @settings(max_examples=60, deadline=None)
     @given(relabeled_cactus(40))
@@ -368,6 +373,12 @@ class TestCactusPassProperties:
         h = _relabel(g, perm)
         assert edge_revised_szeged(h) == edge_revised_szeged(g)
         assert (szeged(h), wiener(h)) == (szeged(g), wiener(g))
+        # The profile read off the same pass: the multiset of (cycle length,
+        # end-block flag) pairs and the bridge count.
+        got, want = cactus_profile(h), cactus_profile(g)
+        assert got.is_cactus and want.is_cactus
+        assert _profile_shape(got) == _profile_shape(want)
+        assert len(got.bridges) == len(want.bridges)
         parts_h = dict(zip(h.edges, edge_partitions(h)))
         for (u, v), p in zip(g.edges, edge_partitions(g)):
             a, b = perm[u], perm[v]

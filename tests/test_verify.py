@@ -35,7 +35,7 @@ from szegedtools import (
     verify_pendant_edge_claim,
     verify_second_minimum,
 )
-from szegedtools import canon, graphs, indices
+from szegedtools import canon, graphs
 from szegedtools.verify import AUDITORS
 
 
@@ -155,10 +155,10 @@ def test_six_audits_share_one_analysis_per_graph(monkeypatch):
     # so every structural hypothesis applies and every audit does its work.
     g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4), (2, 5)])
     blocks = _count_calls_on(monkeypatch, graphs.block_decomposition, g)
-    # On a cactus every distance fact comes from one linear pass: no
-    # all-pairs BFS at all.
+    # On a cactus the cycles, the bridges and every distance fact come from
+    # one linear pass: no block decomposition and no all-pairs BFS at all.
     bfs = _count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
-    passes = _count_calls_on(monkeypatch, indices._cactus_distances, g)
+    passes = _count_calls_on(monkeypatch, graphs._cactus_distances, g)
     # Family membership is decided on g's own structure: no canonical
     # search and no new graph, such as a reference bundle or a peeled copy.
     canon_calls = _count_calls_on(monkeypatch, canon.canonical_pair)
@@ -172,7 +172,7 @@ def test_six_audits_share_one_analysis_per_graph(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "__init__", counting_init)
     audits = [auditor(g) for auditor in AUDITORS.values()]
     assert all(a.applicable for a in audits)
-    assert (len(blocks), len(bfs), len(passes)) == (1, 0, 1)
+    assert (len(blocks), len(bfs), len(passes)) == (0, 0, 1)
     assert (len(canon_calls), len(built)) == (0, 0)
 
 
