@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import CapError
-from .formats import emit_graph6
+from .formats import _graph6
 from .graphs import Graph
 
 CERT_CAP = 12
@@ -161,7 +161,11 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
     for pos, orig in enumerate(placement):
         newlabel[orig] = pos
     canon = g._relabeled(newlabel)
-    cert = emit_graph6(canon).encode("ascii")
+    # Encoded here rather than through emit_graph6, whose read of the new
+    # image's empty cache would fall through to ``_Unfilled.__getattr__``.
+    text = _graph6(canon.n, canon.edges)
+    object.__setattr__(canon, "_g6", text)
+    cert = text.encode("ascii")
     object.__setattr__(g, "_cert", cert)
     object.__setattr__(canon, "_cert", cert)
     return canon, cert

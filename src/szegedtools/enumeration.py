@@ -20,24 +20,30 @@ class, and within a class in lexicographic order of the first permutation of
 graph exactly when they differ by an automorphism, so that first
 permutation is the least member of its coset ``p∘Aut``.  The cosets'
 least members are generated directly, in that order, from the stabilizer
-orbits of :func:`~szegedtools.canon.stabilizer_orbits`, and each is applied
-once, without validating the image again: ``n!/|Aut|`` relabelings per
-class, and no set of graphs already seen.  An image builds its adjacency
-only when something reads it.  The labeled count, the sum of
-``n!/|Aut|`` over the classes, cross-checks the automorphism count.
+orbits of :func:`~szegedtools.canon.stabilizer_orbits`.  Only the first
+``d`` positions carry a constraint, ``d`` being one past the last vertex in
+a nontrivial orbit, so a bitmask DFS places those, and
+``itertools.permutations`` of the values left, in increasing order, gives
+every ending of each prefix.  Each image is mapped once from a table of
+edge tuples, without validating it again: ``n!/|Aut|`` relabelings per
+class, and no set of graphs already seen.  An image sets only its vertex
+count and edges; its adjacency and caches wait until something reads them.
+The labeled count, the sum of ``n!/|Aut|`` over the classes, cross-checks
+the automorphism count.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Iterator
 
 from .bounds import BoundCase, minimum_bound, second_minimum_bound
 from .canon import canonical_pair, stabilizer_orbits
 from .errors import CapError, InfeasibleError
 from .formats import emit_graph6
-from .graphs import Graph
+from .graphs import Graph, _image
 from .indices import QuarterInt, edge_revised_szeged
 
 DEFAULT_CAP = 10
@@ -129,32 +135,69 @@ def enumerate_cacti(
         yield from classes
         return
     for g in classes:
-        for p in _coset_representatives(stabilizer_orbits(g)):
-            yield g._relabeled(p)
+        yield from _class_images(g)
 
 
-def _coset_representatives(orbits: list[tuple[int, ...]]) -> Iterator[list[int]]:
-    """Permutations ``p`` of ``0..n-1`` in lexicographic order with
-    ``p[i] < p[j]`` for every ``j`` in ``orbits[i]`` other than ``i``.
+def _class_images(g: Graph) -> Iterator[Graph]:
+    """The images of ``g`` under the least members ``p`` of the cosets
+    ``p∘Aut(g)``, in lexicographic order of ``p``.
 
-    With the stabilizer orbits of ``Aut(g)`` these are the least members of
-    the cosets ``p∘Aut(g)``, one per labeled copy of ``g``.  The orbits are
-    laminar: ``orbits[j]`` lies inside ``orbits[i]`` when ``j`` is in it and
-    is disjoint from it otherwise.  So ``p[j]`` needs only exceed the value
-    at ``above[j]``, the last ``i < j`` whose orbit holds ``j``, and must
-    leave ``len(orbits[j]) - 1`` larger values free for the rest of its
-    orbit.  The same list is yielded each time, refilled.
+    Only positions below ``d``, one past the largest vertex in any
+    nontrivial stabilizer orbit, carry a constraint (see
+    :func:`_coset_prefixes`).  So each least prefix ``p[:d]`` extends by
+    every ordering of the values it leaves free, and
+    ``itertools.permutations`` of those values in increasing order gives
+    the orderings in lexicographic order.  Edges with both ends below ``d``
+    are mapped once per prefix, the others once per image.
+    """
+    n = g.n
+    # pair[a][b]: the edge between a and b as a sorted tuple.
+    pair = [[(a, b) if a < b else (b, a) for b in range(n)] for a in range(n)]
+    orbits = stabilizer_orbits(g)
+    d = max((orbit[-1] + 1 for orbit in orbits if len(orbit) > 1), default=0)
+    early = [(u, v) for u, v in g.edges if v < d]
+    late = [(u, v) for u, v in g.edges if v >= d]
+    for prefix, free in _coset_prefixes(orbits, d):
+        fixed = [pair[prefix[u]][prefix[v]] for u, v in early]
+        for suffix in permutations(free):
+            p = prefix + suffix
+            edges = fixed + [pair[p[u]][p[v]] for u, v in late]
+            edges.sort()
+            yield _image(n, tuple(edges))
+
+
+def _coset_prefixes(
+    orbits: list[tuple[int, ...]], d: int
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The prefixes ``p[:d]``, in lexicographic order, of the permutations
+    ``p`` of ``0..n-1`` with ``p[i] < p[j]`` for every ``j`` in
+    ``orbits[i]`` other than ``i``, each with the values it leaves free in
+    increasing order; ``d`` is at least one past every vertex in a
+    nontrivial orbit.
+
+    With the stabilizer orbits of ``Aut(g)`` these permutations are the
+    least members of the cosets ``p∘Aut(g)``, one per labeled copy of
+    ``g``.  The orbits are laminar: ``orbits[j]`` lies inside ``orbits[i]``
+    when ``j`` is in it and is disjoint from it otherwise.  So ``p[j]``
+    needs only exceed the value at ``above[j]``, the last ``i < j`` whose
+    orbit holds ``j``, and must leave ``len(orbits[j]) - 1`` larger values
+    free for the rest of its orbit.  No position from ``d`` on is in a
+    nontrivial orbit, so none carries a constraint, and every ordering of
+    the free values completes a prefix.
     """
     n = len(orbits)
+    if d == 0:
+        yield (), list(range(n))
+        return
     above = [-1] * n
     for i, orbit in enumerate(orbits):
         for j in orbit[1:]:
             above[j] = i
     larger = [len(orbit) - 1 for orbit in orbits]
-    p = [0] * n
-    free = [0] * n  # free[pos]: values not in p[:pos], as a bitmask
+    p = [0] * d
+    free = [0] * d  # free[pos]: values not in p[:pos], as a bitmask
     free[0] = (1 << n) - 1
-    floor = [0] * n  # floor[pos]: the least value still to try at pos
+    floor = [0] * d  # floor[pos]: the least value still to try at pos
     pos = 0
     while pos >= 0:
         avail = free[pos]
@@ -171,12 +214,12 @@ def _coset_representatives(orbits: list[tuple[int, ...]]) -> Iterator[list[int]]
             continue
         p[pos] = v
         floor[pos] = v + 1
-        if pos == n - 1:
-            yield p
-            pos -= 1
+        rest = avail & ~(1 << v)
+        if pos == d - 1:
+            yield tuple(p), [x for x in range(n) if rest >> x & 1]
             continue
         pos += 1
-        free[pos] = avail & ~(1 << v)
+        free[pos] = rest
         floor[pos] = 0
 
 

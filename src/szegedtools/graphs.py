@@ -33,10 +33,10 @@ the all-pairs BFS in :mod:`szegedtools.indices` for their distances.
 
 A cactus runs the walk once, whichever of :func:`cactus_profile` or an index
 function asks first, and keeps its result on the Graph: the rings, the gap
-m_u - m_v and m_0 of every edge, the Szeged and the Wiener index. The
-profile's edge and vertex sets are built from the rings on the first read of
-:func:`cactus_profile`, so a caller that only wants indices never pays for
-them.
+m_u - m_v and m_0 of every edge, the sum of the squared gaps, the Szeged and
+the Wiener index. The profile's edge and vertex sets are built from the
+rings on the first read of :func:`cactus_profile`, so a caller that only
+wants indices never pays for them.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ class Graph:
 
     ``Graph(n, edges)`` validates its input and builds the adjacency tuples
     ``adj`` and the frozenset ``edge_set`` at once.  An image made by
-    :meth:`_relabeled` (the labeled stream, canonical forms) builds them on
-    their first read instead, since most images are only counted or printed.
+    :meth:`_relabeled` or by the labeled stream sets only ``n`` and
+    ``edges``, and builds the rest when first read (see :class:`_Unfilled`),
+    since most images are only counted or printed.
     """
 
     __slots__ = (
@@ -82,19 +83,12 @@ class Graph:
             seen.add((u, v))
             norm.append((u, v))
         norm.sort()
-        self._fill(n, norm)
-        self._fill_adjacency(seen)
-
-    def _fill(self, n: int, norm: list[tuple[int, int]]) -> None:
-        """Set ``n``, ``edges`` and the empty caches from ``norm``: sorted,
-        distinct ``(u, v)``, ``u < v``.  ``adj`` and ``edge_set`` stay unset."""
         put = object.__setattr__
         put(self, "n", n)
         put(self, "edges", tuple(norm))
-        put(self, "_cert", None)
-        put(self, "_g6", None)
-        put(self, "_profile", None)
-        put(self, "_dist", None)
+        for name in _CACHES:
+            put(self, name, None)
+        self._fill_adjacency(seen)
 
     def _fill_adjacency(self, edge_set) -> None:
         """Set ``adj`` from ``edges``; ``edge_set`` freezes a collection of
@@ -112,8 +106,8 @@ class Graph:
         """The image of this graph under the bijection ``v -> perm[v]``.
 
         Skips validation: the image of a valid graph under a bijection of
-        ``0..n-1`` is valid.  ``perm`` must be such a bijection.  The image's
-        ``adj`` and ``edge_set`` are built on their first read.
+        ``0..n-1`` is valid.  ``perm`` must be such a bijection.  The image
+        is an :class:`_Unfilled` graph.
         """
         norm = []
         for u, v in self.edges:
@@ -121,9 +115,7 @@ class Graph:
             b = perm[v]
             norm.append((a, b) if a < b else (b, a))
         norm.sort()
-        image = object.__new__(_Unfilled)
-        image._fill(self.n, norm)
-        return image
+        return _image(self.n, tuple(norm))
 
     def __reduce__(self):
         # The default reduce restores slots through the blocked __setattr__;
@@ -160,27 +152,60 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class _Unfilled(Graph):
-    """An image made by :meth:`Graph._relabeled` whose ``adj`` and
-    ``edge_set`` are not built yet.
+# The derived facts a Graph keeps once computed; see :class:`_Unfilled`.
+_CACHES = ("_cert", "_g6", "_profile", "_dist")
 
-    The first read of either builds both and turns the object into a plain
-    Graph.  A ``__getattr__`` on Graph itself would slow every attribute read
-    of every graph (about twofold on CPython 3.11), not only these.
+
+class _Unfilled(Graph):
+    """A graph with only ``n`` and ``edges`` set: an image made by
+    :meth:`Graph._relabeled` or by the labeled stream, which are mostly only
+    counted or printed.
+
+    Its ``adj`` and ``edge_set`` are built, and its caches set, when first
+    needed.  Reading an unset cache (``_cert``, ``_g6``, ``_profile``,
+    ``_dist``) gives ``None`` and builds nothing; a cache can be set as on
+    any Graph.  The first read of ``adj`` or ``edge_set`` builds both, sets
+    whichever cache is still unset to ``None``, keeps those already set, and
+    turns the object into a plain Graph.  A ``__getattr__`` on Graph itself
+    would slow every attribute read of every graph (about twofold on CPython
+    3.11), not only these.
     """
 
     __slots__ = ()
 
     def __getattr__(self, name):
-        # Runs only when normal lookup fails: here, on the first read of an
-        # unset ``adj`` or ``edge_set``.
+        # Runs only when normal lookup fails: here, on the read of an unset
+        # slot.
+        if name in _CACHES:
+            return None
         if name == "adj" or name == "edge_set":
             self._fill_adjacency(self.edges)
+            for cache in _CACHES:
+                try:
+                    object.__getattribute__(self, cache)
+                except AttributeError:
+                    object.__setattr__(self, cache, None)
             object.__setattr__(self, "__class__", Graph)
             return object.__getattribute__(self, name)
         raise AttributeError(
             f"'Graph' object has no attribute {name!r}", name=name, obj=self
         )
+
+
+# The slot descriptors' own setters: about 0.2 us per image less than
+# object.__setattr__, which the labeled stream pays once per image.
+_new_image = object.__new__
+_set_n = Graph.n.__set__
+_set_edges = Graph.edges.__set__
+
+
+def _image(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """An :class:`_Unfilled` graph on ``0..n-1`` with ``edges``: sorted,
+    distinct ``(u, v)`` with ``u < v``, not checked again."""
+    image = _new_image(_Unfilled)
+    _set_n(image, n)
+    _set_edges(image, edges)
+    return image
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -310,12 +335,13 @@ def cut_edges(g: Graph) -> frozenset[tuple[int, int]]:
 
 class _Distances(NamedTuple):
     """What one distance pass knows about a graph: the gap m_u - m_v and the
-    m_0 of every edge in ``g.edges`` order, the Szeged and Wiener index, and
-    the rings in block order (each top vertex first, then ring order), or
-    ``None`` when the graph is no cactus."""
+    m_0 of every edge in ``g.edges`` order, the sum of the squared gaps, the
+    Szeged and Wiener index, and the rings in block order (each top vertex
+    first, then ring order), or ``None`` when the graph is no cactus."""
 
     gaps: tuple[int, ...]
     zeros: tuple[int, ...]
+    gap_squares: int
     szeged: int
     wiener: int
     rings: tuple[tuple[int, ...], ...] | None
@@ -440,9 +466,11 @@ def _cactus_distances(g: Graph) -> _Distances | None:
             wiener_total += a * (near + far)
 
     rows = [split[e] for e in g.edges]
+    gaps = tuple(gap for gap, _ in rows)
     return _Distances(
-        tuple(gap for gap, _ in rows),
+        gaps,
         tuple(m_0 for _, m_0 in rows),
+        sum(gap * gap for gap in gaps),
         szeged_total,
         wiener_total,
         # Built as tuples once the walk is done: keeping the lists the walk

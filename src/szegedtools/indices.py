@@ -15,12 +15,12 @@ over all edges for each edge, O(n m + m^2) time. That path is also the
 reference the cactus pass is tested against.
 
 Either way the analysis runs once per graph and is kept on it (a Graph never
-changes): the gap m_u - m_v and m_0 of every edge, the Szeged index and the
-Wiener index, and on a cactus its rings. :func:`edge_partitions`,
-:func:`edge_gaps`, :func:`diff_square_sum`, :func:`edge_revised_szeged`,
-:func:`szeged` and :func:`wiener` all read it, and so does
-:func:`szegedtools.graphs.cactus_profile`, whichever asks first; m_u and m_v
-follow from m, m_0 and the gap.
+changes): the gap m_u - m_v and m_0 of every edge, the sum of the squared
+gaps, the Szeged index and the Wiener index, and on a cactus its rings.
+:func:`edge_partitions`, :func:`edge_gaps`, :func:`diff_square_sum`,
+:func:`edge_revised_szeged`, :func:`szeged` and :func:`wiener` all read it,
+and so does :func:`szegedtools.graphs.cactus_profile`, whichever asks first;
+m_u and m_v follow from m, m_0 and the gap.
 """
 
 from __future__ import annotations
@@ -238,15 +238,21 @@ def _analysis(g: Graph) -> _Distances:
 
     Safe because a Graph never changes. Per edge only the gap and m_0 are
     kept: m_u and m_v follow from them, and full rows cost more memory on
-    the many small graphs that enumeration caches.
+    the many small graphs that enumeration caches. A kept profile that says
+    ``g`` is no cactus spares the cactus DFS, which would only give up.
     """
     if g._dist is None:
-        found = _cactus_distances(g)
+        profile = g._profile
+        found = None
+        if profile is None or profile.is_cactus:
+            found = _cactus_distances(g)
         if found is None:
             parts, szeged_total, wiener_total = _bfs_analysis(g)
+            gaps = tuple(p.m_u - p.m_v for p in parts)
             found = _Distances(
-                tuple(p.m_u - p.m_v for p in parts),
+                gaps,
                 tuple(p.m_0 for p in parts),
+                sum(gap * gap for gap in gaps),
                 szeged_total,
                 wiener_total,
                 None,
@@ -296,5 +302,5 @@ def edge_revised_szeged(g: Graph) -> QuarterInt:
 
 
 def diff_square_sum(g: Graph) -> int:
-    """Sum over edges of (m_u - m_v)^2."""
-    return sum(d * d for d in edge_gaps(g))
+    """Sum over edges of (m_u - m_v)^2, read from the kept analysis."""
+    return _analysis(g).gap_squares

@@ -233,6 +233,15 @@ class TestEnumerate:
         assert code == 0
         assert out.strip() == "15"
 
+    def test_labeled_stream_bytes_pinned(self):
+        # Every labeled cactus at (7, 1), its order within each class too.
+        code, out, _ = run_cli(["enumerate", "--n", "7", "--k", "1", "--labeled"])
+        assert code == 0
+        assert out.count("\n") == 68295
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "31aff5a1d9c81d26aa1fff417597c93cdfdd03070367abb665a022c3896b642a"
+        )
+
     def test_labeled_count_of_trees_is_cayley(self):
         code, out, _ = run_cli(
             ["enumerate", "--n", "10", "--k", "0", "--labeled", "--count"]

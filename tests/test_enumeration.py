@@ -15,6 +15,7 @@ from szegedtools import (
     automorphism_count,
     cactus_classes,
     cactus_profile,
+    canonical_form,
     certificate,
     count_cacti,
     cycle,
@@ -25,9 +26,12 @@ from szegedtools import (
     is_feasible,
     random_cactus,
     search_extremal,
+    star,
     triangle_bundle,
 )
 from szegedtools import edge_revised_szeged
+from szegedtools.canon import stabilizer_orbits
+from szegedtools.enumeration import _class_images
 
 # class counts fixed after cross-checking the n <= 6 slice against the
 # brute-force powerset oracle and n <= 7 against published tree and
@@ -232,6 +236,40 @@ class TestLabeledEnumeration:
             assert (g.n, g.m) == (5, 6)
             assert g.edge_set not in seen
             seen.add(g.edge_set)
+
+
+class TestClassImages:
+    """One class's images against the permutation walk, edge for edge and in
+    order, at both ends of the depth d where the coset DFS hands over to
+    ``itertools.permutations``."""
+
+    def test_trivial_automorphism_group(self):
+        # d = 0: no position is constrained, so every permutation of 0..n-1
+        # gives its own image, straight from itertools.permutations.
+        asym = [
+            g
+            for k in (0, 1)
+            for g in cactus_classes(7, k)
+            if automorphism_count(g) == 1
+        ]
+        assert asym
+        for g in asym:
+            assert all(len(orbit) == 1 for orbit in stabilizer_orbits(g))
+            got = [h.edges for h in _class_images(g)]
+            assert len(got) == math.factorial(7)
+            assert got == oracles.labeled_by_permutations(7, g.edges)
+
+    @pytest.mark.parametrize("family", [star, cycle])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_last_vertex_constrained(self, family, n):
+        # d = n: the DFS places every position and leaves an empty suffix.
+        # The canonical star puts its centre last, so there d = n - 1.
+        g = family(n)
+        orbits = stabilizer_orbits(g)
+        assert any(len(orbit) > 1 and orbit[-1] == n - 1 for orbit in orbits)
+        for h in (g, canonical_form(g)):
+            got = [image.edges for image in _class_images(h)]
+            assert got == oracles.labeled_by_permutations(n, h.edges)
 
 
 class TestCaps:

@@ -20,6 +20,7 @@ from szegedtools import (
     cut_edges,
     cycle,
     edge_revised_szeged,
+    emit_graph6,
     graph_from_edges,
     is_cactus,
     is_connected,
@@ -192,6 +193,51 @@ class TestDeferredAdjacency:
                 assert back.adj == want.adj and back.edge_set == want.edge_set
             # The image round-tripped without building its own adjacency.
             assert not _is_set(image, "adj")
+
+
+class TestDeferredCaches:
+    """An image's caches: unset until written or until the adjacency is
+    built, read as ``None`` meanwhile, and never reset by the switch to a
+    plain Graph."""
+
+    def test_cache_read_before_the_adjacency_builds_nothing(self):
+        image = samples.paw()._relabeled([3, 2, 1, 0])
+        for name in graphs._CACHES:
+            assert getattr(image, name) is None
+            assert not _is_set(image, name)
+        assert not _is_set(image, "adj") and not _is_set(image, "edge_set")
+        assert type(image) is graphs._Unfilled
+
+    @pytest.mark.parametrize("name", graphs._CACHES)
+    def test_cache_set_before_the_switch_survives_it(self, name):
+        image = samples.paw()._relabeled([3, 2, 1, 0])
+        kept = object()
+        object.__setattr__(image, name, kept)
+        assert getattr(image, name) is kept
+        assert image.edge_set == samples.paw()._relabeled([3, 2, 1, 0]).edge_set
+        assert type(image) is Graph
+        assert getattr(image, name) is kept
+        for other in graphs._CACHES:
+            if other != name:
+                assert _is_set(image, other) and getattr(image, other) is None
+
+    def test_graph6_kept_before_the_switch(self):
+        for want, image in _random_images(12, 100):
+            text = emit_graph6(image)
+            assert not _is_set(image, "adj") and _is_set(image, "_g6")
+            assert image.adj == want.adj
+            assert image._g6 == text == emit_graph6(want)
+
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS)
+    def test_round_trip_of_an_image_with_a_cache_set(self, round_trip):
+        for want, image in _random_images(15, 50):
+            text = emit_graph6(image)
+            back = round_trip(image)
+            assert type(back) is Graph and back == want
+            assert (back.adj, back.edge_set) == (want.adj, want.edge_set)
+            assert emit_graph6(back) == text
+            # The copy is rebuilt from n and edges; the image stays as it was.
+            assert not _is_set(image, "adj") and image._g6 == text
 
 
 class TestConnectivity:
@@ -447,6 +493,25 @@ class TestOnePassProfile:
             assert not profile.is_cactus
             assert profile == oracles.block_profile(factory())
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("factory", [samples.k4, _petersen])
+    @pytest.mark.parametrize("profile_first", [True, False])
+    def test_non_cactus_walks_the_cactus_dfs_once(
+        self, monkeypatch, factory, profile_first
+    ):
+        g = factory()
+        passes = count_calls_on(monkeypatch, graphs._cactus_distances, g)
+        blocks = count_calls_on(monkeypatch, graphs.block_decomposition, g)
+        bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
+        calls = [cactus_profile, edge_gaps, szeged, cactus_profile, edge_gaps]
+        if not profile_first:
+            calls.reverse()
+        for fn in calls:
+            fn(g)
+        assert (len(passes), len(blocks), len(bfs)) == (1, 1, 1)
+        assert not cactus_profile(g).is_cactus
+        fresh = factory()
+        assert (edge_gaps(g), szeged(g)) == (edge_gaps(fresh), szeged(fresh))
 
     @pytest.mark.parametrize(
         "n, edges",

@@ -223,6 +223,7 @@ def _assert_matches_bfs_path(g):
     want, want_szeged, want_wiener = indices._bfs_analysis(g)
     assert edge_partitions(g) == want
     assert edge_gaps(g) == tuple(p.m_u - p.m_v for p in want)
+    assert diff_square_sum(g) == sum((p.m_u - p.m_v) ** 2 for p in want)
     assert szeged(g) == want_szeged
     assert wiener(g) == want_wiener
 
@@ -321,6 +322,7 @@ class TestOneAnalysisPerGraph:
         bfs = count_calls_on(monkeypatch, graphs.all_bfs_distances, g)
         seen = _call_all_repeatedly(g, first, seed=INDEX_FUNCTIONS.index(first))
         assert (len(passes), len(bfs)) == (1, 0)
+        assert seen[diff_square_sum] == oracles.diff_square_sum(g.n, g.edges)
         assert seen[szeged] == oracles.szeged(g.n, g.edges)
         assert seen[wiener] == oracles.wiener(g.n, g.edges)
 
