@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .canon import labeled_copy_count
 from .enumeration import (
-    ABSOLUTE_CAP,
     cactus_classes,
     count_cacti,
     enumerate_cacti,
@@ -48,13 +47,10 @@ from .formats import emit_graph6, parse_edge_list, parse_graph6
 from .graphs import Graph
 from .indices import edge_partitions, edge_revised_szeged, szeged, wiener
 from .verify import (
-    AUDITORS,
     CLAIM_IDS,
     Universe,
-    VerificationReport,
     feasible_pairs,
     verify_claim,
-    verify_minimum_exhaustive,
     verify_minimum_formula,
     verify_second_minimum,
 )
@@ -77,13 +73,18 @@ def _env_cap() -> int | None:
         value = int(raw)
     except ValueError:
         raise FormatError(f"SZEGED_MAX_N must be an integer, got {raw!r}")
-    return min(value, ABSOLUTE_CAP)
+    if value < 1:
+        raise FormatError(f"SZEGED_MAX_N must be at least 1, got {value}")
+    return value
 
 
 def _cap_from(args) -> int | None:
-    if getattr(args, "cap", None) is not None:
-        return min(args.cap, ABSOLUTE_CAP)
-    return _env_cap()
+    cap = getattr(args, "cap", None)
+    if cap is None:
+        return _env_cap()
+    if cap < 1:
+        raise FormatError(f"--cap must be at least 1, got {cap}")
+    return cap
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -410,36 +411,6 @@ def _cmd_search(args, started: float) -> int:
     return code
 
 
-def _merge_reports(reports: list[VerificationReport]) -> VerificationReport:
-    if len(reports) == 1:
-        return reports[0]
-    violations = []
-    findings = []
-    fwd = []
-    bwd = []
-    checked = 0
-    for rep in reports:
-        checked += rep.checked
-        violations.extend(rep.violations)
-        prefix = rep.universe
-        findings.extend(f"{prefix}: {f}" for f in rep.findings)
-        if rep.equality_audit:
-            fwd.extend(rep.equality_audit["fwd"]["failures"])
-            bwd.extend(rep.equality_audit["bwd"]["failures"])
-    return VerificationReport(
-        claim=reports[0].claim,
-        universe="; ".join(rep.universe for rep in reports),
-        checked=checked,
-        violations=tuple(violations),
-        equality_audit={
-            "fwd": {"statement": "merged", "failures": fwd},
-            "bwd": {"statement": "merged", "failures": bwd},
-        },
-        findings=tuple(findings),
-        seed=reports[0].seed,
-    )
-
-
 def _cmd_verify(args, started: float) -> int:
     claim = args.claim
     cap = _cap_from(args)
@@ -450,7 +421,21 @@ def _cmd_verify(args, started: float) -> int:
     ):
         if value is not None and value < least:
             raise FormatError(f"verify {flag} must be at least {least}, got {value}")
-    if claim in AUDITORS:
+    if claim == "thm3.2" and args.m is not None:
+        if args.k is None:
+            raise FormatError("verify thm3.2 --m needs --k")
+        report = verify_minimum_formula(args.m, args.k)
+    elif claim == "thm4.4":
+        if args.n is None or args.k is None:
+            raise FormatError("verify thm4.4 needs --n and --k")
+        report = verify_second_minimum(
+            args.n,
+            args.k,
+            samples=10_000 if args.samples is None else args.samples,
+            seed=args.seed,
+            cap=cap,
+        )
+    else:
         pairs = ()
         if args.n is not None:
             if args.k is None:
@@ -462,6 +447,8 @@ def _cmd_verify(args, started: float) -> int:
             pairs = ((args.n, args.k),)
         elif args.max_n is not None:
             pairs = feasible_pairs(args.max_n)
+        elif claim == "thm3.2":
+            raise FormatError("verify thm3.2 needs --max-n, --n/--k, or --m/--k")
         elif not args.samples:
             raise FormatError(
                 f"verify {claim} needs --max-n, --n/--k and/or --samples"
@@ -474,33 +461,6 @@ def _cmd_verify(args, started: float) -> int:
             cap=cap,
         )
         report = verify_claim(claim, universe)
-    elif claim == "thm3.2":
-        if args.m is not None:
-            if args.k is None:
-                raise FormatError("verify thm3.2 --m needs --k")
-            report = verify_minimum_formula(args.m, args.k)
-        elif args.n is not None:
-            if args.k is None:
-                raise FormatError("verify thm3.2 --n needs --k")
-            report = verify_minimum_exhaustive(args.n, args.k, cap=cap)
-        elif args.max_n is not None:
-            reports = [
-                verify_minimum_exhaustive(n, k, cap=cap)
-                for n, k in feasible_pairs(args.max_n)
-            ]
-            report = _merge_reports(reports)
-        else:
-            raise FormatError("verify thm3.2 needs --max-n, --n/--k, or --m/--k")
-    else:
-        if args.n is None or args.k is None:
-            raise FormatError("verify thm4.4 needs --n and --k")
-        report = verify_second_minimum(
-            args.n,
-            args.k,
-            samples=10_000 if args.samples is None else args.samples,
-            seed=args.seed,
-            cap=cap,
-        )
     if args.format == "json":
         _print_json({"report": report.to_dict()}, args, started)
     else:

@@ -17,12 +17,15 @@ report.  Reports carry re-checkable witnesses (graph6 strings) for anything
 that fails, and record ties or boundary behavior as findings rather than
 failures.
 
-The two theorems are checked on whole classes instead of per graph.  Claims
-whose stated domain starts beyond the enumeration cap cannot be checked
-exhaustively on this machine.  For those the harness verifies the closed
-forms against directly computed values on constructed families and runs a
-seeded random stress search, recording sample count and seed so a negative
-result is reproducible.
+The two theorems are checked on whole classes instead of per graph, and
+both read one exhaustive scan, ``search_extremal``: Theorem 3.2 its minimum
+and minimizers, Theorem 4.4 its runner-up.  ``verify_claim`` also takes
+``"thm3.2"``, checking each of a universe's pairs and merging the reports.
+Claims whose stated domain starts beyond the enumeration cap cannot be
+checked exhaustively.  For those the harness verifies the closed forms
+against directly computed values on constructed families and runs a seeded
+random stress search, recording sample count and seed so a negative result
+is reproducible.
 """
 
 from __future__ import annotations
@@ -45,7 +48,13 @@ from .bounds import (
     pendant_diff_bound,
     second_minimum_bound,
 )
-from .enumeration import cactus_classes, is_feasible, random_cactus, search_extremal
+from .enumeration import (
+    _effective_cap,
+    cactus_classes,
+    is_feasible,
+    random_cactus,
+    search_extremal,
+)
 from .errors import InfeasibleError, InvalidGraphError
 from .families import (
     BundleSpec,
@@ -53,7 +62,7 @@ from .families import (
     is_quadrangle_bundle,
     is_tailed_quadrangle_bundle,
 )
-from .formats import emit_graph6
+from .formats import emit_graph6, parse_graph6
 from .graphs import Graph, cactus_profile
 from .indices import QuarterInt, edge_gaps, edge_revised_szeged
 
@@ -516,16 +525,6 @@ def feasible_pairs(max_n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def sweep_universe(max_n: int, *, samples: int = 0, seed: int = 0,
-                   sample_max_n: int = 40) -> Universe:
-    return Universe(
-        pairs=feasible_pairs(max_n),
-        samples=samples,
-        sample_max_n=sample_max_n,
-        seed=seed,
-    )
-
-
 AUDITORS: dict[str, Callable[[Graph], object]] = {
     "lemma2.1": audit_pendant_edges,
     "lemma2.2-2.3": audit_cycle_gaps,
@@ -541,8 +540,12 @@ def verify_claim(claim: str, universe: Universe) -> VerificationReport:
 
     Graphs outside the claim's hypothesis are skipped; applicable graphs
     outside the m > 15, m > 4k domain are counted and compared
-    informationally only.
+    informationally only.  ``"thm3.2"`` is checked on whole classes
+    instead: :func:`verify_minimum_exhaustive` at each of the universe's
+    pairs (its samples are not read), merged into one report.
     """
+    if claim == "thm3.2":
+        return _minimum_sweep(universe)
     auditor = AUDITORS[claim]
     checked = 0
     out_of_domain = 0
@@ -593,31 +596,6 @@ def verify_claim(claim: str, universe: Universe) -> VerificationReport:
         findings=tuple(findings),
         seed=universe.seed if universe.samples else None,
     )
-
-
-# Named functions rather than partials, so each keeps its own ``__name__``.
-def verify_pendant_edge_claim(universe: Universe) -> VerificationReport:
-    return verify_claim("lemma2.1", universe)
-
-
-def verify_cycle_gap_claim(universe: Universe) -> VerificationReport:
-    return verify_claim("lemma2.2-2.3", universe)
-
-
-def verify_bundle_floor_claim(universe: Universe) -> VerificationReport:
-    return verify_claim("lemma3.1", universe)
-
-
-def verify_inner_cut_edge_claim(universe: Universe) -> VerificationReport:
-    return verify_claim("lemma4.1", universe)
-
-
-def verify_off_quadrangle_claim(universe: Universe) -> VerificationReport:
-    return verify_claim("lemma4.2", universe)
-
-
-def verify_inner_cycle_claim(universe: Universe) -> VerificationReport:
-    return verify_claim("lemma4.3", universe)
 
 
 # ---------------------------------------------------------------------------
@@ -681,18 +659,16 @@ def verify_minimum_exhaustive(
 ) -> VerificationReport:
     """Exhaustive check that the closed-form minimum and its family are right.
 
-    Enumerates every class at (n, k), takes the true minimum, and compares
-    value and argmin set against the case prediction.  Every predicted family
-    is a bundle, so a minimizer belongs to it exactly when ``as_bundle`` gives
-    the same shape.  Ties on the minimum are findings.
+    Reads the true minimum and its witnesses from :func:`search_extremal`
+    and compares value and argmin set against the case prediction.  Every
+    predicted family is a bundle, so a minimizer belongs to it exactly when
+    ``as_bundle`` gives the same shape.  Ties on the minimum are findings.
     """
     if not is_feasible(n, k):
         raise InfeasibleError(f"no cacti with n = {n}, k = {k}; nothing to verify")
     m = n + k - 1
-    classes = cactus_classes(n, k, cap=cap)
-    values = [(edge_revised_szeged(g), g) for g in classes]
-    true_min = min(v for v, _ in values)
-    argmin = [g for v, g in values if v == true_min]
+    search = search_extremal(n, k, cap=cap)
+    argmin = [w.graph6 for w in search.min_witnesses]
     case, bound = minimum_bound(m, k)
     violations = []
     findings = _case_findings(case, m)
@@ -701,13 +677,13 @@ def verify_minimum_exhaustive(
     if bound is None:
         findings.append(f"bound not applicable: {case.note}")
     else:
-        if bound != true_min:
+        if bound != search.min_value:
             violations.append(
                 {
-                    "graph6": emit_graph6(argmin[0]),
+                    "graph6": argmin[0],
                     "kind": "exhaustive minimum differs from bound",
                     "bound": bound.to_dict(),
-                    "minimum": true_min.to_dict(),
+                    "minimum": search.min_value.to_dict(),
                 }
             )
         if case.family is not None and case.family_feasible:
@@ -724,24 +700,20 @@ def verify_minimum_exhaustive(
                         "family_value": ref_value.to_dict(),
                     }
                 )
-            for g in argmin:
-                if as_bundle(g) != ref_spec:
-                    fwd_fail.append(emit_graph6(g))
+            for g6 in argmin:
+                if as_bundle(parse_graph6(g6)) != ref_spec:
+                    fwd_fail.append(g6)
                     violations.append(
-                        {
-                            "graph6": emit_graph6(g),
-                            "kind": "minimizer outside the predicted family",
-                        }
+                        {"graph6": g6, "kind": "minimizer outside the predicted family"}
                     )
-        if len(argmin) > 1:
+        if search.min_tied:
             findings.append(
-                f"{len(argmin)} classes tie at the minimum "
-                + ", ".join(emit_graph6(g) for g in argmin)
+                f"{len(argmin)} classes tie at the minimum " + ", ".join(argmin)
             )
     return VerificationReport(
         claim="thm3.2",
-        universe=f"exhaustive (n,k)=({n},{k}), {len(classes)} classes",
-        checked=len(classes),
+        universe=f"exhaustive (n,k)=({n},{k}), {search.class_count} classes",
+        checked=search.class_count,
         violations=tuple(violations),
         equality_audit={
             "fwd": {
@@ -752,6 +724,36 @@ def verify_minimum_exhaustive(
                 "statement": "the predicted family attains the bound",
                 "failures": bwd_fail,
             },
+        },
+        findings=tuple(findings),
+    )
+
+
+def _minimum_sweep(universe: Universe) -> VerificationReport:
+    """Theorem 3.2 at every pair of ``universe``: one pair's report as it
+    is, several merged into one, each finding prefixed by its pair."""
+    reports = [
+        verify_minimum_exhaustive(n, k, cap=universe.cap) for n, k in universe.pairs
+    ]
+    if len(reports) == 1:
+        return reports[0]
+    violations = []
+    findings = []
+    fwd = []
+    bwd = []
+    for rep in reports:
+        violations.extend(rep.violations)
+        findings.extend(f"{rep.universe}: {f}" for f in rep.findings)
+        fwd.extend(rep.equality_audit["fwd"]["failures"])
+        bwd.extend(rep.equality_audit["bwd"]["failures"])
+    return VerificationReport(
+        claim="thm3.2",
+        universe="; ".join(rep.universe for rep in reports),
+        checked=sum(rep.checked for rep in reports),
+        violations=tuple(violations),
+        equality_audit={
+            "fwd": {"statement": "merged", "failures": fwd},
+            "bwd": {"statement": "merged", "failures": bwd},
         },
         findings=tuple(findings),
     )
@@ -781,8 +783,6 @@ def verify_second_minimum(
         raise InfeasibleError(f"no cacti with n = {n}, k = {k}; nothing to verify")
     m = n + k - 1
     case, bound = second_minimum_bound(m, k)
-    from .enumeration import _effective_cap
-
     if n <= _effective_cap(cap):
         return _second_minimum_exhaustive(n, k, case, bound, cap)
     return _second_minimum_stress(

@@ -35,10 +35,9 @@ from szegedtools import (
     search_extremal,
     tailed_quadrangle_bundle,
     triangle_bundle,
-    verify_cycle_gap_claim,
+    verify_claim,
     verify_minimum_exhaustive,
     verify_minimum_formula,
-    verify_pendant_edge_claim,
     verify_second_minimum,
 )
 
@@ -114,7 +113,7 @@ LEMMA_UNIVERSE = Universe(
 
 
 def test_04a_pendant_edge_gap_law_holds_everywhere():
-    report = verify_pendant_edge_claim(LEMMA_UNIVERSE)
+    report = verify_claim("lemma2.1", LEMMA_UNIVERSE)
     assert report.passed
     assert report.violations == ()
     # 103 exhaustive classes with n <= 7, plus the 1000 random draws
@@ -124,7 +123,7 @@ def test_04a_pendant_edge_gap_law_holds_everywhere():
 
 
 def test_04b_cycle_gap_law_holds_everywhere():
-    report = verify_cycle_gap_claim(LEMMA_UNIVERSE)
+    report = verify_claim("lemma2.2-2.3", LEMMA_UNIVERSE)
     assert report.passed
     assert report.violations == ()
     assert report.checked == 1103

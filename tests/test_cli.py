@@ -304,6 +304,32 @@ class TestEnvCap:
         assert code == 2
         assert "SZEGED_MAX_N" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_env_below_one_is_usage_error(self, monkeypatch, value):
+        monkeypatch.setenv("SZEGED_MAX_N", value)
+        code, out, err = run_cli(["search", "--n", "5", "--k", "1"])
+        assert (code, out) == (2, "")
+        assert f"SZEGED_MAX_N must be at least 1, got {value}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "search --n 5 --k 1 --cap -1",
+            "search --n 5 --k 1 --cap 0",
+            "enumerate --n 5 --k 1 --cap 0",
+            "verify thm3.2 --max-n 5 --cap 0",
+            "verify thm4.4 --n 5 --k 1 --cap -3",
+        ],
+    )
+    def test_cap_below_one_is_usage_error(self, monkeypatch, argv):
+        # Not the cap error, exit 5 with "capped at n = -1": a cap below
+        # one admits no graph at all, so it is a bad value, as --max-n 0 is.
+        monkeypatch.setenv("SZEGED_MAX_N", "8")
+        code, out, err = run_cli(argv.split())
+        assert (code, out) == (2, "")
+        cap = argv.split()[-1]
+        assert err == f"error: --cap must be at least 1, got {cap}\n"
+
 
 class TestSearch:
     def test_second_values(self):

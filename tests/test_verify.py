@@ -1,5 +1,6 @@
 """Claim audits and the verification reports built from them."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import samples
 from spies import count_calls_on as _count_calls_on
 from szegedtools import (
     CLAIM_IDS,
+    FamilyRef,
     InvalidGraphError,
     QuarterInt,
     Universe,
@@ -21,21 +23,17 @@ from szegedtools import (
     feasible_pairs,
     graph_from_edges,
     quadrangle_bundle,
+    minimum_bound,
+    second_minimum_bound,
     star,
-    sweep_universe,
     tailed_quadrangle_bundle,
     triangle_bundle,
-    verify_bundle_floor_claim,
-    verify_cycle_gap_claim,
-    verify_inner_cut_edge_claim,
-    verify_inner_cycle_claim,
+    verify_claim,
     verify_minimum_exhaustive,
     verify_minimum_formula,
-    verify_off_quadrangle_claim,
-    verify_pendant_edge_claim,
     verify_second_minimum,
 )
-from szegedtools import canon, graphs
+from szegedtools import canon, graphs, verify
 from szegedtools.verify import AUDITORS
 
 
@@ -180,19 +178,9 @@ UNIVERSE_5 = Universe(pairs=feasible_pairs(5))
 
 
 class TestClaimSweeps:
-    @pytest.mark.parametrize(
-        "builder, claim",
-        [
-            (verify_pendant_edge_claim, "lemma2.1"),
-            (verify_cycle_gap_claim, "lemma2.2-2.3"),
-            (verify_bundle_floor_claim, "lemma3.1"),
-            (verify_inner_cut_edge_claim, "lemma4.1"),
-            (verify_off_quadrangle_claim, "lemma4.2"),
-            (verify_inner_cycle_claim, "lemma4.3"),
-        ],
-    )
-    def test_small_exhaustive_sweeps_pass(self, builder, claim):
-        report = builder(UNIVERSE_5)
+    @pytest.mark.parametrize("claim", AUDITORS)
+    def test_small_exhaustive_sweeps_pass(self, claim):
+        report = verify_claim(claim, UNIVERSE_5)
         assert report.claim == claim
         assert report.passed
         assert report.violations == ()
@@ -200,20 +188,22 @@ class TestClaimSweeps:
 
     def test_random_sample_sweep_passes(self):
         universe = Universe(samples=40, sample_max_n=25, seed=5)
-        report = verify_pendant_edge_claim(universe)
+        report = verify_claim("lemma2.1", universe)
         assert report.passed
         assert report.checked == 40
         assert report.seed == 5
 
     def test_sweep_universe_combines_both(self):
-        universe = sweep_universe(4, samples=5, seed=9, sample_max_n=12)
+        universe = Universe(
+            pairs=feasible_pairs(4), samples=5, seed=9, sample_max_n=12
+        )
         assert universe.pairs == feasible_pairs(4)
         assert universe.samples == 5
-        report = verify_cycle_gap_claim(universe)
+        report = verify_claim("lemma2.2-2.3", universe)
         assert report.passed
 
     def test_report_schema(self):
-        report = verify_pendant_edge_claim(UNIVERSE_5)
+        report = verify_claim("lemma2.1", UNIVERSE_5)
         d = report.to_dict()
         assert sorted(d.keys()) == [
             "checked",
@@ -271,6 +261,126 @@ class TestMinimumExhaustive:
     def test_checked_counts_classes(self):
         report = verify_minimum_exhaustive(5, 1)
         assert report.checked == 5
+
+    def test_claim_sweep_of_one_pair_is_that_pairs_report(self):
+        report = verify_claim("thm3.2", Universe(pairs=((6, 2),)))
+        assert report == verify_minimum_exhaustive(6, 2)
+
+    def test_claim_sweep_merges_several_pairs(self):
+        pairs = ((4, 1), (5, 1), (5, 2))
+        parts = [verify_minimum_exhaustive(n, k) for n, k in pairs]
+        report = verify_claim("thm3.2", Universe(pairs=pairs, samples=9))
+        assert report.claim == "thm3.2"
+        assert report.universe == "; ".join(p.universe for p in parts)
+        assert report.checked == sum(p.checked for p in parts) == 8
+        assert report.passed
+        assert report.seed is None
+        assert report.equality_audit == {
+            "fwd": {"statement": "merged", "failures": []},
+            "bwd": {"statement": "merged", "failures": []},
+        }
+
+
+def _violations(report):
+    return [(v["kind"], v["graph6"]) for v in report.violations]
+
+
+def _failures(report):
+    audit = report.equality_audit
+    return audit["fwd"]["failures"], audit["bwd"]["failures"]
+
+
+class TestTheoremViolations:
+    """Every violation kind of the two exhaustive theorem checks, reached at
+    (n, k) = (5, 1) by a wrong closed form.  The class minimum there is the
+    paw with a pendant at its hub, D@{ (85/4), and the runner-up is DBk
+    (91/4); the triangle bundle builds as D{_, the quadrangle bundle as Dl_
+    (105/4)."""
+
+    def test_wrong_minimum_value(self, monkeypatch):
+        case, bound = minimum_bound(5, 1)
+        wrong = QuarterInt(bound.num + 4)
+        monkeypatch.setattr(verify, "minimum_bound", lambda m, k: (case, wrong))
+        report = verify_minimum_exhaustive(5, 1)
+        assert not report.passed
+        assert _violations(report) == [
+            ("exhaustive minimum differs from bound", "D@{"),
+            ("predicted family misses the bound value", "D{_"),
+        ]
+        assert report.violations[0]["minimum"] == bound.to_dict()
+        assert report.violations[1]["family_value"] == bound.to_dict()
+        assert _failures(report) == ([], ["D{_"])
+
+    def test_wrong_family(self, monkeypatch):
+        case, bound = minimum_bound(5, 1)
+        quadrangles = FamilyRef(kind="quadrangle_bundle", n=5, k=1)
+        monkeypatch.setattr(
+            verify,
+            "minimum_bound",
+            lambda m, k: (dataclasses.replace(case, family=quadrangles), bound),
+        )
+        report = verify_minimum_exhaustive(5, 1)
+        assert _violations(report) == [
+            ("predicted family misses the bound value", "Dl_"),
+            ("minimizer outside the predicted family", "D@{"),
+        ]
+        assert report.violations[0]["family_value"] == QuarterInt(105).to_dict()
+        assert _failures(report) == (["D@{"], ["Dl_"])
+
+    def test_wrong_family_at_its_value(self, monkeypatch):
+        # The quadrangle bundle attains the wrong bound, so only the
+        # exhaustive minimum and its minimizer contradict the claim.
+        case, _ = minimum_bound(5, 1)
+        quadrangles = FamilyRef(kind="quadrangle_bundle", n=5, k=1)
+        monkeypatch.setattr(
+            verify,
+            "minimum_bound",
+            lambda m, k: (
+                dataclasses.replace(case, family=quadrangles),
+                QuarterInt(105),
+            ),
+        )
+        report = verify_minimum_exhaustive(5, 1)
+        assert _violations(report) == [
+            ("exhaustive minimum differs from bound", "D@{"),
+            ("minimizer outside the predicted family", "D@{"),
+        ]
+        assert _failures(report) == (["D@{"], [])
+
+    def test_merged_sweep_keeps_every_pairs_output(self, monkeypatch):
+        def wrong(m, k):
+            case, bound = minimum_bound(m, k)
+            tie = dataclasses.replace(case, tied_t=(0, 1))
+            return tie, QuarterInt(bound.num + 4)
+
+        monkeypatch.setattr(verify, "minimum_bound", wrong)
+        pairs = ((4, 1), (5, 1))
+        parts = [verify_minimum_exhaustive(n, k) for n, k in pairs]
+        report = verify_claim("thm3.2", Universe(pairs=pairs))
+        assert report.violations == parts[0].violations + parts[1].violations
+        assert [v[0] for v in _violations(report)] == [
+            "exhaustive minimum differs from bound",
+            "predicted family misses the bound value",
+        ] * 2
+        assert [f.split(": tie among t in {0, 1}: ")[0] for f in report.findings] == [
+            "exhaustive (n,k)=(4,1), 2 classes",
+            "exhaustive (n,k)=(5,1), 5 classes",
+        ]
+        assert _failures(report) == ([], ["C{", "D{_"])
+
+    def test_wrong_second_value(self, monkeypatch):
+        case, _ = second_minimum_bound(5, 1)
+        monkeypatch.setattr(
+            verify, "second_minimum_bound", lambda m, k: (case, QuarterInt(90))
+        )
+        report = verify_second_minimum(5, 1)
+        assert not report.passed
+        assert _violations(report) == [
+            ("exhaustive second value differs from bound", "DBk")
+        ]
+        assert report.violations[0]["bound"] == QuarterInt(90).to_dict()
+        assert report.violations[0]["second"] == QuarterInt(91).to_dict()
+        assert report.equality_audit is None
 
 
 class TestSecondMinimum:
