@@ -14,15 +14,13 @@ the hub).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from typing import NamedTuple
 
 from .errors import InfeasibleError
 from .indices import QuarterInt
 
 
-@dataclass(frozen=True)
-class FamilyRef:
+class FamilyRef(NamedTuple):
     """Serializable pointer to one of the named cactus families."""
 
     kind: str
@@ -59,18 +57,26 @@ class FamilyRef:
         return out
 
 
-@dataclass(frozen=True)
-class BoundCase:
-    """Which case of a bound theorem fired, and what it predicts."""
-
+class _BoundCaseFields(NamedTuple):
     theorem: str
     case: str | None
     applicable: bool
-    flags: dict[str, bool] = field(default_factory=dict)
+    flags: dict[str, bool] | None = None
     family: FamilyRef | None = None
     family_feasible: bool = False
     tied_t: tuple[int, ...] = ()
     note: str | None = None
+
+
+class BoundCase(_BoundCaseFields):
+    """Which case of a bound theorem fired, and what it predicts."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # Each case built without flags gets a dict of its own.
+        return self if self.flags is not None else self._replace(flags={})
 
     def to_dict(self) -> dict:
         return {

@@ -16,16 +16,11 @@ import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .canon import labeled_copy_count
-from .enumeration import (
-    cactus_classes,
-    count_cacti,
-    enumerate_cacti,
-    is_feasible,
-    search_extremal,
-)
+# Each command imports the submodules it runs in its handler, so that a
+# fresh process loads only those.
+from . import CLAIM_IDS, __version__ as TOOL_VERSION
 from .errors import (
     CapError,
     DisconnectedError,
@@ -33,29 +28,9 @@ from .errors import (
     InfeasibleError,
     InvalidGraphError,
 )
-from .families import (
-    BundleSpec,
-    bundle,
-    cycle,
-    path,
-    quadrangle_bundle,
-    star,
-    tailed_quadrangle_bundle,
-    triangle_bundle,
-)
-from .formats import emit_graph6, parse_edge_list, parse_graph6
-from .graphs import Graph
-from .indices import edge_partitions, edge_revised_szeged, szeged, wiener
-from .verify import (
-    CLAIM_IDS,
-    Universe,
-    feasible_pairs,
-    verify_claim,
-    verify_minimum_formula,
-    verify_second_minimum,
-)
 
-from . import __version__ as TOOL_VERSION
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -192,6 +167,9 @@ def _print_json(payload: dict, args, started: float) -> None:
 
 
 def _graph_report(g: Graph, source: str, with_edges: bool) -> dict:
+    from .formats import emit_graph6
+    from .indices import edge_partitions, edge_revised_szeged, szeged, wiener
+
     value = edge_revised_szeged(g)
     report = {
         "graph6": emit_graph6(g),
@@ -212,6 +190,8 @@ def _graph_report(g: Graph, source: str, with_edges: bool) -> dict:
 
 
 def _compute_inputs(args) -> list[tuple[str, Graph]]:
+    from .formats import parse_edge_list, parse_graph6
+
     if args.g6 is not None:
         return [(args.g6, parse_graph6(args.g6))]
     if args.file is not None:
@@ -295,6 +275,18 @@ def _require(args, names: Sequence[str]) -> None:
 
 
 def _cmd_build(args, started: float) -> int:
+    from .families import (
+        BundleSpec,
+        bundle,
+        cycle,
+        path,
+        quadrangle_bundle,
+        star,
+        tailed_quadrangle_bundle,
+        triangle_bundle,
+    )
+    from .formats import emit_graph6
+
     try:
         if args.family == "c0":
             _require(args, ("n", "k"))
@@ -337,6 +329,10 @@ def _cmd_build(args, started: float) -> int:
 
 
 def _cmd_enumerate(args, started: float) -> int:
+    from .canon import labeled_copy_count
+    from .enumeration import cactus_classes, count_cacti, enumerate_cacti
+    from .formats import emit_graph6
+
     cap = _cap_from(args)
     if args.count:
         total = (
@@ -374,6 +370,8 @@ def _cmd_enumerate(args, started: float) -> int:
 
 
 def _cmd_search(args, started: float) -> int:
+    from .enumeration import search_extremal
+
     report = search_extremal(
         args.n, args.k, workers=args.workers, cap=_cap_from(args)
     )
@@ -412,6 +410,15 @@ def _cmd_search(args, started: float) -> int:
 
 
 def _cmd_verify(args, started: float) -> int:
+    from .enumeration import is_feasible
+    from .verify import (
+        Universe,
+        feasible_pairs,
+        verify_claim,
+        verify_minimum_formula,
+        verify_second_minimum,
+    )
+
     claim = args.claim
     cap = _cap_from(args)
     for flag, value, least in (
@@ -421,6 +428,8 @@ def _cmd_verify(args, started: float) -> int:
     ):
         if value is not None and value < least:
             raise FormatError(f"verify {flag} must be at least {least}, got {value}")
+    if claim == "thm3.2" and args.samples is not None:
+        raise FormatError("verify thm3.2 checks whole classes; it takes no --samples")
     if claim == "thm3.2" and args.m is not None:
         if args.k is None:
             raise FormatError("verify thm3.2 --m needs --k")

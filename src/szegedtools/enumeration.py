@@ -35,9 +35,8 @@ the automorphism count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bounds import BoundCase, minimum_bound, second_minimum_bound
 from .canon import canonical_pair, stabilizer_orbits
@@ -134,11 +133,19 @@ def enumerate_cacti(
     if dedup:
         yield from classes
         return
+    pair = _pair_table(n)
     for g in classes:
-        yield from _class_images(g)
+        yield from _class_images(g, pair)
 
 
-def _class_images(g: Graph) -> Iterator[Graph]:
+def _pair_table(n: int) -> list[list[tuple[int, int]]]:
+    """``pair[a][b]``: the edge between ``a`` and ``b`` as a sorted tuple."""
+    return [[(a, b) if a < b else (b, a) for b in range(n)] for a in range(n)]
+
+
+def _class_images(
+    g: Graph, pair: list[list[tuple[int, int]]] | None = None
+) -> Iterator[Graph]:
     """The images of ``g`` under the least members ``p`` of the cosets
     ``p∘Aut(g)``, in lexicographic order of ``p``.
 
@@ -148,11 +155,13 @@ def _class_images(g: Graph) -> Iterator[Graph]:
     every ordering of the values it leaves free, and
     ``itertools.permutations`` of those values in increasing order gives
     the orderings in lexicographic order.  Edges with both ends below ``d``
-    are mapped once per prefix, the others once per image.
+    are mapped once per prefix, the others once per image, through
+    ``pair``, the :func:`_pair_table` of ``g.n``, which a caller streaming
+    many classes of one size builds once.
     """
     n = g.n
-    # pair[a][b]: the edge between a and b as a sorted tuple.
-    pair = [[(a, b) if a < b else (b, a) for b in range(n)] for a in range(n)]
+    if pair is None:
+        pair = _pair_table(n)
     orbits = stabilizer_orbits(g)
     d = max((orbit[-1] + 1 for orbit in orbits if len(orbit) > 1), default=0)
     early = [(u, v) for u, v in g.edges if v < d]
@@ -230,8 +239,7 @@ def count_cacti(
     return len(cactus_classes(n, k, workers=workers, cap=cap))
 
 
-@dataclass(frozen=True)
-class ExtremalWitness:
+class ExtremalWitness(NamedTuple):
     """One isomorphism class attaining an extremal value."""
 
     certificate: str
@@ -246,8 +254,7 @@ class ExtremalWitness:
         }
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     """Exhaustive minimum and runner-up of the index over one class list."""
 
     n: int
@@ -263,7 +270,7 @@ class ExtremalReport:
     minimum_agrees: bool | None = None
     second_case: BoundCase | None = None
     second_agrees: bool | None = None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {

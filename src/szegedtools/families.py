@@ -13,26 +13,30 @@ in construction order, pendant vertices come last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleError
 from .graphs import Graph, cactus_profile
 
 
-@dataclass(frozen=True)
-class BundleSpec:
-    """Cycle lengths plus pendant count of a bundle."""
-
+class _BundleFields(NamedTuple):
     cycle_lengths: tuple[int, ...]
     pendants: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycle_lengths", tuple(self.cycle_lengths))
-        for length in self.cycle_lengths:
+
+class BundleSpec(_BundleFields):
+    """Cycle lengths plus pendant count of a bundle."""
+
+    __slots__ = ()
+
+    def __new__(cls, cycle_lengths, pendants: int = 0):
+        cycle_lengths = tuple(cycle_lengths)
+        for length in cycle_lengths:
             if length < 3:
                 raise InfeasibleError(f"cycle length {length} < 3")
-        if self.pendants < 0:
-            raise InfeasibleError(f"negative pendant count {self.pendants}")
+        if pendants < 0:
+            raise InfeasibleError(f"negative pendant count {pendants}")
+        return super().__new__(cls, cycle_lengths, pendants)
 
     @property
     def k(self) -> int:

@@ -41,7 +41,6 @@ wants indices never pays for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DisconnectedError, InvalidGraphError
@@ -244,8 +243,7 @@ def require_connected(g: Graph) -> None:
         raise DisconnectedError("graph is not connected")
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Biconnected components of a connected graph.
 
     ``blocks`` holds one frozenset of edges per block; ``kinds`` labels each
@@ -479,8 +477,7 @@ def _cactus_distances(g: Graph) -> _Distances | None:
     )
 
 
-@dataclass(frozen=True)
-class CactusProfile:
+class CactusProfile(NamedTuple):
     """Block structure summary produced by :func:`cactus_profile`.
 
     ``cycle_vertex_sets[i]`` holds the vertices of ``cycle_edge_sets[i]``.

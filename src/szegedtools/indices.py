@@ -25,8 +25,7 @@ m_u and m_v follow from m, m_0 and the gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import sys
 from typing import NamedTuple
 
 from .errors import DisconnectedError, InvalidGraphError
@@ -38,6 +37,12 @@ from .graphs import (
     bfs_distances,
     require_connected,
 )
+
+
+# hash(Fraction(num, 4)) is num times the inverse of 4 modulo this prime,
+# with the sign of num; see "Hashing of numeric types" in the Python docs.
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INV4 = pow(4, -1, _HASH_MODULUS)
 
 
 class QuarterInt:
@@ -113,13 +118,19 @@ class QuarterInt:
         return NotImplemented if key is None else self.num >= key
 
     def __hash__(self):
-        return hash(Fraction(self.num, 4))
+        # Equal to hash(Fraction(self.num, 4)), and so to hash(int) on whole
+        # values, without importing fractions.
+        h = abs(self.num) * _HASH_INV4 % _HASH_MODULUS
+        return hash(h if self.num >= 0 else -h)
 
     @property
     def is_integer(self) -> bool:
         return self.num % 4 == 0
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        """The value as a ``fractions.Fraction``."""
+        from fractions import Fraction
+
         return Fraction(self.num, 4)
 
     def as_decimal(self) -> str:
@@ -139,8 +150,7 @@ class QuarterInt:
         return f"QuarterInt({self.num})"
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(NamedTuple):
     """Vertex counts (closer to u, closer to v, equidistant) for an edge uv."""
 
     n_u: int

@@ -31,9 +31,9 @@ is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
+from . import CLAIM_IDS  # noqa: F401  (re-exported; defined in the package)
 from .bounds import (
     BoundCase,
     FamilyRef,
@@ -66,17 +66,6 @@ from .formats import emit_graph6, parse_graph6
 from .graphs import Graph, cactus_profile
 from .indices import QuarterInt, edge_gaps, edge_revised_szeged
 
-CLAIM_IDS = (
-    "lemma2.1",
-    "lemma2.2-2.3",
-    "lemma3.1",
-    "lemma4.1",
-    "lemma4.2",
-    "lemma4.3",
-    "thm3.2",
-    "thm4.4",
-)
-
 
 # ---------------------------------------------------------------------------
 # per-graph audits
@@ -87,16 +76,6 @@ def _require_cactus_profile(g: Graph, what: str):
     if not profile.is_cactus:
         raise InvalidGraphError(f"{what} requires a cactus")
     return profile
-
-
-class _TwoSidedAudit:
-    """An unconditional claim: every graph is in its hypothesis and domain."""
-
-    applicable = in_domain = True
-
-    @property
-    def ok(self) -> bool:
-        return self.holds and self.fwd_ok and self.bwd_ok
 
 
 class EdgeGapRecord(NamedTuple):
@@ -143,8 +122,7 @@ class CycleGapRecord(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class GapAudit(_TwoSidedAudit):
+class GapAudit(NamedTuple):
     """Per-part audit: every gap ≤ its ceiling, equality exactly on the
     claimed parts (pendant edges for Lemma 2.1, end-block cycles for
     Lemmas 2.2–2.3)."""
@@ -152,6 +130,13 @@ class GapAudit(_TwoSidedAudit):
     graph6: str
     m: int
     records: tuple[EdgeGapRecord, ...] | tuple[CycleGapRecord, ...]
+
+    # An unconditional claim: every graph is in its hypothesis and domain.
+    applicable = in_domain = True
+
+    @property
+    def ok(self) -> bool:
+        return self.holds and self.fwd_ok and self.bwd_ok
 
     @property
     def holds(self) -> bool:
@@ -207,8 +192,7 @@ def audit_cycle_gaps(g: Graph) -> GapAudit:
     return GapAudit(graph6=emit_graph6(g), m=m, records=tuple(records))
 
 
-@dataclass(frozen=True)
-class BundleFloorAudit(_TwoSidedAudit):
+class BundleFloorAudit(NamedTuple):
     """Whole-graph audit: index ≥ closed form at the graph's own cycle lengths,
     equality exactly when the graph is a one-hub bundle."""
 
@@ -216,6 +200,13 @@ class BundleFloorAudit(_TwoSidedAudit):
     value: QuarterInt
     floor: QuarterInt
     is_bundle: bool
+
+    # An unconditional claim: every graph is in its hypothesis and domain.
+    applicable = in_domain = True
+
+    @property
+    def ok(self) -> bool:
+        return self.holds and self.fwd_ok and self.bwd_ok
 
     @property
     def holds(self) -> bool:
@@ -258,8 +249,7 @@ def audit_bundle_floor(g: Graph) -> BundleFloorAudit:
     )
 
 
-@dataclass(frozen=True)
-class StructuralFloorAudit:
+class StructuralFloorAudit(NamedTuple):
     """Audit of one conditional lower bound for graphs with a named defect.
 
     ``applicable`` reflects whether the structural hypothesis holds at all;
@@ -444,8 +434,7 @@ def audit_inner_cycle_floor(g: Graph) -> StructuralFloorAudit:
 # reports
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one claim over one universe, reproducible from its fields."""
 
     claim: str
@@ -453,7 +442,7 @@ class VerificationReport:
     checked: int
     violations: tuple[dict, ...]
     equality_audit: dict | None = None
-    findings: tuple[str, ...] = field(default=())
+    findings: tuple[str, ...] = ()
     seed: int | None = None
 
     @property
@@ -472,8 +461,7 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(NamedTuple):
     """Which graphs a sweep touches: exhaustive class lists, random draws, or both."""
 
     pairs: tuple[tuple[int, int], ...] = ()
@@ -542,9 +530,16 @@ def verify_claim(claim: str, universe: Universe) -> VerificationReport:
     outside the m > 15, m > 4k domain are counted and compared
     informationally only.  ``"thm3.2"`` is checked on whole classes
     instead: :func:`verify_minimum_exhaustive` at each of the universe's
-    pairs (its samples are not read), merged into one report.
+    pairs (its samples are not read), merged into one report.  A universe
+    with nothing to check (no graphs for a lemma, no pairs for
+    ``"thm3.2"``) raises ``InfeasibleError`` rather than pass vacuously.
     """
     if claim == "thm3.2":
+        if not universe.pairs:
+            raise InfeasibleError(
+                f"universe {universe.describe()!r} has no (n, k) pairs; "
+                "nothing to verify"
+            )
         return _minimum_sweep(universe)
     auditor = AUDITORS[claim]
     checked = 0
@@ -572,6 +567,10 @@ def verify_claim(claim: str, universe: Universe) -> VerificationReport:
                 {"graph6": audit.graph6, "kind": "claimed structure without equality"}
             )
             bwd_fail.append(audit.graph6)
+    if not checked:
+        raise InfeasibleError(
+            f"universe {universe.describe()!r} holds no graphs; nothing to verify"
+        )
     findings = []
     if out_of_domain:
         findings.append(

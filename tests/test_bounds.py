@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from szegedtools import (
+    BoundCase,
     BundleSpec,
     InfeasibleError,
     QuarterInt,
@@ -266,3 +267,16 @@ class TestSecondMinimumBound:
                 big = QuarterInt(2 * m * m + 3 * m + 4 * k * (6 * m - 15) - 8)
                 small = QuarterInt(3 * m * m - 19 * m + 4 * k * (6 * m - 15) + 45)
                 assert small - big == crossover(m)
+
+
+class TestBoundCase:
+    def test_each_case_gets_its_own_flags(self):
+        first = BoundCase("thm3.2", None, False)
+        second = BoundCase(theorem="thm4.4", case=None, applicable=False)
+        assert first.flags == second.flags == {}
+        first.flags["m_ge_15"] = True
+        assert second.flags == {}
+
+    def test_given_flags_are_kept(self):
+        flags = {"m_ge_15": False}
+        assert BoundCase("thm3.2", "iii", True, flags).flags is flags

@@ -439,6 +439,19 @@ class TestVerify:
         assert run_cli(["verify", "bogus"])[0] == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify thm3.2 --max-n 3 --samples 50",
+            "verify thm3.2 --n 5 --k 1 --samples 0",
+            "verify thm3.2 --m 16 --k 3 --samples 5",
+        ],
+    )
+    def test_minimum_rejects_samples(self, argv):
+        code, out, err = run_cli(argv.split())
+        assert (code, out) == (2, "")
+        assert "takes no --samples" in err
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             ("verify lemma2.1 --samples -5", "--samples"),

@@ -79,6 +79,16 @@ class TestBundle:
         with pytest.raises(InfeasibleError):
             bundle(BundleSpec((3,), -1))
 
+    def test_spec_validates_and_keeps_a_tuple(self):
+        with pytest.raises(InfeasibleError, match="cycle length 2 < 3"):
+            BundleSpec([3, 2])
+        with pytest.raises(InfeasibleError, match="negative pendant count -1"):
+            BundleSpec((), pendants=-1)
+        spec = BundleSpec([4, 3], 1)
+        assert spec.cycle_lengths == (4, 3)
+        assert spec == BundleSpec((4, 3), 1) == ((4, 3), 1)
+        assert (spec.n, spec.m, spec.k) == (7, 8, 2)
+
 
 class TestAsBundle:
     def test_roundtrip_sorts_lengths(self):

@@ -71,6 +71,15 @@ class TestQuarterInt:
         assert hash(QuarterInt(5)) == hash(Fraction(5, 4))
         assert len({QuarterInt(8), QuarterInt(8), 2}) == 1
 
+    def test_hash_equals_fraction_hash(self):
+        # Computed from sys.hash_info.modulus, without fractions; checked
+        # on small values and around the 61-bit modulus and 2**64.
+        nums = list(range(-1000, 1001))
+        for big in (2**61, 2**64):
+            nums += [s * (big + d) for s in (1, -1) for d in range(-8, 9)]
+        for num in nums:
+            assert hash(QuarterInt(num)) == hash(Fraction(num, 4)), num
+
     def test_is_integer(self):
         assert QuarterInt(8).is_integer
         assert QuarterInt(0).is_integer

@@ -1,6 +1,5 @@
 """Claim audits and the verification reports built from them."""
 
-import dataclasses
 import json
 
 import pytest
@@ -10,6 +9,7 @@ from spies import count_calls_on as _count_calls_on
 from szegedtools import (
     CLAIM_IDS,
     FamilyRef,
+    InfeasibleError,
     InvalidGraphError,
     QuarterInt,
     Universe,
@@ -218,6 +218,24 @@ class TestClaimSweeps:
         json.dumps(d, sort_keys=True)
 
 
+class TestEmptyUniverse:
+    """A universe with nothing to check raises, as ``search_extremal`` does
+    on an empty class list, rather than passing with nothing checked."""
+
+    @pytest.mark.parametrize("claim", AUDITORS)
+    @pytest.mark.parametrize(
+        "universe", [Universe(), Universe(pairs=((5, 3),))], ids=["empty", "infeasible"]
+    )
+    def test_lemma_without_graphs(self, claim, universe):
+        with pytest.raises(InfeasibleError, match="holds no graphs"):
+            verify_claim(claim, universe)
+
+    @pytest.mark.parametrize("universe", [Universe(), Universe(samples=50)])
+    def test_minimum_without_pairs(self, universe):
+        with pytest.raises(InfeasibleError, match="no \\(n, k\\) pairs"):
+            verify_claim("thm3.2", universe)
+
+
 class TestClaimIds:
     def test_frozen(self):
         assert CLAIM_IDS == (
@@ -317,7 +335,7 @@ class TestTheoremViolations:
         monkeypatch.setattr(
             verify,
             "minimum_bound",
-            lambda m, k: (dataclasses.replace(case, family=quadrangles), bound),
+            lambda m, k: (case._replace(family=quadrangles), bound),
         )
         report = verify_minimum_exhaustive(5, 1)
         assert _violations(report) == [
@@ -336,7 +354,7 @@ class TestTheoremViolations:
             verify,
             "minimum_bound",
             lambda m, k: (
-                dataclasses.replace(case, family=quadrangles),
+                case._replace(family=quadrangles),
                 QuarterInt(105),
             ),
         )
@@ -350,7 +368,7 @@ class TestTheoremViolations:
     def test_merged_sweep_keeps_every_pairs_output(self, monkeypatch):
         def wrong(m, k):
             case, bound = minimum_bound(m, k)
-            tie = dataclasses.replace(case, tied_t=(0, 1))
+            tie = case._replace(tied_t=(0, 1))
             return tie, QuarterInt(bound.num + 4)
 
         monkeypatch.setattr(verify, "minimum_bound", wrong)
