@@ -185,6 +185,17 @@ def crossover(m: int) -> QuarterInt:
     return QuarterInt(m * m - 22 * m + 53)
 
 
+def _domain_flags(m: int, k: int) -> dict[str, bool]:
+    """The thresholds on m that select the cases of thm3.2 and thm4.4."""
+    return {
+        "m_ge_15": m >= 15,
+        "m_ge_4k": m >= 4 * k,
+        "m_gt_15": m > 15,
+        "m_gt_4k": m > 4 * k,
+        "m_ge_20": m >= 20,
+    }
+
+
 def minimum_bound(m: int, k: int) -> tuple[BoundCase, QuarterInt | None]:
     """Sharp lower bound over all cacti with m edges and k cycles.
 
@@ -198,13 +209,7 @@ def minimum_bound(m: int, k: int) -> tuple[BoundCase, QuarterInt | None]:
     """
     if k < 0 or m < 0:
         raise InfeasibleError(f"negative parameters m={m}, k={k}")
-    flags = {
-        "m_ge_15": m >= 15,
-        "m_ge_4k": m >= 4 * k,
-        "m_gt_15": m > 15,
-        "m_gt_4k": m > 4 * k,
-        "m_ge_20": m >= 20,
-    }
+    flags = _domain_flags(m, k)
     if 3 * k > m:
         case = BoundCase(
             theorem="thm3.2",
@@ -258,13 +263,7 @@ def second_minimum_bound(m: int, k: int) -> tuple[BoundCase, QuarterInt | None]:
     """
     if k < 0 or m < 0:
         raise InfeasibleError(f"negative parameters m={m}, k={k}")
-    flags = {
-        "m_ge_15": m >= 15,
-        "m_ge_4k": m >= 4 * k,
-        "m_gt_15": m > 15,
-        "m_gt_4k": m > 4 * k,
-        "m_ge_20": m >= 20,
-    }
+    flags = _domain_flags(m, k)
     if not (flags["m_gt_15"] and flags["m_gt_4k"] and k >= 1):
         reason = (
             "needs at least one cycle"

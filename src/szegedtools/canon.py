@@ -7,24 +7,23 @@ is minimized over all placements by branch and bound. Restricting to
 degree-sorted placements keeps the search small and still yields a complete
 invariant: two graphs share a certificate exactly when they are isomorphic.
 
-The search counts the placements that tie the minimum, which is the order of
-the automorphism group, without visiting each of them: twins (vertices whose
-neighbourhoods agree apart from each other) are interchangeable, so only one
-vertex per twin class is tried at each position and the branch is weighted by
-the class size. That covers pendant vertices at a common vertex and the
-symmetric vertices of triangles and quadrangles at a cut vertex. Other
-symmetries are still searched leaf by leaf, so sizes are capped; over the cap
-you get a clean error rather than an open-ended search.
+Twins (vertices whose neighbourhoods agree apart from each other) are
+interchangeable, so the search tries only one vertex per twin class at each
+position. That covers pendant vertices at a common vertex and the symmetric
+vertices of triangles and quadrangles at a cut vertex. Other symmetries are
+still searched leaf by leaf, so sizes are capped; over the cap you get a
+clean error rather than an open-ended search.
 
 The orbits of the point stabilizers (the automorphisms fixing ``0..i-1``)
 come from one search per candidate image, which the same twin classes
 prune.  They describe the least member of each coset of the group, which is
-how labeled graphs are enumerated.
+how labeled graphs are enumerated, and their sizes multiply to the order of
+the group, which is how automorphisms are counted.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 
 from .errors import CapError
 from .formats import _graph6
@@ -61,53 +60,38 @@ def _twin_classes(masks: list[int]) -> list[int]:
     return twin
 
 
-def _canonical_search(g: Graph) -> tuple[list[int], int]:
+def _canonical_search(g: Graph) -> list[int]:
     """Minimize the column bit string over degree-sorted placements.
 
     Column ``p`` packs position ``p``'s adjacency bits to positions
-    ``0..p-1`` (earlier bit = more significant).  Returns ``(placement,
-    ties)``: ``placement[i]`` is the original vertex at position ``i`` of a
-    minimal placement, and ``ties`` counts the placements reproducing the
-    minimal bit string.  Any two of them differ by an automorphism of the
-    canonical graph, and composing with one gives another, so ``ties`` is
-    the order of the automorphism group.  Strictly larger prefixes are
-    pruned; a minimal placement never has one, so all of them are counted.
+    ``0..p-1`` (earlier bit = more significant).  Returns a minimal
+    placement: ``placement[i]`` is the original vertex at position ``i``.
+    Strictly larger prefixes are pruned.
 
-    Twins (see :func:`_twin_classes`) are pruned.  While two twins are
+    Twins (see :func:`_twin_classes`) are pruned too.  While two twins are
     unplaced, their transposition fixes every placed vertex, so their
-    subtrees are mirror images with the same column strings and the same
-    number of minimal leaves.  At each position only the first unplaced
-    vertex of each twin class is tried; its branch carries a ``weight``
-    multiplied by the number of unplaced members of that class, and a
-    minimal leaf adds its weight to ``ties`` instead of 1.
+    subtrees are mirror images with the same column strings.  At each
+    position only the first unplaced vertex of each twin class is tried.
     """
     n = g.n
     masks = _adjacency_masks(g)
     degs = [len(g.adj[v]) for v in range(n)]
     target = sorted(degs)
     twin = _twin_classes(masks)
-    # left[c]: unplaced members of twin class c.
-    left = [0] * n
-    for c in twin:
-        left[c] += 1
 
     best_cols = [_HUGE] * n
     best_perm: list[int] | None = None
-    ties = 0
     perm = [0] * n
     used = [False] * n
 
-    def place(pos: int, weight: int) -> None:
-        nonlocal best_perm, ties
+    def place(pos: int) -> None:
+        nonlocal best_perm
         if pos == n:
             # best_perm is None exactly when this leaf beat the old minimum.
             # Ties need no copy: every minimal placement gives the same
             # canonical graph.
             if best_perm is None:
                 best_perm = perm.copy()
-                ties = weight
-            else:
-                ties += weight
             return
         want = target[pos]
         tried = 0
@@ -132,15 +116,12 @@ def _canonical_search(g: Graph) -> tuple[list[int], int]:
                 best_perm = None
             perm[pos] = w
             used[w] = True
-            k = left[c]
-            left[c] = k - 1
-            place(pos + 1, weight * k)
-            left[c] = k
+            place(pos + 1)
             used[w] = False
 
-    place(0, 1)
+    place(0)
     assert best_perm is not None
-    return best_perm, ties
+    return best_perm
 
 
 def _require_small(g: Graph, what: str) -> None:
@@ -156,7 +137,7 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
     both graphs.
     """
     _require_small(g, "canonical form")
-    placement, _ = _canonical_search(g)
+    placement = _canonical_search(g)
     newlabel = [0] * g.n
     for pos, orig in enumerate(placement):
         newlabel[orig] = pos
@@ -189,9 +170,9 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 
 
 def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group."""
+    """Order of the automorphism group: the product of the stabilizer orbit sizes."""
     _require_small(g, "automorphism count")
-    return _canonical_search(g)[1]
+    return prod(len(orbit) for orbit in stabilizer_orbits(g))
 
 
 def stabilizer_orbits(g: Graph) -> list[tuple[int, ...]]:

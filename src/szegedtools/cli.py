@@ -39,6 +39,14 @@ EXIT_DISCONNECTED = 3
 EXIT_INFEASIBLE = 4
 EXIT_CAP = 5
 
+_EXIT_CODES = {
+    FormatError: EXIT_USAGE,
+    InvalidGraphError: EXIT_USAGE,
+    DisconnectedError: EXIT_DISCONNECTED,
+    InfeasibleError: EXIT_INFEASIBLE,
+    CapError: EXIT_CAP,
+}
+
 
 def _env_cap() -> int | None:
     raw = os.environ.get("SZEGED_MAX_N")
@@ -500,21 +508,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, started)
-    except FormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DisconnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InvalidGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _EXIT_CODES[type(exc)]
 
 
 def run() -> None:

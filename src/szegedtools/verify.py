@@ -466,7 +466,6 @@ class Universe(NamedTuple):
 
     pairs: tuple[tuple[int, int], ...] = ()
     samples: int = 0
-    sample_pair: tuple[int, int] | None = None
     sample_max_n: int = 40
     seed: int = 0
     cap: int | None = None
@@ -480,16 +479,10 @@ class Universe(NamedTuple):
                 + "]"
             )
         if self.samples:
-            if self.sample_pair is not None:
-                n, k = self.sample_pair
-                parts.append(
-                    f"{self.samples} random cacti at (n,k)=({n},{k}), seed {self.seed}"
-                )
-            else:
-                parts.append(
-                    f"{self.samples} random cacti with n <= {self.sample_max_n}, "
-                    f"seed {self.seed}"
-                )
+            parts.append(
+                f"{self.samples} random cacti with n <= {self.sample_max_n}, "
+                f"seed {self.seed}"
+            )
         return "; ".join(parts) if parts else "empty"
 
     def graphs(self) -> Iterator[Graph]:
@@ -498,11 +491,8 @@ class Universe(NamedTuple):
         if self.samples:
             rng = random.Random(self.seed)
             for _ in range(self.samples):
-                if self.sample_pair is not None:
-                    n, k = self.sample_pair
-                else:
-                    n = rng.randint(3, self.sample_max_n)
-                    k = rng.randint(0, (n - 1) // 2)
+                n = rng.randint(3, self.sample_max_n)
+                k = rng.randint(0, (n - 1) // 2)
                 yield random_cactus(n, k, seed=rng.randrange(2**63))
 
 
@@ -533,6 +523,8 @@ def verify_claim(claim: str, universe: Universe) -> VerificationReport:
     pairs (its samples are not read), merged into one report.  A universe
     with nothing to check (no graphs for a lemma, no pairs for
     ``"thm3.2"``) raises ``InfeasibleError`` rather than pass vacuously.
+    Any other claim, ``"thm4.4"`` included, raises ``ValueError``: thm4.4
+    is checked one (n, k) at a time by :func:`verify_second_minimum`.
     """
     if claim == "thm3.2":
         if not universe.pairs:
@@ -541,7 +533,13 @@ def verify_claim(claim: str, universe: Universe) -> VerificationReport:
                 "nothing to verify"
             )
         return _minimum_sweep(universe)
-    auditor = AUDITORS[claim]
+    auditor = AUDITORS.get(claim)
+    if auditor is None:
+        hint = "; check thm4.4 with verify_second_minimum" if claim == "thm4.4" else ""
+        raise ValueError(
+            f"verify_claim takes {', '.join([*AUDITORS, 'thm3.2'])}, "
+            f"got {claim!r}{hint}"
+        )
     checked = 0
     out_of_domain = 0
     violations = []

@@ -150,7 +150,7 @@ class TestAutomorphisms:
                     )
 
     def test_group_order_total_through_n8(self):
-        # Pins the tie count of the canonical search on every class.
+        # Pins the orbit-product group order summed over every class.
         total = sum(
             automorphism_count(g)
             for n in range(1, 9)
@@ -176,7 +176,8 @@ def assert_matches_unpruned_search(g):
 
 
 class TestAgainstUnprunedSearch:
-    """Twin pruning leaves the certificate and the tie count unchanged."""
+    """Twin pruning leaves the certificate unchanged, and the group order
+    equals the unpruned search's tie count."""
 
     def test_every_class_through_n8_relabeled(self):
         rng = random.Random(8)
@@ -243,15 +244,28 @@ def test_certificate_and_group_order_invariant_under_relabeling(case):
 
 class TestStabilizerOrbits:
     def test_orbit_sizes_multiply_to_the_group_order(self):
+        # Closed forms: the star's 11! leaf permutations, the dihedral group
+        # of the 12-cycle, the path's reversal, 2^5 * 5! for five triangles
+        # at a hub, and 4! * 5! for hubs with 4 and 5 leaves (no hub swap).
+        # Below the cap, the unpruned oracle's tie count.
         hubs = [(0, 1)] + [(0, v) for v in range(2, 6)]
         double_star = graph_from_edges(11, hubs + [(1, v) for v in range(6, 11)])
-        graphs = [star(12), cycle(12), path(12), triangle_bundle(12, 5), double_star]
+        closed_forms = [
+            (star(12), math.factorial(11)),
+            (cycle(12), 24),
+            (path(12), 2),
+            (triangle_bundle(12, 5), 2**5 * math.factorial(5)),
+            (double_star, 2880),
+        ]
+        for g, order in closed_forms:
+            sizes = [len(orbit) for orbit in stabilizer_orbits(g)]
+            assert math.prod(sizes) == order, g.edges
         for n in range(1, 10):
             for k in range(0, (n - 1) // 2 + 1):
-                graphs.extend(cactus_classes(n, k))
-        for g in graphs:
-            sizes = [len(orbit) for orbit in stabilizer_orbits(g)]
-            assert math.prod(sizes) == automorphism_count(g), g.edges
+                for g in cactus_classes(n, k):
+                    sizes = [len(orbit) for orbit in stabilizer_orbits(g)]
+                    _, ties = oracles.degree_sorted_canonical(g.n, g.edges)
+                    assert math.prod(sizes) == ties, g.edges
 
     def test_orbits_match_the_automorphism_list(self):
         # Sparse draws are mostly disconnected, dense ones near-complete.

@@ -249,6 +249,15 @@ class TestClaimIds:
             "thm4.4",
         )
 
+    @pytest.mark.parametrize("claim", ["thm4.4", "lemma9.9"])
+    def test_verify_claim_rejects_other_claims(self, claim):
+        # thm4.4 is checked per (n, k) by verify_second_minimum instead.
+        with pytest.raises(ValueError) as info:
+            verify_claim(claim, Universe(pairs=((9, 2),)))
+        message = str(info.value)
+        assert all(c in message for c in (*AUDITORS, "thm3.2", repr(claim)))
+        assert ("verify_second_minimum" in message) == (claim == "thm4.4")
+
 
 class TestMinimumFormula:
     def test_boundary_tie_is_reported(self):
