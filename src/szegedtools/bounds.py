@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InfeasibleError
-from .indices import QuarterInt
+from .indices import QuarterInt, record_dict
 
 
 class FamilyRef(NamedTuple):
@@ -45,16 +45,7 @@ class FamilyRef(NamedTuple):
         raise InfeasibleError(f"unknown family kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.n is not None:
-            out["n"] = self.n
-        if self.k is not None:
-            out["k"] = self.k
-        if self.cycle_lengths is not None:
-            out["cycle_lengths"] = list(self.cycle_lengths)
-        if self.pendants is not None:
-            out["pendants"] = self.pendants
-        return out
+        return {key: v for key, v in record_dict(self).items() if v is not None}
 
 
 class _BoundCaseFields(NamedTuple):
@@ -78,17 +69,7 @@ class BoundCase(_BoundCaseFields):
         # Each case built without flags gets a dict of its own.
         return self if self.flags is not None else self._replace(flags={})
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "case": self.case,
-            "applicable": self.applicable,
-            "flags": dict(self.flags),
-            "family": None if self.family is None else self.family.to_dict(),
-            "family_feasible": self.family_feasible,
-            "tied_t": list(self.tied_t),
-            "note": self.note,
-        }
+    to_dict = record_dict
 
 
 def bundle_closed_form(cycle_lengths, m: int) -> QuarterInt:

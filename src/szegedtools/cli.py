@@ -208,9 +208,16 @@ def _compute_inputs(args) -> list[tuple[str, Graph]]:
                 text = handle.read()
         except OSError as exc:
             raise FormatError(f"cannot read {args.file}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{args.file} is not {exc.encoding} text", exc.start)
         return [(args.file, parse_edge_list(text))]
+    # Read whole, so that a decoding error's offset counts from the start.
+    try:
+        text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"standard input is not {exc.encoding} text", exc.start)
     graphs = []
-    for line in sys.stdin:
+    for line in text.split("\n"):
         line = line.strip()
         if line:
             graphs.append((line, parse_graph6(line)))

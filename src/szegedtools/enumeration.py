@@ -39,14 +39,15 @@ from itertools import permutations
 from typing import Iterator, NamedTuple
 
 from .bounds import BoundCase, minimum_bound, second_minimum_bound
-from .canon import canonical_pair, stabilizer_orbits
+from .canon import CERT_CAP, canonical_pair, stabilizer_orbits
 from .errors import CapError, InfeasibleError
 from .formats import emit_graph6
 from .graphs import Graph, _image
-from .indices import QuarterInt, edge_revised_szeged
+from .indices import QuarterInt, edge_revised_szeged, record_dict
 
 DEFAULT_CAP = 10
-ABSOLUTE_CAP = 12
+# Every candidate is canonicalized, so enumeration stops where canon does.
+ABSOLUTE_CAP = CERT_CAP
 
 
 def is_feasible(n: int, k: int) -> bool:
@@ -246,12 +247,7 @@ class ExtremalWitness(NamedTuple):
     graph6: str
     value: QuarterInt
 
-    def to_dict(self) -> dict:
-        return {
-            "certificate": self.certificate,
-            "graph6": self.graph6,
-            "value": self.value.to_dict(),
-        }
+    to_dict = record_dict
 
 
 class ExtremalReport(NamedTuple):
@@ -272,29 +268,7 @@ class ExtremalReport(NamedTuple):
     second_agrees: bool | None = None
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "class_count": self.class_count,
-            "min_value": self.min_value.to_dict(),
-            "min_witnesses": [w.to_dict() for w in self.min_witnesses],
-            "second_value": (
-                None if self.second_value is None else self.second_value.to_dict()
-            ),
-            "second_witnesses": [w.to_dict() for w in self.second_witnesses],
-            "min_tied": self.min_tied,
-            "minimum_case": (
-                None if self.minimum_case is None else self.minimum_case.to_dict()
-            ),
-            "minimum_agrees": self.minimum_agrees,
-            "second_case": (
-                None if self.second_case is None else self.second_case.to_dict()
-            ),
-            "second_agrees": self.second_agrees,
-            "notes": list(self.notes),
-        }
+    to_dict = record_dict
 
 
 def search_extremal(

@@ -150,6 +150,36 @@ class QuarterInt:
         return f"QuarterInt({self.num})"
 
 
+def plain(value):
+    """The JSON form of one result field.
+
+    Scalars and ``None`` stay as they are, a :class:`QuarterInt` becomes
+    ``{num, den}``, tuples and lists become lists, dicts are mapped value by
+    value, and anything else (a result record) gives its own ``to_dict()``.
+    Dispatch is on exact types, so a record (a NamedTuple) is never taken
+    for a plain tuple.
+    """
+    cls = type(value)
+    if cls is int or cls is str or cls is bool or value is None:
+        return value
+    if cls is QuarterInt:
+        return value.to_dict()
+    if cls is tuple or cls is list:
+        return [plain(v) for v in value]
+    if cls is dict:
+        return {key: plain(v) for key, v in value.items()}
+    return value.to_dict()
+
+
+def record_dict(record, extra: tuple[str, ...] = ()) -> dict:
+    """The JSON form of a result record: each field in order, then each
+    property named in ``extra``, all through :func:`plain`."""
+    out = {name: plain(value) for name, value in zip(record._fields, record)}
+    for name in extra:
+        out[name] = plain(getattr(record, name))
+    return out
+
+
 class VertexPartition(NamedTuple):
     """Vertex counts (closer to u, closer to v, equidistant) for an edge uv."""
 

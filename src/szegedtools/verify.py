@@ -64,7 +64,7 @@ from .families import (
 )
 from .formats import emit_graph6, parse_graph6
 from .graphs import Graph, cactus_profile
-from .indices import QuarterInt, edge_gaps, edge_revised_szeged
+from .indices import QuarterInt, edge_gaps, edge_revised_szeged, record_dict
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +90,7 @@ class EdgeGapRecord(NamedTuple):
     gap = property(lambda self: self.gap_sq)
     claimed = property(lambda self: self.pendant)
 
-    def to_dict(self) -> dict:
-        return {
-            "edge": list(self.edge),
-            "gap_sq": self.gap_sq,
-            "bound": self.bound,
-            "equality": self.equality,
-            "pendant": self.pendant,
-        }
+    to_dict = record_dict
 
 
 class CycleGapRecord(NamedTuple):
@@ -112,14 +105,7 @@ class CycleGapRecord(NamedTuple):
     gap = property(lambda self: self.gap_sum)
     claimed = property(lambda self: self.end_block)
 
-    def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "gap_sum": self.gap_sum,
-            "bound": self.bound,
-            "equality": self.equality,
-            "end_block": self.end_block,
-        }
+    to_dict = record_dict
 
 
 class GapAudit(NamedTuple):
@@ -153,14 +139,7 @@ class GapAudit(NamedTuple):
         return all(r.equality for r in self.records if r.claimed)
 
     def to_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "m": self.m,
-            "records": [r.to_dict() for r in self.records],
-            "holds": self.holds,
-            "fwd_ok": self.fwd_ok,
-            "bwd_ok": self.bwd_ok,
-        }
+        return record_dict(self, ("holds", "fwd_ok", "bwd_ok"))
 
 
 def audit_pendant_edges(g: Graph) -> GapAudit:
@@ -225,15 +204,7 @@ class BundleFloorAudit(NamedTuple):
         return self.equality if self.is_bundle else True
 
     def to_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "value": self.value.to_dict(),
-            "floor": self.floor.to_dict(),
-            "is_bundle": self.is_bundle,
-            "holds": self.holds,
-            "fwd_ok": self.fwd_ok,
-            "bwd_ok": self.bwd_ok,
-        }
+        return record_dict(self, ("holds", "fwd_ok", "bwd_ok"))
 
 
 def audit_bundle_floor(g: Graph) -> BundleFloorAudit:
@@ -303,21 +274,7 @@ class StructuralFloorAudit(NamedTuple):
         return bool(self.holds) and self.fwd_ok and self.bwd_ok
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "graph6": self.graph6,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "m": self.m,
-            "k": self.k,
-            "in_domain": self.in_domain,
-            "value": None if self.value is None else self.value.to_dict(),
-            "floor": None if self.floor is None else self.floor.to_dict(),
-            "family": None if self.family is None else self.family.to_dict(),
-            "matches_family": self.matches_family,
-            "holds": self.holds,
-            "equality": self.equality,
-        }
+        return record_dict(self, ("holds", "equality"))
 
 
 def _structural_preamble(g: Graph, claim: str, what: str):
@@ -449,16 +406,18 @@ class VerificationReport(NamedTuple):
     def passed(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "universe": self.universe,
-            "checked": self.checked,
-            "violations": list(self.violations),
-            "equality_audit": self.equality_audit,
-            "findings": list(self.findings),
-            "seed": self.seed,
-        }
+    to_dict = record_dict
+
+
+def _equality_audit(
+    fwd_statement: str, fwd: list[str], bwd_statement: str, bwd: list[str]
+) -> dict:
+    """A report's ``equality_audit`` block: each direction's statement and
+    the graph6 of every graph that fails it."""
+    return {
+        "fwd": {"statement": fwd_statement, "failures": fwd},
+        "bwd": {"statement": bwd_statement, "failures": bwd},
+    }
 
 
 class Universe(NamedTuple):
@@ -580,16 +539,12 @@ def verify_claim(claim: str, universe: Universe) -> VerificationReport:
         universe=universe.describe(),
         checked=checked,
         violations=tuple(violations),
-        equality_audit={
-            "fwd": {
-                "statement": "equality implies claimed structure",
-                "failures": fwd_fail,
-            },
-            "bwd": {
-                "statement": "claimed structure implies equality",
-                "failures": bwd_fail,
-            },
-        },
+        equality_audit=_equality_audit(
+            "equality implies claimed structure",
+            fwd_fail,
+            "claimed structure implies equality",
+            bwd_fail,
+        ),
         findings=tuple(findings),
         seed=universe.seed if universe.samples else None,
     )
@@ -712,16 +667,12 @@ def verify_minimum_exhaustive(
         universe=f"exhaustive (n,k)=({n},{k}), {search.class_count} classes",
         checked=search.class_count,
         violations=tuple(violations),
-        equality_audit={
-            "fwd": {
-                "statement": "every exhaustive minimizer is the predicted family",
-                "failures": fwd_fail,
-            },
-            "bwd": {
-                "statement": "the predicted family attains the bound",
-                "failures": bwd_fail,
-            },
-        },
+        equality_audit=_equality_audit(
+            "every exhaustive minimizer is the predicted family",
+            fwd_fail,
+            "the predicted family attains the bound",
+            bwd_fail,
+        ),
         findings=tuple(findings),
     )
 
@@ -748,10 +699,7 @@ def _minimum_sweep(universe: Universe) -> VerificationReport:
         universe="; ".join(rep.universe for rep in reports),
         checked=sum(rep.checked for rep in reports),
         violations=tuple(violations),
-        equality_audit={
-            "fwd": {"statement": "merged", "failures": fwd},
-            "bwd": {"statement": "merged", "failures": bwd},
-        },
+        equality_audit=_equality_audit("merged", fwd, "merged", bwd),
         findings=tuple(findings),
     )
 

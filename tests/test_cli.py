@@ -124,6 +124,20 @@ class TestCompute:
         assert code == 2
         assert "error" in err
 
+    def test_non_ascii_file_is_usage_error(self, tmp_path):
+        p = tmp_path / "bad.el"
+        p.write_bytes(b"3 2\n0 1\n1 2\xff\n")
+        code, out, err = run_cli(["compute", "--file", str(p)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {p} is not ascii text (byte offset 11)\n"
+
+    def test_undecodable_stdin_is_usage_error(self, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"B\xffw\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(["compute", "--stdin"])
+        assert (code, out) == (2, "")
+        assert err == "error: standard input is not utf-8 text (byte offset 1)\n"
+
     def test_bad_graph6_is_usage_error(self):
         code, _, err = run_cli(["compute", "--g6", "###"])
         assert code == 2
