@@ -10,9 +10,18 @@ invariant: two graphs share a certificate exactly when they are isomorphic.
 Twins (vertices whose neighbourhoods agree apart from each other) are
 interchangeable, so the search tries only one vertex per twin class at each
 position. That covers pendant vertices at a common vertex and the symmetric
-vertices of triangles and quadrangles at a cut vertex. Other symmetries are
-still searched leaf by leaf, so sizes are capped; over the cap you get a
-clean error rather than an open-ended search.
+vertices of triangles and quadrangles at a cut vertex. At each position it
+also branches only into the candidates with the least column: any other
+candidate starts a strictly larger string. Other symmetries are still
+searched leaf by leaf, so sizes are capped; over the cap you get a clean
+error rather than an open-ended search.
+
+Those leaves are not wasted. Two placements with the same string differ by
+an automorphism, so the search joins the vertices each tie leaf maps onto
+each other, starting from the twin classes, and ends with the orbits of the
+whole automorphism group. The canonical graph keeps the least vertex of
+each orbit (``_reps``), where leaf-block growth in
+:mod:`szegedtools.enumeration` attaches its blocks.
 
 The orbits of the point stabilizers (the automorphisms fixing ``0..i-1``)
 come from one search per candidate image, which the same twin classes
@@ -60,24 +69,44 @@ def _twin_classes(masks: list[int]) -> list[int]:
     return twin
 
 
-def _canonical_search(g: Graph) -> list[int]:
+def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...]]:
     """Minimize the column bit string over degree-sorted placements.
 
     Column ``p`` packs position ``p``'s adjacency bits to positions
     ``0..p-1`` (earlier bit = more significant).  Returns a minimal
-    placement: ``placement[i]`` is the original vertex at position ``i``.
-    Strictly larger prefixes are pruned.
+    placement (``placement[i]`` is the original vertex at position ``i``)
+    and the least position of each automorphism orbit, in increasing order.
+
+    Every eligible vertex can head a complete placement, so a candidate
+    whose column exceeds the least one at its position leads only to
+    strictly larger strings.  At each position the search computes every
+    candidate's column first, returns when the least one exceeds the best
+    string's, and branches only into the candidates that reach it.
 
     Twins (see :func:`_twin_classes`) are pruned too.  While two twins are
     unplaced, their transposition fixes every placed vertex, so their
     subtrees are mirror images with the same column strings.  At each
     position only the first unplaced vertex of each twin class is tried.
+
+    The orbits come from the search itself.  Two leaves with the same column
+    string differ by the automorphism ``best[i] -> perm[i]``, and every
+    minimal leaf is reached up to twin transpositions, so those
+    automorphisms and the twin transpositions generate the group.  A
+    union-find seeded with the twin classes and joined at each tie leaf
+    ends as the partition into orbits.
     """
     n = g.n
     masks = _adjacency_masks(g)
-    degs = [len(g.adj[v]) for v in range(n)]
+    degs = [mask.bit_count() for mask in masks]
     target = sorted(degs)
     twin = _twin_classes(masks)
+    # Each twin class's lowest member is its own root: a valid forest.
+    root = twin.copy()
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
 
     best_cols = [_HUGE] * n
     best_perm: list[int] | None = None
@@ -88,13 +117,21 @@ def _canonical_search(g: Graph) -> list[int]:
         nonlocal best_perm
         if pos == n:
             # best_perm is None exactly when this leaf beat the old minimum.
-            # Ties need no copy: every minimal placement gives the same
+            # Otherwise the leaf ties it, and the two differ by an
+            # automorphism; every minimal placement gives the same
             # canonical graph.
             if best_perm is None:
                 best_perm = perm.copy()
+            else:
+                for a, b in zip(best_perm, perm):
+                    a, b = find(a), find(b)
+                    if a != b:
+                        root[a] = b
             return
         want = target[pos]
         tried = 0
+        least = _HUGE
+        branch: list[int] = []
         for w in range(n):
             if used[w] or degs[w] != want:
                 continue
@@ -106,14 +143,20 @@ def _canonical_search(g: Graph) -> list[int]:
             mw = masks[w]
             for i in range(pos):
                 col = (col << 1) | ((mw >> perm[i]) & 1)
-            if col > best_cols[pos]:
-                continue
-            if col < best_cols[pos]:
-                # Strictly better prefix: everything recorded deeper is stale.
-                best_cols[pos] = col
-                for j in range(pos + 1, n):
-                    best_cols[j] = _HUGE
-                best_perm = None
+            if col < least:
+                least = col
+                branch = [w]
+            elif col == least:
+                branch.append(w)
+        if least > best_cols[pos]:
+            return
+        if least < best_cols[pos]:
+            # Strictly better prefix: everything recorded deeper is stale.
+            best_cols[pos] = least
+            for j in range(pos + 1, n):
+                best_cols[j] = _HUGE
+            best_perm = None
+        for w in branch:
             perm[pos] = w
             used[w] = True
             place(pos + 1)
@@ -121,7 +164,10 @@ def _canonical_search(g: Graph) -> list[int]:
 
     place(0)
     assert best_perm is not None
-    return best_perm
+    first: dict[int, int] = {}
+    for pos, v in enumerate(best_perm):
+        first.setdefault(find(v), pos)
+    return best_perm, tuple(first.values())
 
 
 def _require_small(g: Graph, what: str) -> None:
@@ -134,10 +180,13 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
 
     Canonicalizing is idempotent (the canonical graph's own identity placement
     already realizes the minimal bit string), so the certificate is cached on
-    both graphs.
+    both graphs.  The canonical graph also keeps ``_reps``, the least vertex
+    of each of its automorphism orbits in increasing order, which the search
+    finds on the way.  Only ``g.n`` and ``g.edges`` are read, so ``g`` may be
+    an image whose adjacency is not built.
     """
     _require_small(g, "canonical form")
-    placement = _canonical_search(g)
+    placement, reps = _canonical_search(g)
     newlabel = [0] * g.n
     for pos, orig in enumerate(placement):
         newlabel[orig] = pos
@@ -149,6 +198,7 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
     cert = text.encode("ascii")
     object.__setattr__(g, "_cert", cert)
     object.__setattr__(canon, "_cert", cert)
+    object.__setattr__(canon, "_reps", reps)
     return canon, cert
 
 

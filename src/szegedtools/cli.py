@@ -217,10 +217,15 @@ def _compute_inputs(args) -> list[tuple[str, Graph]]:
     except UnicodeDecodeError as exc:
         raise FormatError(f"standard input is not {exc.encoding} text", exc.start)
     graphs = []
-    for line in text.split("\n"):
+    for number, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if line:
-            graphs.append((line, parse_graph6(line)))
+            try:
+                graphs.append((line, parse_graph6(line)))
+            except FormatError as exc:
+                # The offset stays within the line; the prefix names it.
+                exc.args = (f"line {number}: {exc}",)
+                raise
     if not graphs:
         raise FormatError("no graph6 lines on standard input")
     return graphs

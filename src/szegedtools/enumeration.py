@@ -8,11 +8,16 @@ graph always has ``n + k - 1`` edges, and the pair is feasible only when
 Isomorphism classes are grown from smaller ones.  Every cactus with
 ``n >= 2`` has a leaf block: a pendant edge or a cycle sharing a single vertex
 with the rest.  So the ``(n, k)`` classes are exactly those obtained by
-hanging a pendant vertex at each vertex of each ``(n - 1, k)`` class, plus
-those obtained by attaching an ``L``-cycle at each vertex of each
-``(n - L + 1, k - 1)`` class.  Candidates are canonicalized and one graph is
-kept per certificate (isomorph rejection in the sense of McKay 1998), and
-class lists come out sorted by certificate.
+hanging a pendant vertex at some vertex of an ``(n - 1, k)`` class, plus
+those obtained by attaching an ``L``-cycle at some vertex of an
+``(n - L + 1, k - 1)`` class.  One vertex per automorphism orbit of the
+smaller class is enough: an automorphism taking ``v`` to ``w`` extends, as
+the identity on the new vertices, to an isomorphism between the graph with
+the block at ``v`` and the graph with it at ``w``.  The orbits' least
+vertices come with each class from its canonical search (``_reps``, see
+:func:`~szegedtools.canon.canonical_pair`).  Candidates are canonicalized
+and one graph is kept per certificate (isomorph rejection in the sense of
+McKay 1998), and class lists come out sorted by certificate.
 
 Labeled graphs are the relabelings of the class representatives, class by
 class, and within a class in lexicographic order of the first permutation of
@@ -92,22 +97,23 @@ def cactus_classes(
     found: dict[bytes, Graph] = {}
 
     def keep(edges: tuple[tuple[int, int], ...]) -> None:
-        canon, cert = canonical_pair(Graph(n, edges))
+        # A class plus a leaf block is a valid cactus: no validation needed.
+        canon, cert = canonical_pair(_image(n, tuple(sorted(edges))))
         found.setdefault(cert, canon)
 
     if n == 1:
         keep(())
     # A leaf block is either a pendant edge ...
     for g in cactus_classes(n - 1, k, cap=cap):
-        for v in range(n - 1):
+        for v in g._reps:
             keep(g.edges + ((v, n - 1),))
     # ... or an end-block cycle sharing one vertex with the rest.
     for length in range(3, n + 1):
         base = n - length + 1
+        path = tuple(zip(range(base, n - 1), range(base + 1, n)))
         for g in cactus_classes(base, k - 1, cap=cap):
-            for v in range(base):
-                ring = (v,) + tuple(range(base, n))
-                keep(g.edges + tuple(zip(ring, ring[1:] + ring[:1])))
+            for v in g._reps:
+                keep(g.edges + ((v, base),) + path + ((v, n - 1),))
     result = tuple(found[cert] for cert in sorted(found))
     _class_cache[cache_key] = result
     return result

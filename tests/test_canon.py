@@ -26,7 +26,7 @@ from szegedtools import (
     star,
     triangle_bundle,
 )
-from szegedtools.canon import stabilizer_orbits
+from szegedtools.canon import canonical_pair, stabilizer_orbits
 
 
 def relabel(g, perm):
@@ -206,6 +206,12 @@ class TestAgainstUnprunedSearch:
             ]
             assert_matches_unpruned_search(graph_from_edges(n, edges))
 
+    def test_cycle_and_path_at_cap(self):
+        # Twin-free and vertex-transitive or nearly so: most positions have
+        # several candidates, and only the least column is branched on.
+        assert_matches_unpruned_search(cycle(CERT_CAP))
+        assert_matches_unpruned_search(path(CERT_CAP))
+
 
 class TestTwinHeavyGraphs:
     """Stars and bundles: groups far too large to visit leaf by leaf."""
@@ -219,6 +225,55 @@ class TestTwinHeavyGraphs:
         g = triangle_bundle(12, 5)
         assert automorphism_count(g) == 3840
         assert certificate(g) == b"K???GOOGA?^~"
+
+    def test_cycle_and_path_at_cap(self):
+        assert certificate(cycle(12)) == b"K???WggSD?W?"
+        assert certificate(path(12)) == b"K???GSSIA_S?"
+
+
+def orbit_minima(g):
+    """The least vertex of each automorphism orbit, by brute force."""
+    auts = oracles.automorphisms(g.n, g.edges)
+    return tuple(sorted({min(a[v] for a in auts) for v in range(g.n)}))
+
+
+class TestOrbitRepresentatives:
+    """``canonical_pair`` keeps the least vertex of each automorphism orbit
+    on the canonical graph, from the tie leaves of its search."""
+
+    def test_every_class_through_n8(self):
+        rng = random.Random(18)
+        for n in range(1, 9):
+            for k in range(0, (n - 1) // 2 + 1):
+                for g in cactus_classes(n, k):
+                    want = orbit_minima(g)
+                    assert g._reps == want, g.edges
+                    for _ in range(3):
+                        perm = list(range(n))
+                        rng.shuffle(perm)
+                        canon, _ = canonical_pair(relabel(g, perm))
+                        assert canon == g and canon._reps == want, g.edges
+
+    def test_random_general_graphs(self):
+        # Sparse draws are mostly disconnected, dense ones near-complete.
+        rng = random.Random(77)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            p = rng.choice((0.2, 0.5, 0.8))
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            canon, _ = canonical_pair(graph_from_edges(n, edges))
+            assert canon._reps == orbit_minima(canon), edges
+
+    def test_closed_forms_at_cap(self):
+        # One orbit on the cycle; the path's reversal pairs its vertices;
+        # the star has its centre and its leaves; the bundle its hub, its
+        # triangle vertices and its pendant.
+        assert canonical_form(cycle(12))._reps == (0,)
+        assert len(canonical_form(path(12))._reps) == 6
+        assert len(canonical_form(star(12))._reps) == 2
+        assert len(canonical_form(triangle_bundle(12, 5))._reps) == 3
 
 
 @st.composite

@@ -143,6 +143,15 @@ class TestCompute:
         assert code == 2
         assert "byte offset" in err
 
+    def test_bad_graph6_on_stdin_names_its_line(self):
+        # The offset counts from the start of the named line.
+        code, out, err = run_cli(["compute", "--stdin"], stdin="Bw\nCl\nB \n")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 3: truncated graph6 payload: "
+            "expected 1 bytes, got 0 (byte offset 1)\n"
+        )
+
     def test_disconnected_graph_exit_code(self):
         code, _, err = run_cli(["compute", "--g6", "A?"])
         assert code == 3
