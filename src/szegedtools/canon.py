@@ -23,11 +23,12 @@ whole automorphism group. The canonical graph keeps the least vertex of
 each orbit (``_reps``), where leaf-block growth in
 :mod:`szegedtools.enumeration` attaches its blocks.
 
-The orbits of the point stabilizers (the automorphisms fixing ``0..i-1``)
-come from one search per candidate image, which the same twin classes
-prune.  They describe the least member of each coset of the group, which is
-how labeled graphs are enumerated, and their sizes multiply to the order of
-the group, which is how automorphisms are counted.
+A tie leaf that first leaves the best placement at position ``i`` fixes
+``0..i-1`` and moves ``i``, so the same leaves give the orbits of the point
+stabilizers (``_orbits``, also kept). They describe the least member of each
+coset of the group, which is how labeled graphs are enumerated, and their
+sizes multiply to the order of the group, which is how automorphisms are
+counted: one search per graph yields its certificate and its symmetries.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ CERT_CAP = 12
 
 # Sentinel larger than any p-bit column value for p <= CERT_CAP.
 _HUGE = 1 << (CERT_CAP + 1)
+
+# One shared tuple per one-vertex orbit, so cached class lists stay small.
+_SINGLETONS = tuple((i,) for i in range(CERT_CAP))
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
@@ -69,13 +73,17 @@ def _twin_classes(masks: list[int]) -> list[int]:
     return twin
 
 
-def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...]]:
+def _canonical_search(
+    g: Graph,
+) -> tuple[list[int], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Minimize the column bit string over degree-sorted placements.
 
     Column ``p`` packs position ``p``'s adjacency bits to positions
     ``0..p-1`` (earlier bit = more significant).  Returns a minimal
-    placement (``placement[i]`` is the original vertex at position ``i``)
-    and the least position of each automorphism orbit, in increasing order.
+    placement (``placement[i]`` is the original vertex at position ``i``),
+    the least position of each automorphism orbit, in increasing order, and
+    the orbits of the point stabilizers (see :func:`canonical_pair`), all in
+    positions of that placement.
 
     Every eligible vertex can head a complete placement, so a candidate
     whose column exceeds the least one at its position leads only to
@@ -93,7 +101,11 @@ def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...]]:
     minimal leaf is reached up to twin transpositions, so those
     automorphisms and the twin transpositions generate the group.  A
     union-find seeded with the twin classes and joined at each tie leaf
-    ends as the partition into orbits.
+    ends as the partition into orbits.  Each automorphism fixing
+    ``0..d-1`` and moving ``d`` is a tie leaf first leaving ``best`` at
+    ``d``, up to a swap of unplaced twins.  So the orbit of ``d`` under those
+    automorphisms is the twin classes of ``best[d]`` and of the vertices
+    such leaves put at ``d``, from position ``d`` on.
     """
     n = g.n
     masks = _adjacency_masks(g)
@@ -110,11 +122,14 @@ def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...]]:
 
     best_cols = [_HUGE] * n
     best_perm: list[int] | None = None
+    # moved[d]: twin classes (a bitmask) put at d by tie leaves first
+    # leaving best_perm there.
+    moved = [0] * n
     perm = [0] * n
     used = [False] * n
 
     def place(pos: int) -> None:
-        nonlocal best_perm
+        nonlocal best_perm, moved
         if pos == n:
             # best_perm is None exactly when this leaf beat the old minimum.
             # Otherwise the leaf ties it, and the two differ by an
@@ -122,11 +137,15 @@ def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...]]:
             # canonical graph.
             if best_perm is None:
                 best_perm = perm.copy()
-            else:
-                for a, b in zip(best_perm, perm):
-                    a, b = find(a), find(b)
-                    if a != b:
-                        root[a] = b
+                return
+            d = 0
+            while perm[d] == best_perm[d]:
+                d += 1
+            moved[d] |= 1 << twin[perm[d]]
+            for a, b in zip(best_perm, perm):
+                a, b = find(a), find(b)
+                if a != b:
+                    root[a] = b
             return
         want = target[pos]
         tried = 0
@@ -151,11 +170,13 @@ def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...]]:
         if least > best_cols[pos]:
             return
         if least < best_cols[pos]:
-            # Strictly better prefix: everything recorded deeper is stale.
+            # Strictly better prefix: everything recorded deeper is stale,
+            # and so is every tie noted against the old best placement.
             best_cols[pos] = least
             for j in range(pos + 1, n):
                 best_cols[j] = _HUGE
             best_perm = None
+            moved = [0] * n
         for w in branch:
             perm[pos] = w
             used[w] = True
@@ -165,9 +186,26 @@ def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...]]:
     place(0)
     assert best_perm is not None
     first: dict[int, int] = {}
+    # where[c]: the positions of twin class c as a bitmask; being disjoint,
+    # distinct classes join by adding.
+    where = [0] * n
     for pos, v in enumerate(best_perm):
         first.setdefault(find(v), pos)
-    return best_perm, tuple(first.values())
+        where[twin[v]] |= 1 << pos
+    orbits = []
+    for d, v in enumerate(best_perm):
+        mask = where[twin[v]]
+        if moved[d]:
+            mask |= sum(where[c] for c in range(n) if moved[d] >> c & 1)
+        # Only positions from d on are unplaced there.
+        mask >>= d
+        if mask == 1:
+            orbits.append(_SINGLETONS[d])
+        else:
+            orbits.append(
+                tuple(d + i for i in range(mask.bit_length()) if mask >> i & 1)
+            )
+    return best_perm, tuple(first.values()), tuple(orbits)
 
 
 def _require_small(g: Graph, what: str) -> None:
@@ -180,13 +218,16 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
 
     Canonicalizing is idempotent (the canonical graph's own identity placement
     already realizes the minimal bit string), so the certificate is cached on
-    both graphs.  The canonical graph also keeps ``_reps``, the least vertex
-    of each of its automorphism orbits in increasing order, which the search
-    finds on the way.  Only ``g.n`` and ``g.edges`` are read, so ``g`` may be
-    an image whose adjacency is not built.
+    both graphs.  The canonical graph also keeps what the search finds of
+    its symmetries: ``_reps``, the least vertex of each automorphism orbit,
+    and ``_orbits[i]``, the orbit of ``i`` under the automorphisms fixing
+    ``0..i-1`` (``i`` and larger vertices), both in increasing order.  A
+    permutation ``p`` is the least member of its coset ``p∘Aut`` exactly
+    when ``p[i] < p[j]`` for every ``j != i`` in ``_orbits[i]``.  Only
+    ``g.n`` and ``g.edges`` are read, so ``g`` may be an unfilled image.
     """
     _require_small(g, "canonical form")
-    placement, reps = _canonical_search(g)
+    placement, reps, orbits = _canonical_search(g)
     newlabel = [0] * g.n
     for pos, orig in enumerate(placement):
         newlabel[orig] = pos
@@ -199,6 +240,7 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
     object.__setattr__(g, "_cert", cert)
     object.__setattr__(canon, "_cert", cert)
     object.__setattr__(canon, "_reps", reps)
+    object.__setattr__(canon, "_orbits", orbits)
     return canon, cert
 
 
@@ -220,115 +262,12 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 
 
 def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group: the product of the stabilizer orbit sizes."""
+    """Order of the automorphism group: the product of the stabilizer orbit
+    sizes kept on the canonical form, which costs one canonical search when
+    ``g`` is not one."""
     _require_small(g, "automorphism count")
-    return prod(len(orbit) for orbit in stabilizer_orbits(g))
-
-
-def stabilizer_orbits(g: Graph) -> list[tuple[int, ...]]:
-    """Orbits along the point-stabilizer chain of the automorphism group.
-
-    ``orbits[i]`` is the orbit of ``i``, in increasing order, under the
-    automorphisms of ``g`` that fix ``0..i-1`` pointwise.  It holds ``i``
-    and larger vertices only, and the product of the orbit sizes is the
-    order of the group.  A permutation ``p`` is the lexicographically least
-    member of its coset ``{p∘a : a in Aut(g)}`` exactly when ``p[i] < p[j]``
-    for every ``j != i`` in ``orbits[i]``.
-
-    The orbits are found from ``i = n-1`` down.  An automorphism found for a
-    later ``i`` also fixes ``0..i-1``, so the vertices it moves into each
-    other are already known to share an orbit.  For each ``j > i`` not yet
-    known to share ``i``'s orbit, one backtracking search looks for an
-    automorphism fixing ``0..i-1`` and sending ``i`` to ``j``.  A hit joins
-    the known orbits along its cycles; a miss rules out ``j``'s whole known
-    orbit.  The search places the other vertices in breadth-first order
-    from ``0..i``, so each image is a neighbour of an earlier image, and it
-    skips an image that is a twin (see :func:`_twin_classes`) of one already
-    tried at that step: the transposition of two unused twins fixes every
-    placed image, so it turns any extension through the one into an
-    extension through the other.
-    """
-    _require_small(g, "stabilizer orbits")
-    n = g.n
-    masks = _adjacency_masks(g)
-    degs = [len(a) for a in g.adj]
-    twin = _twin_classes(masks)
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    image = [0] * n
-    orbits: list[tuple[int, ...]] = [()] * n
-    for i in reversed(range(n)):
-        # Breadth-first order of i+1..n-1 from the fixed vertices 0..i, then
-        # of whatever they do not reach; back[x]: x's neighbours placed
-        # before it.
-        queue = list(range(i + 1))
-        seen = (1 << (i + 1)) - 1
-        head = 0
-        for start in range(i, n):
-            if not seen >> start & 1:
-                seen |= 1 << start
-                queue.append(start)
-            while head < len(queue):
-                for w in g.adj[queue[head]]:
-                    if not seen >> w & 1:
-                        seen |= 1 << w
-                        queue.append(w)
-                head += 1
-        rank = [0] * n
-        for r, v in enumerate(queue):
-            rank[v] = r
-        order = queue[i + 1 :]
-        back = [[u for u in g.adj[x] if rank[u] < rank[x]] for x in range(n)]
-
-        def extend(t: int, used: int) -> bool:
-            if t == len(order):
-                return True
-            x = order[t]
-            bx = back[x]
-            want = degs[x]
-            tried = 0
-            for y in g.adj[image[bx[0]]] if bx else range(n):
-                if used >> y & 1 or degs[y] != want:
-                    continue
-                c = twin[y]
-                if tried >> c & 1:
-                    continue
-                tried |= 1 << c
-                # Checking edges alone suffices: a bijection that maps every
-                # edge onto an edge maps the edge set onto itself.
-                my = masks[y]
-                if any(not my >> image[z] & 1 for z in bx):
-                    continue
-                image[x] = y
-                if extend(t + 1, used | 1 << y):
-                    return True
-            return False
-
-        low = (1 << i) - 1
-        for z in range(i):
-            image[z] = z
-        ruled_out = set()
-        for j in range(i + 1, n):
-            r = find(j)
-            if r == find(i) or r in ruled_out:
-                continue
-            if degs[j] == degs[i] and masks[j] & low == masks[i] & low:
-                image[i] = j
-                if extend(0, low | 1 << j):
-                    for x in range(n):
-                        a, b = find(x), find(image[x])
-                        if a != b:
-                            root[a] = b
-                    continue
-            ruled_out.add(find(j))
-        top = find(i)
-        orbits[i] = tuple(v for v in range(i, n) if find(v) == top)
-    return orbits
+    orbits = g._orbits or canonical_pair(g)[0]._orbits
+    return prod(map(len, orbits))
 
 
 def labeled_copy_count(g: Graph) -> int:

@@ -24,8 +24,10 @@ class, and within a class in lexicographic order of the first permutation of
 ``0..n-1`` that gives each one.  Two permutations give the same labeled
 graph exactly when they differ by an automorphism, so that first
 permutation is the least member of its coset ``p∘Aut``.  The cosets'
-least members are generated directly, in that order, from the stabilizer
-orbits of :func:`~szegedtools.canon.stabilizer_orbits`.  Only the first
+least members are generated directly, in that order, from the orbits of
+the point stabilizers, which the representative's canonical search found
+too (``_orbits``, see :func:`~szegedtools.canon.canonical_pair`), so no
+class is searched again for its symmetries.  Only the first
 ``d`` positions carry a constraint, ``d`` being one past the last vertex in
 a nontrivial orbit, so a bitmask DFS places those, and
 ``itertools.permutations`` of the values left, in increasing order, gives
@@ -44,7 +46,7 @@ from itertools import permutations
 from typing import Iterator, NamedTuple
 
 from .bounds import BoundCase, minimum_bound, second_minimum_bound
-from .canon import CERT_CAP, canonical_pair, stabilizer_orbits
+from .canon import CERT_CAP, canonical_pair
 from .errors import CapError, InfeasibleError
 from .formats import emit_graph6
 from .graphs import Graph, _image
@@ -156,8 +158,10 @@ def _class_images(
     """The images of ``g`` under the least members ``p`` of the cosets
     ``p∘Aut(g)``, in lexicographic order of ``p``.
 
-    Only positions below ``d``, one past the largest vertex in any
-    nontrivial stabilizer orbit, carry a constraint (see
+    ``g`` is a canonical form from :func:`~szegedtools.canon.canonical_pair`,
+    such as a class representative, and its stabilizer orbits are read from
+    ``g._orbits``.  Only positions below ``d``, one past the largest vertex
+    in any nontrivial stabilizer orbit, carry a constraint (see
     :func:`_coset_prefixes`).  So each least prefix ``p[:d]`` extends by
     every ordering of the values it leaves free, and
     ``itertools.permutations`` of those values in increasing order gives
@@ -169,7 +173,7 @@ def _class_images(
     n = g.n
     if pair is None:
         pair = _pair_table(n)
-    orbits = stabilizer_orbits(g)
+    orbits = g._orbits
     d = max((orbit[-1] + 1 for orbit in orbits if len(orbit) > 1), default=0)
     early = [(u, v) for u, v in g.edges if v < d]
     late = [(u, v) for u, v in g.edges if v >= d]
@@ -183,7 +187,7 @@ def _class_images(
 
 
 def _coset_prefixes(
-    orbits: list[tuple[int, ...]], d: int
+    orbits: tuple[tuple[int, ...], ...], d: int
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """The prefixes ``p[:d]``, in lexicographic order, of the permutations
     ``p`` of ``0..n-1`` with ``p[i] < p[j]`` for every ``j`` in

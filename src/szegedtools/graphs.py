@@ -49,11 +49,11 @@ from .errors import DisconnectedError, InvalidGraphError
 class Graph:
     """Immutable simple undirected graph.
 
-    Being immutable, it keeps five derived facts once computed: the
+    Being immutable, it keeps six derived facts once computed: the
     certificate, the graph6 string, the cactus profile, the distance
     analysis (per-edge gaps m_u - m_v and m_0, the Szeged and the Wiener
     index) and, on a canonical form, the least vertex of each automorphism
-    orbit.
+    orbit and the orbits of the point stabilizers.
 
     ``Graph(n, edges)`` validates its input and builds the adjacency tuples
     ``adj`` and the frozenset ``edge_set`` at once.  An image made by
@@ -64,7 +64,7 @@ class Graph:
 
     __slots__ = (
         "n", "edges", "adj", "edge_set",
-        "_cert", "_g6", "_profile", "_dist", "_reps",
+        "_cert", "_g6", "_profile", "_dist", "_reps", "_orbits",
     )
 
     def __init__(self, n: int, edges):
@@ -154,7 +154,7 @@ class Graph:
 
 
 # The derived facts a Graph keeps once computed; see :class:`_Unfilled`.
-_CACHES = ("_cert", "_g6", "_profile", "_dist", "_reps")
+_CACHES = ("_cert", "_g6", "_profile", "_dist", "_reps", "_orbits")
 
 
 class _Unfilled(Graph):
@@ -164,10 +164,11 @@ class _Unfilled(Graph):
 
     Its ``adj`` and ``edge_set`` are built, and its caches set, when first
     needed.  Reading an unset cache (``_cert``, ``_g6``, ``_profile``,
-    ``_dist``, ``_reps``) gives ``None`` and builds nothing; a cache can be
-    set as on any Graph.  The first read of ``adj`` or ``edge_set`` builds both, sets
-    whichever cache is still unset to ``None``, keeps those already set, and
-    turns the object into a plain Graph.  A ``__getattr__`` on Graph itself
+    ``_dist``, ``_reps``, ``_orbits``) gives ``None`` and builds nothing; a
+    cache can be set as on any Graph.  The first read of ``adj`` or
+    ``edge_set`` builds both, sets whichever cache is still unset to
+    ``None``, keeps those already set, and turns the object into a plain
+    Graph.  A ``__getattr__`` on Graph itself
     would slow every attribute read of every graph (about twofold on CPython
     3.11), not only these.
     """

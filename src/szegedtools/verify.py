@@ -448,6 +448,11 @@ class Universe(NamedTuple):
         for n, k in self.pairs:
             yield from cactus_classes(n, k, cap=self.cap)
         if self.samples:
+            # Samples have at least 3 vertices, where every k draws a cactus.
+            if self.sample_max_n < 3:
+                raise ValueError(
+                    f"sample_max_n must be at least 3, got {self.sample_max_n}"
+                )
             rng = random.Random(self.seed)
             for _ in range(self.samples):
                 n = rng.randint(3, self.sample_max_n)

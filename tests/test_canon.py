@@ -26,7 +26,7 @@ from szegedtools import (
     star,
     triangle_bundle,
 )
-from szegedtools.canon import canonical_pair, stabilizer_orbits
+from szegedtools.canon import canonical_pair
 
 
 def relabel(g, perm):
@@ -298,6 +298,9 @@ def test_certificate_and_group_order_invariant_under_relabeling(case):
 
 
 class TestStabilizerOrbits:
+    """``canonical_pair`` keeps the stabilizer orbits on the canonical graph
+    (``_orbits``), read off the tie leaves of its search."""
+
     def test_orbit_sizes_multiply_to_the_group_order(self):
         # Closed forms: the star's 11! leaf permutations, the dihedral group
         # of the 12-cycle, the path's reversal, 2^5 * 5! for five triangles
@@ -313,12 +316,12 @@ class TestStabilizerOrbits:
             (double_star, 2880),
         ]
         for g, order in closed_forms:
-            sizes = [len(orbit) for orbit in stabilizer_orbits(g)]
+            sizes = [len(orbit) for orbit in canonical_form(g)._orbits]
             assert math.prod(sizes) == order, g.edges
         for n in range(1, 10):
             for k in range(0, (n - 1) // 2 + 1):
                 for g in cactus_classes(n, k):
-                    sizes = [len(orbit) for orbit in stabilizer_orbits(g)]
+                    sizes = [len(orbit) for orbit in g._orbits]
                     _, ties = oracles.degree_sorted_canonical(g.n, g.edges)
                     assert math.prod(sizes) == ties, g.edges
 
@@ -331,5 +334,32 @@ class TestStabilizerOrbits:
             edges = [
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
             ]
-            g = graph_from_edges(n, edges)
-            assert stabilizer_orbits(g) == oracles.stabilizer_orbits(n, g.edges), edges
+            canon = canonical_form(graph_from_edges(n, edges))
+            want = oracles.stabilizer_orbits(n, canon.edges)
+            assert list(canon._orbits) == want, edges
+
+    def test_every_class_through_n8(self):
+        # Each class as generated, and the canonical forms of relabelings,
+        # which run the search from other starting labels.
+        rng = random.Random(19)
+        for n in range(1, 9):
+            for k in range(0, (n - 1) // 2 + 1):
+                for g in cactus_classes(n, k):
+                    want = oracles.stabilizer_orbits(n, g.edges)
+                    assert list(g._orbits) == want, g.edges
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    canon = canonical_form(relabel(g, perm))
+                    assert list(canon._orbits) == want, g.edges
+
+    def test_one_vertex_orbits_are_shared(self):
+        # One tuple per position across all canonical graphs keeps cached
+        # class lists small.
+        a, b = canonical_form(path(7)), canonical_form(star(7))
+        assert a._orbits[6] is b._orbits[6] == (6,)
+
+    def test_only_canonical_forms_keep_orbits(self):
+        g = cycle(6)
+        assert g._orbits is None
+        assert automorphism_count(g) == 12
+        assert g._orbits is None

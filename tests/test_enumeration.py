@@ -31,7 +31,7 @@ from szegedtools import (
     triangle_bundle,
 )
 from szegedtools import edge_revised_szeged, enumeration
-from szegedtools.canon import canonical_pair, stabilizer_orbits
+from szegedtools.canon import canonical_pair
 from szegedtools.enumeration import _class_images
 
 # class counts fixed after cross-checking the n <= 6 slice against the
@@ -266,7 +266,7 @@ class TestClassImages:
         ]
         assert asym
         for g in asym:
-            assert all(len(orbit) == 1 for orbit in stabilizer_orbits(g))
+            assert all(len(orbit) == 1 for orbit in g._orbits)
             got = [h.edges for h in _class_images(g)]
             assert len(got) == math.factorial(7)
             assert got == oracles.labeled_by_permutations(7, g.edges)
@@ -274,14 +274,14 @@ class TestClassImages:
     @pytest.mark.parametrize("family", [star, cycle])
     @pytest.mark.parametrize("n", range(3, 9))
     def test_last_vertex_constrained(self, family, n):
-        # d = n: the DFS places every position and leaves an empty suffix.
-        # The canonical star puts its centre last, so there d = n - 1.
-        g = family(n)
-        orbits = stabilizer_orbits(g)
-        assert any(len(orbit) > 1 and orbit[-1] == n - 1 for orbit in orbits)
-        for h in (g, canonical_form(g)):
-            got = [image.edges for image in _class_images(h)]
-            assert got == oracles.labeled_by_permutations(n, h.edges)
+        # On the canonical cycle d = n: the DFS places every position and
+        # leaves an empty suffix.  The canonical star puts its centre last,
+        # so there d = n - 1 and the suffix is the centre alone.
+        g = canonical_form(family(n))
+        d = max(orbit[-1] + 1 for orbit in g._orbits if len(orbit) > 1)
+        assert d == (n if family is cycle else n - 1)
+        got = [image.edges for image in _class_images(g)]
+        assert got == oracles.labeled_by_permutations(n, g.edges)
 
 
 class TestCaps:

@@ -202,6 +202,10 @@ class TestClaimSweeps:
         report = verify_claim("lemma2.2-2.3", universe)
         assert report.passed
 
+    def test_samples_need_three_vertices(self):
+        with pytest.raises(ValueError, match="sample_max_n must be at least 3"):
+            list(Universe(samples=2, sample_max_n=2).graphs())
+
     def test_report_schema(self):
         report = verify_claim("lemma2.1", UNIVERSE_5)
         d = report.to_dict()
