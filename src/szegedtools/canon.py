@@ -44,8 +44,9 @@ CERT_CAP = 12
 # Sentinel larger than any p-bit column value for p <= CERT_CAP.
 _HUGE = 1 << (CERT_CAP + 1)
 
-# One shared tuple per one-vertex orbit, so cached class lists stay small.
-_SINGLETONS = tuple((i,) for i in range(CERT_CAP))
+# One shared tuple per stabilizer orbit, keyed by its positions as a
+# bitmask, so cached class lists stay small.
+_ORBITS = {1 << i: (i,) for i in range(CERT_CAP)}
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
@@ -198,13 +199,12 @@ def _canonical_search(
         if moved[d]:
             mask |= sum(where[c] for c in range(n) if moved[d] >> c & 1)
         # Only positions from d on are unplaced there.
-        mask >>= d
-        if mask == 1:
-            orbits.append(_SINGLETONS[d])
-        else:
-            orbits.append(
-                tuple(d + i for i in range(mask.bit_length()) if mask >> i & 1)
-            )
+        mask = mask >> d << d
+        orbit = _ORBITS.get(mask)
+        if orbit is None:
+            orbit = tuple(i for i in range(d, mask.bit_length()) if mask >> i & 1)
+            _ORBITS[mask] = orbit
+        orbits.append(orbit)
     return best_perm, tuple(first.values()), tuple(orbits)
 
 

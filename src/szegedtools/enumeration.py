@@ -27,16 +27,16 @@ permutation is the least member of its coset ``p∘Aut``.  The cosets'
 least members are generated directly, in that order, from the orbits of
 the point stabilizers, which the representative's canonical search found
 too (``_orbits``, see :func:`~szegedtools.canon.canonical_pair`), so no
-class is searched again for its symmetries.  Only the first
-``d`` positions carry a constraint, ``d`` being one past the last vertex in
-a nontrivial orbit, so a bitmask DFS places those, and
-``itertools.permutations`` of the values left, in increasing order, gives
-every ending of each prefix.  Each image is mapped once from a table of
-edge tuples, without validating it again: ``n!/|Aut|`` relabelings per
-class, and no set of graphs already seen.  An image sets only its vertex
-count and edges; its adjacency and caches wait until something reads them.
-The labeled count, the sum of ``n!/|Aut|`` over the classes, cross-checks
-the automorphism count.
+class is searched again for its symmetries.  Only the first ``d``
+positions carry a constraint, ``d`` being one past the last vertex in a
+nontrivial orbit, so a recursion over the values still free, in increasing
+order, places those, and ``itertools.permutations`` of the values left
+gives every ending of each prefix.  Each image is mapped once through a
+table of edge tuples, without validating it again: ``n!/|Aut|``
+relabelings per class, and no set of graphs already seen.  An image sets
+only its vertex count and edges; its adjacency and caches wait until
+something reads them.  The labeled count, the sum of ``n!/|Aut|`` over the
+classes, cross-checks the automorphism count.
 """
 
 from __future__ import annotations
@@ -142,19 +142,11 @@ def enumerate_cacti(
     if dedup:
         yield from classes
         return
-    pair = _pair_table(n)
     for g in classes:
-        yield from _class_images(g, pair)
+        yield from _class_images(g)
 
 
-def _pair_table(n: int) -> list[list[tuple[int, int]]]:
-    """``pair[a][b]``: the edge between ``a`` and ``b`` as a sorted tuple."""
-    return [[(a, b) if a < b else (b, a) for b in range(n)] for a in range(n)]
-
-
-def _class_images(
-    g: Graph, pair: list[list[tuple[int, int]]] | None = None
-) -> Iterator[Graph]:
+def _class_images(g: Graph) -> Iterator[Graph]:
     """The images of ``g`` under the least members ``p`` of the cosets
     ``p∘Aut(g)``, in lexicographic order of ``p``.
 
@@ -165,25 +157,20 @@ def _class_images(
     :func:`_coset_prefixes`).  So each least prefix ``p[:d]`` extends by
     every ordering of the values it leaves free, and
     ``itertools.permutations`` of those values in increasing order gives
-    the orderings in lexicographic order.  Edges with both ends below ``d``
-    are mapped once per prefix, the others once per image, through
-    ``pair``, the :func:`_pair_table` of ``g.n``, which a caller streaming
-    many classes of one size builds once.
+    the orderings in lexicographic order.  Every edge of every image is
+    mapped through a table of sorted edge tuples.
     """
     n = g.n
-    if pair is None:
-        pair = _pair_table(n)
+    pair = [[(a, b) if a < b else (b, a) for b in range(n)] for a in range(n)]
     orbits = g._orbits
     d = max((orbit[-1] + 1 for orbit in orbits if len(orbit) > 1), default=0)
-    early = [(u, v) for u, v in g.edges if v < d]
-    late = [(u, v) for u, v in g.edges if v >= d]
+    edges = g.edges
     for prefix, free in _coset_prefixes(orbits, d):
-        fixed = [pair[prefix[u]][prefix[v]] for u, v in early]
         for suffix in permutations(free):
             p = prefix + suffix
-            edges = fixed + [pair[p[u]][p[v]] for u, v in late]
-            edges.sort()
-            yield _image(n, tuple(edges))
+            image = [pair[p[u]][p[v]] for u, v in edges]
+            image.sort()
+            yield _image(n, tuple(image))
 
 
 def _coset_prefixes(
@@ -201,46 +188,28 @@ def _coset_prefixes(
     when ``j`` is in it and is disjoint from it otherwise.  So ``p[j]``
     needs only exceed the value at ``above[j]``, the last ``i < j`` whose
     orbit holds ``j``, and must leave ``len(orbits[j]) - 1`` larger values
-    free for the rest of its orbit.  No position from ``d`` on is in a
-    nontrivial orbit, so none carries a constraint, and every ordering of
-    the free values completes a prefix.
+    free for the rest of its orbit.  Each position tries the free values in
+    increasing order.  No position from ``d`` on is in a nontrivial orbit,
+    so none carries a constraint, and every ordering of the free values
+    completes a prefix.
     """
-    n = len(orbits)
-    if d == 0:
-        yield (), list(range(n))
-        return
-    above = [-1] * n
+    above = [-1] * len(orbits)
     for i, orbit in enumerate(orbits):
         for j in orbit[1:]:
             above[j] = i
-    larger = [len(orbit) - 1 for orbit in orbits]
-    p = [0] * d
-    free = [0] * d  # free[pos]: values not in p[:pos], as a bitmask
-    free[0] = (1 << n) - 1
-    floor = [0] * d  # floor[pos]: the least value still to try at pos
-    pos = 0
-    while pos >= 0:
-        avail = free[pos]
-        low = floor[pos]
-        if above[pos] >= 0 and p[above[pos]] >= low:
-            low = p[above[pos]] + 1
-        cand = avail >> low << low
-        if not cand:
-            pos -= 1
-            continue
-        v = (cand & -cand).bit_length() - 1
-        if (avail >> v + 1).bit_count() < larger[pos]:
-            pos -= 1
-            continue
-        p[pos] = v
-        floor[pos] = v + 1
-        rest = avail & ~(1 << v)
-        if pos == d - 1:
-            yield tuple(p), [x for x in range(n) if rest >> x & 1]
-            continue
-        pos += 1
-        free[pos] = rest
-        floor[pos] = 0
+
+    def extend(prefix, free):
+        pos = len(prefix)
+        if pos == d:
+            yield prefix, free
+            return
+        low = prefix[above[pos]] if above[pos] >= 0 else -1
+        # free[i] leaves len(free) - 1 - i larger values free.
+        for i in range(len(free) - len(orbits[pos]) + 1):
+            if free[i] > low:
+                yield from extend(prefix + (free[i],), free[:i] + free[i + 1:])
+
+    return extend((), list(range(len(orbits))))
 
 
 def count_cacti(

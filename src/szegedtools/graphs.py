@@ -53,7 +53,9 @@ class Graph:
     certificate, the graph6 string, the cactus profile, the distance
     analysis (per-edge gaps m_u - m_v and m_0, the Szeged and the Wiener
     index) and, on a canonical form, the least vertex of each automorphism
-    orbit and the orbits of the point stabilizers.
+    orbit and the orbits of the point stabilizers.  A copy or a pickle
+    keeps the certificate, the graph6 string and those symmetries, and
+    rebuilds the rest when read.
 
     ``Graph(n, edges)`` validates its input and builds the adjacency tuples
     ``adj`` and the frozenset ``edge_set`` at once.  An image made by
@@ -121,7 +123,12 @@ class Graph:
     def __reduce__(self):
         # The default reduce restores slots through the blocked __setattr__;
         # rebuilding from n and edges also works on an image not yet filled.
-        return Graph, (self.n, self.edges)
+        kept = tuple(getattr(self, name) for name in _KEPT)
+        return Graph, (self.n, self.edges), kept
+
+    def __setstate__(self, state):
+        for name, value in zip(_KEPT, state):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -155,6 +162,9 @@ class Graph:
 
 # The derived facts a Graph keeps once computed; see :class:`_Unfilled`.
 _CACHES = ("_cert", "_g6", "_profile", "_dist", "_reps", "_orbits")
+# Those a copy or a pickle keeps: the certificate, the graph6 string and the
+# symmetries a canonical form keeps from its search.
+_KEPT = ("_cert", "_g6", "_reps", "_orbits")
 
 
 class _Unfilled(Graph):

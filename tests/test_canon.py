@@ -358,6 +358,15 @@ class TestStabilizerOrbits:
         a, b = canonical_form(path(7)), canonical_form(star(7))
         assert a._orbits[6] is b._orbits[6] == (6,)
 
+    def test_equal_orbits_are_shared(self):
+        # Across every class through n = 8, equal orbits are one tuple.
+        shared = {}
+        for n in range(1, 9):
+            for k in range(0, (n - 1) // 2 + 1):
+                for g in cactus_classes(n, k):
+                    for orbit in g._orbits:
+                        assert shared.setdefault(orbit, orbit) is orbit
+
     def test_only_canonical_forms_keep_orbits(self):
         g = cycle(6)
         assert g._orbits is None

@@ -1,8 +1,10 @@
 """Exhaustive generation of cacti by vertex and cycle count."""
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 
 import pytest
 
@@ -282,6 +284,28 @@ class TestClassImages:
         assert d == (n if family is cycle else n - 1)
         got = [image.edges for image in _class_images(g)]
         assert got == oracles.labeled_by_permutations(n, g.edges)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copied_class_keeps_its_symmetries(self, monkeypatch, round_trip):
+        # A copy keeps the stabilizer orbits: the same images, and an
+        # automorphism count with no canonical search.
+        classes = [
+            g
+            for n in range(1, 7)
+            for k in range(0, (n - 1) // 2 + 1)
+            for g in cactus_classes(n, k)
+        ]
+        calls = count_calls_on(monkeypatch, canonical_pair)
+        for g in classes:
+            back = round_trip(g)
+            want = [h.edges for h in _class_images(g)]
+            assert [h.edges for h in _class_images(back)] == want
+            assert automorphism_count(back) == automorphism_count(g)
+        assert not calls
 
 
 class TestCaps:

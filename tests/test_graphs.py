@@ -239,6 +239,20 @@ class TestDeferredCaches:
             # The copy is rebuilt from n and edges; the image stays as it was.
             assert not _is_set(image, "adj") and image._g6 == text
 
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS)
+    def test_round_trip_keeps_only_the_small_facts(self, round_trip):
+        # The certificate, graph6 and symmetries travel; the profile and
+        # the distance analysis are rebuilt when read.
+        g = cactus_classes(7, 2)[5]
+        cactus_profile(g)
+        edge_revised_szeged(g)
+        back = round_trip(g)
+        for name in graphs._KEPT:
+            assert getattr(g, name) is not None
+            assert getattr(back, name) == getattr(g, name)
+        assert (back._profile, back._dist) == (None, None)
+        assert cactus_profile(back) == cactus_profile(g)
+
 
 class TestConnectivity:
     def test_known(self):
