@@ -10,11 +10,24 @@ invariant: two graphs share a certificate exactly when they are isomorphic.
 Twins (vertices whose neighbourhoods agree apart from each other) are
 interchangeable, so the search tries only one vertex per twin class at each
 position. That covers pendant vertices at a common vertex and the symmetric
-vertices of triangles and quadrangles at a cut vertex. At each position it
-also branches only into the candidates with the least column: any other
-candidate starts a strictly larger string. Other symmetries are still
-searched leaf by leaf, so sizes are capped; over the cap you get a clean
-error rather than an open-ended search.
+vertices of triangles and quadrangles at a cut vertex. The classes take one
+pass: twins share their open neighbourhood or their closed one, and no
+vertex has twins of both kinds. At each position the search also branches
+only into the candidates with the least column: any other candidate starts
+a strictly larger string. Each vertex's column against the placed vertices
+is kept as it goes, so a position costs one comparison per candidate, not a
+rebuilt column.
+
+Pendant vertices are not branched on at all. They come first in degree
+order and their columns are 0, so their places show only in their hubs'
+columns, and an exchange argument fixes them: in every minimal placement
+each hub's pendants take the highest pendant positions still free when the
+hub is placed. The search places the other vertices only, and writes each
+hub's pendants as it places the hub. That holds whenever no vertex is
+isolated and no pendant hangs at another pendant, so for every connected
+graph on three or more vertices. Other symmetries are still searched leaf
+by leaf, so sizes are capped; over the cap you get a clean error rather
+than an open-ended search.
 
 Those leaves are not wasted. Two placements with the same string differ by
 an automorphism, so the search joins the vertices each tie leaf maps onto
@@ -41,7 +54,7 @@ from .graphs import Graph
 
 CERT_CAP = 12
 
-# Sentinel larger than any p-bit column value for p <= CERT_CAP.
+# Sentinel larger than any n-bit column value for n <= CERT_CAP.
 _HUGE = 1 << (CERT_CAP + 1)
 
 # One shared tuple per stabilizer orbit, keyed by its positions as a
@@ -49,28 +62,26 @@ _HUGE = 1 << (CERT_CAP + 1)
 _ORBITS = {1 << i: (i,) for i in range(CERT_CAP)}
 
 
-def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def _twin_classes(masks: list[int]) -> list[int]:
     """``twin[v]``: the lowest member of ``v``'s twin class.
 
     ``u`` and ``v`` are twins when their neighbourhoods agree apart from each
     other, so the transposition ``(u v)`` is an automorphism fixing every
-    other vertex.  Twin transpositions compose, so comparing ``v`` with each
-    earlier class representative is enough.
+    other vertex.  Non-adjacent twins share their open neighbourhood and
+    adjacent ones their closed neighbourhood, so one dict keyed by each finds
+    the classes in O(n).  No vertex has both kinds: if ``N(u) = N(v)`` and
+    ``N[u] = N[w]``, then ``w`` lies in ``N(u) = N(v)``, so ``v`` lies in
+    ``N[w] = N[u]`` and is adjacent to ``u`` after all.  So the two
+    relations never chain, and each class is found whole by one of them.
     """
-    twin = list(range(len(masks)))
-    for v in range(len(masks)):
-        for u in range(v):
-            if twin[u] == u and masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
-                twin[v] = u
-                break
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    twin = []
+    for v, mask in enumerate(masks):
+        t = by_open.setdefault(mask, v)
+        if t == v:
+            t = by_closed.setdefault(mask | 1 << v, v)
+        twin.append(t)
     return twin
 
 
@@ -86,33 +97,91 @@ def _canonical_search(
     the orbits of the point stabilizers (see :func:`canonical_pair`), all in
     positions of that placement.
 
+    Columns are kept, not rebuilt: ``acc[w]`` holds ``w``'s adjacency to
+    the placed positions, position ``i`` as bit ``n - 1 - i``.  Placing a
+    vertex at ``p`` adds ``1 << (n - 1 - p)`` to each neighbour's ``acc``
+    and backtracking subtracts it again.  At position ``p`` only positions
+    below ``p`` are placed, so ``acc[w]`` is ``w``'s column shifted left by
+    ``n - p``, and candidates compare by it directly: a node costs
+    O(candidates + degree), not O(n * p).
+
     Every eligible vertex can head a complete placement, so a candidate
     whose column exceeds the least one at its position leads only to
     strictly larger strings.  At each position the search computes every
     candidate's column first, returns when the least one exceeds the best
     string's, and branches only into the candidates that reach it.
 
-    Twins (see :func:`_twin_classes`) are pruned too.  While two twins are
-    unplaced, their transposition fixes every placed vertex, so their
-    subtrees are mirror images with the same column strings.  At each
-    position only the first unplaced vertex of each twin class is tried.
+    Twins (see :func:`_twin_classes`, found in O(n) through two dicts) are
+    pruned too.  While two twins are unplaced, their transposition fixes
+    every placed vertex, so their subtrees are mirror images with the same
+    column strings.  At each position only the first unplaced vertex of
+    each twin class is tried.
+
+    Pendant vertices are not branched on at all.  Call a degree-1 vertex a
+    pendant and its neighbour its hub.  When no vertex is isolated and no
+    hub is itself a pendant (so for every connected graph with ``n >= 3``),
+    the ``L`` pendants fill positions ``0..L-1`` and all their columns are
+    0, since a pendant's one neighbour comes later.  Where they go shows
+    only in the hubs' columns, whose pendant bits are their most
+    significant ones.  Take a placement, and let ``h`` be the first hub
+    placed whose pendants do not fill the highest pendant positions left
+    free by the hubs placed before it.  One of those positions then holds
+    a pendant of a later hub, and one of ``h``'s pendants lies below it.
+    Swapping the two moves a 1 in ``h``'s column to a less significant
+    bit, and leaves every earlier column as it was: the vertices placed
+    before ``h`` are pendants, with column 0, or hubs and other vertices
+    whose pendant bits did not move.  So the string falls.
+    In every minimal placement, then, each hub's ``j`` pendants take the
+    ``j`` highest pendant positions still free when it is placed, and
+    their order among themselves is a swap of twins.  The search places
+    only the other vertices, at positions ``L..n-1``.  A hub's candidate
+    column includes its pendant bits, ``((1 << j) - 1) << (n - 1 - top)``
+    with ``top`` the highest free pendant position, and placing the hub
+    writes its pendants, in increasing order, at ``top - j + 1..top``.
+    Otherwise ``L`` is 0 and every vertex is branched on.
 
     The orbits come from the search itself.  Two leaves with the same column
     string differ by the automorphism ``best[i] -> perm[i]``, and every
-    minimal leaf is reached up to twin transpositions, so those
-    automorphisms and the twin transpositions generate the group.  A
-    union-find seeded with the twin classes and joined at each tie leaf
-    ends as the partition into orbits.  Each automorphism fixing
-    ``0..d-1`` and moving ``d`` is a tie leaf first leaving ``best`` at
-    ``d``, up to a swap of unplaced twins.  So the orbit of ``d`` under those
+    minimal leaf is reached up to twin transpositions (a hub's pendants
+    are twins), so those automorphisms and the twin transpositions
+    generate the group.  A union-find seeded with the twin classes and
+    joined at each tie leaf ends as the partition into orbits.  Each
+    automorphism fixing ``0..d-1`` and moving ``d`` is a tie leaf first
+    leaving ``best`` at ``d``, up to a swap of unplaced twins: the leaf
+    that places the automorphism's hubs in its order writes the same
+    pendants at ``0..d-1`` as ``best``.  So the orbit of ``d`` under those
     automorphisms is the twin classes of ``best[d]`` and of the vertices
     such leaves put at ``d``, from position ``d`` on.
     """
     n = g.n
-    masks = _adjacency_masks(g)
-    degs = [mask.bit_count() for mask in masks]
+    masks = [0] * n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    degs = list(map(len, nbrs))
     target = sorted(degs)
     twin = _twin_classes(masks)
+    by_degree: dict[int, list[int]] = {}
+    for v, deg in enumerate(degs):
+        by_degree.setdefault(deg, []).append(v)
+    # The pendants, placed with their hubs; none where the rule does not
+    # apply (a vertex of degree 0, or a K2 component).
+    leaves = by_degree[1] if target[0] == 1 else []
+    for v in leaves:
+        if degs[nbrs[v][0]] == 1:
+            # A K2's second end has a column of 1.
+            leaves = []
+            break
+    # hang[h]: h's pendants, in increasing order; fill[h]: as many 1 bits.
+    hang: list[tuple[int, ...]] = [()] * n
+    fill = [0] * n
+    for v in leaves:
+        h = nbrs[v][0]
+        hang[h] += (v,)
+        fill[h] = fill[h] << 1 | 1
     # Each twin class's lowest member is its own root: a valid forest.
     root = twin.copy()
 
@@ -121,6 +190,7 @@ def _canonical_search(
             root[v] = v = root[root[v]]
         return v
 
+    acc = [0] * n
     best_cols = [_HUGE] * n
     best_perm: list[int] | None = None
     # moved[d]: twin classes (a bitmask) put at d by tie leaves first
@@ -129,7 +199,7 @@ def _canonical_search(
     perm = [0] * n
     used = [False] * n
 
-    def place(pos: int) -> None:
+    def place(pos: int, top: int) -> None:
         nonlocal best_perm, moved
         if pos == n:
             # best_perm is None exactly when this leaf beat the old minimum.
@@ -148,21 +218,18 @@ def _canonical_search(
                 if a != b:
                     root[a] = b
             return
-        want = target[pos]
+        shift = n - 1 - top
         tried = 0
         least = _HUGE
         branch: list[int] = []
-        for w in range(n):
-            if used[w] or degs[w] != want:
+        for w in by_degree[target[pos]]:
+            if used[w]:
                 continue
             c = twin[w]
             if tried >> c & 1:
                 continue
             tried |= 1 << c
-            col = 0
-            mw = masks[w]
-            for i in range(pos):
-                col = (col << 1) | ((mw >> perm[i]) & 1)
+            col = acc[w] + (fill[w] << shift)
             if col < least:
                 least = col
                 branch = [w]
@@ -178,13 +245,24 @@ def _canonical_search(
                 best_cols[j] = _HUGE
             best_perm = None
             moved = [0] * n
+        bit = 1 << (n - 1 - pos)
         for w in branch:
             perm[pos] = w
             used[w] = True
-            place(pos + 1)
+            for x in nbrs[w]:
+                acc[x] += bit
+            j = len(hang[w])
+            if j:
+                perm[top - j + 1 : top + 1] = hang[w]
+            place(pos + 1, top - j)
+            for x in nbrs[w]:
+                acc[x] -= bit
             used[w] = False
 
-    place(0)
+    place(len(leaves), len(leaves) - 1)
+    # place refers to itself; dropping it here frees the closure at once
+    # rather than leaving a cycle to the garbage collector.
+    del place
     assert best_perm is not None
     first: dict[int, int] = {}
     # where[c]: the positions of twin class c as a bitmask; being disjoint,
@@ -241,6 +319,10 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
     object.__setattr__(canon, "_cert", cert)
     object.__setattr__(canon, "_reps", reps)
     object.__setattr__(canon, "_orbits", orbits)
+    # Set every cache, so that reading one is a plain slot read rather than
+    # a fall through to ``_Unfilled.__getattr__``.
+    object.__setattr__(canon, "_profile", None)
+    object.__setattr__(canon, "_dist", None)
     return canon, cert
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +24,12 @@ from szegedtools import (
     labeled_copy_count,
     parse_graph6,
     path,
+    random_cactus,
     star,
     triangle_bundle,
 )
-from szegedtools.canon import canonical_pair
+from szegedtools import enumeration
+from szegedtools.canon import _twin_classes, canonical_pair
 
 
 def relabel(g, perm):
@@ -372,3 +375,235 @@ class TestStabilizerOrbits:
         assert g._orbits is None
         assert automorphism_count(g) == 12
         assert g._orbits is None
+
+
+def caterpillar(counts):
+    """A spine path ``0..s-1`` with ``counts[i]`` pendants at spine vertex
+    ``i``."""
+    s = len(counts)
+    edges = [(i, i + 1) for i in range(s - 1)]
+    for i, count in enumerate(counts):
+        for _ in range(count):
+            edges.append((i, s))
+            s += 1
+    return graph_from_edges(s, edges)
+
+
+def spider(legs):
+    """Paths of the given lengths joined at vertex 0."""
+    edges = []
+    n = 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev = n
+            n += 1
+    return graph_from_edges(n, edges)
+
+
+def broom(handle, bristles):
+    """A path of ``handle`` vertices with ``bristles`` pendants at its end."""
+    return caterpillar([0] * (handle - 1) + [bristles])
+
+
+def partitions(total, largest=None):
+    """Every nonincreasing tuple of positive integers summing to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest or total), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part,) + rest
+
+
+def compositions(total, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def leaf_count(g):
+    return sum(1 for v in range(g.n) if g.degree(v) == 1)
+
+
+def pendant_families():
+    """Stars, brooms, spiders and caterpillars with n <= 10, as far as the
+    unpruned oracle, which tries every order of the degree-1 vertices, can
+    afford (at most 7 of them).  Each tree appears about once: spiders
+    have three legs or more, and a caterpillar has pendants at both ends of
+    its spine and is read from its lesser end."""
+    graphs = [star(n) for n in range(1, 9)]
+    graphs += [broom(h, b) for h in range(3, 10) for b in range(2, 11 - h)]
+    graphs += [
+        spider(legs)
+        for n in range(4, 11)
+        for legs in partitions(n - 1)
+        if len(legs) >= 3
+    ]
+    for s in range(2, 7):
+        for total in range(2, 11 - s):
+            graphs += [
+                caterpillar(c)
+                for c in compositions(total, s)
+                if c[0] and c[-1] and c <= c[::-1]
+            ]
+    return [g for g in graphs if leaf_count(g) <= 7]
+
+
+def assert_matches_oracles(g):
+    """Certificate and canonical edges as the unpruned search finds them;
+    ``_reps`` and ``_orbits`` as read off the automorphism list."""
+    n = g.n
+    edges, ties = oracles.degree_sorted_canonical(n, g.edges)
+    canon, cert = canonical_pair(g)
+    assert canon.edges == edges
+    assert cert == emit_graph6(graph_from_edges(n, edges)).encode()
+    # The oracle extends partial maps from vertex 0 up, and a canonical
+    # graph puts its degree-1 vertices first, where nothing constrains them;
+    # reversed, the hubs come first and the maps are found quickly.
+    rev = [(n - 1 - u, n - 1 - v) for u, v in canon.edges]
+    auts = [
+        tuple(n - 1 - a[n - 1 - v] for v in range(n))
+        for a in oracles.automorphisms(n, rev)
+    ]
+    assert len(auts) == ties
+    assert canon._reps == tuple(sorted({min(a[v] for a in auts) for v in range(n)}))
+    assert list(canon._orbits) == [
+        tuple(sorted({a[i] for a in auts if a[:i] == tuple(range(i))}))
+        for i in range(n)
+    ]
+
+
+def count_place_calls(g):
+    """Nodes the canonical search visits on ``g``, leaves included."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_name == "place"
+            and code.co_filename == canonical_pair.__code__.co_filename
+        ):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        canonical_pair(g)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestPendantRule:
+    """The search places each hub's pendants with it instead of branching on
+    them, wherever no vertex is isolated and no pendant hangs at a pendant."""
+
+    def test_pendants_are_not_branched_on(self):
+        # Spine 0-1-2 with 1, 2 and 4 pendants: every spine vertex has its
+        # own degree, so the search is one node per spine vertex and a leaf.
+        g = caterpillar([1, 2, 4])
+        assert (g.n, leaf_count(g)) == (10, 7)
+        assert count_place_calls(g) == g.n - 7 + 1
+        assert count_place_calls(star(12)) == 2
+
+    def test_families_against_oracles(self):
+        graphs = pendant_families()
+        assert len(graphs) > 200
+        rng = random.Random(21)
+        for g in graphs:
+            assert_matches_oracles(g)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert_matches_oracles(relabel(g, perm))
+
+    def test_smallest_graphs(self):
+        assert_matches_oracles(graph_from_edges(1, []))
+        assert_matches_oracles(graph_from_edges(2, [(0, 1)]))
+        assert certificate(graph_from_edges(2, [(0, 1)])) == b"A_"
+
+    def test_pendants_with_a_k2_or_isolated_vertices(self):
+        # A random core with pendants hung on it, plus a K2 component or
+        # isolated vertices, which turn the rule off; and without them,
+        # where it applies to graphs that are not cacti.
+        rng = random.Random(2026)
+        for trial in range(240):
+            core = rng.randint(2, 5)
+            edges = [
+                (u, v) for u in range(core) for v in range(u + 1, core)
+                if rng.random() < 0.6
+            ]
+            n = core
+            for _ in range(rng.randint(1, 3)):
+                edges.append((rng.randrange(core), n))
+                n += 1
+            extra = trial % 3
+            if extra == 1:
+                edges.append((n, n + 1))
+                n += 2
+            elif extra == 2:
+                n += rng.randint(1, 2)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert_matches_oracles(
+                graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+            )
+
+
+class TestTwinClasses:
+    def test_match_the_definition(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            p = rng.choice((0.2, 0.5, 0.8))
+            masks = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        masks[u] |= 1 << v
+                        masks[v] |= 1 << u
+            want = [
+                min(
+                    u for u in range(n)
+                    if masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
+                )
+                for v in range(n)
+            ]
+            assert _twin_classes(masks) == want
+
+
+@st.composite
+def relabeled_cacti_with_pendants(draw):
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(0, (n - 1) // 2))
+    edges = list(random_cactus(n, k, seed=draw(st.integers(0, 2**32 - 1))).edges)
+    total = draw(st.integers(n, 12))
+    for v in range(n, total):
+        edges.append((draw(st.integers(0, v - 1)), v))
+    perm = draw(st.permutations(range(total)))
+    return graph_from_edges(total, edges), perm
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabeled_cacti_with_pendants())
+def test_cactus_certificate_and_group_order_invariant_under_relabeling(case):
+    g, perm = case
+    h = relabel(g, perm)
+    assert certificate(h) == certificate(g)
+    assert automorphism_count(h) == automorphism_count(g)
+
+
+def test_class_representatives_keep_every_cache_set(monkeypatch):
+    # Unset caches on an image are read through a fall-back; a freshly
+    # generated representative has all of them set, so its first reads are
+    # plain slot reads.
+    monkeypatch.setattr(enumeration, "_class_cache", {})
+    for rep in cactus_classes(7, 1):
+        for name in ("_dist", "_profile"):
+            assert object.__getattribute__(rep, name) is None
