@@ -96,7 +96,7 @@ def _parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="construct a named family, print graph6")
     p_build.add_argument(
         "family",
-        choices=("c0", "c1", "g_star_1", "bundle", "cycle", "path", "star"),
+        choices=tuple(_FAMILIES),
     )
     p_build.add_argument("--n", type=int, help="vertex count (cycle: length)")
     p_build.add_argument("--k", type=int, help="cycle count")
@@ -288,52 +288,37 @@ def _cmd_compute(args, started: float) -> int:
     return EXIT_OK
 
 
-def _require(args, names: Sequence[str]) -> None:
-    missing = [f"--{x}" for x in names if getattr(args, x) is None]
-    if missing:
-        raise FormatError(f"{args.family} requires {', '.join(missing)}")
+# Each ``build`` family: its constructor in ``szegedtools.families`` and the
+# flags it is built from, in order. ``bundle`` reads its two flags into the
+# one BundleSpec its constructor takes.
+_FAMILIES = {
+    "c0": ("triangle_bundle", ("n", "k")),
+    "c1": ("quadrangle_bundle", ("n", "k")),
+    "g_star_1": ("tailed_quadrangle_bundle", ("n", "k")),
+    "bundle": ("bundle", ("lengths", "pendants")),
+    "cycle": ("cycle", ("n",)),
+    "path": ("path", ("n",)),
+    "star": ("star", ("n",)),
+}
 
 
 def _cmd_build(args, started: float) -> int:
-    from .families import (
-        BundleSpec,
-        bundle,
-        cycle,
-        path,
-        quadrangle_bundle,
-        star,
-        tailed_quadrangle_bundle,
-        triangle_bundle,
-    )
+    from . import families
     from .formats import emit_graph6
 
+    name, flags = _FAMILIES[args.family]
+    values = [getattr(args, x) for x in flags]
+    missing = [f"--{x}" for x, value in zip(flags, values) if value is None]
+    if missing:
+        raise FormatError(f"{args.family} requires {', '.join(missing)}")
+    if name == "bundle":
+        try:
+            lengths = tuple(int(x) for x in args.lengths.split(",") if x)
+        except ValueError:
+            raise FormatError(f"bad --lengths value: {args.lengths!r}")
+        values = [families.BundleSpec(lengths, args.pendants)]
     try:
-        if args.family == "c0":
-            _require(args, ("n", "k"))
-            g = triangle_bundle(args.n, args.k)
-        elif args.family == "c1":
-            _require(args, ("n", "k"))
-            g = quadrangle_bundle(args.n, args.k)
-        elif args.family == "g_star_1":
-            _require(args, ("n", "k"))
-            g = tailed_quadrangle_bundle(args.n, args.k)
-        elif args.family == "bundle":
-            if args.lengths is None:
-                raise FormatError("bundle requires --lengths")
-            try:
-                lengths = tuple(int(x) for x in args.lengths.split(",") if x)
-            except ValueError:
-                raise FormatError(f"bad --lengths value: {args.lengths!r}")
-            g = bundle(BundleSpec(cycle_lengths=lengths, pendants=args.pendants))
-        elif args.family == "cycle":
-            _require(args, ("n",))
-            g = cycle(args.n)
-        elif args.family == "path":
-            _require(args, ("n",))
-            g = path(args.n)
-        else:
-            _require(args, ("n",))
-            g = star(args.n)
+        g = getattr(families, name)(*values)
     except InvalidGraphError as exc:
         raise InfeasibleError(str(exc))
     line = emit_graph6(g)

@@ -118,51 +118,30 @@ def star(n: int) -> Graph:
 def as_bundle(g: Graph) -> BundleSpec | None:
     """Recognize bundles exactly; returns a BundleSpec (lengths sorted) or None.
 
-    Works at any size: the characterization below is structural, not a
-    certificate comparison, so it is not subject to the canonical-form cap.
+    A connected cactus with k cycles and b cut edges is a bundle exactly
+    when its largest degree is 2k + b. Each edge at a vertex v is a cut edge
+    or lies on one cycle, and each cycle through v takes two of them, so
+    deg(v) <= 2k + b, with equality exactly when v lies on every cycle and
+    meets every cut edge. Such a v is a hub. Another vertex on a cycle has degree 2: a
+    second cycle through it would share it and v with the first, and an
+    edge from it to v off the cycle would close such a cycle too. Any other
+    vertex meets only cut edges, which all end at v, so it is a leaf at v.
+    Conversely, a bundle's hub has degree 2k + b, and it has the largest
+    degree: every other vertex has degree at most 2, and where the hub has
+    degree 2 or less (K1, K2, P3, a lone cycle) every vertex of largest
+    degree is a hub.
+
+    Works at any size: nothing here is a certificate comparison, so it is
+    not subject to the canonical-form cap. Raises :class:`DisconnectedError`
+    on disconnected input.
     """
     profile = cactus_profile(g)
     if not profile.is_cactus:
         return None
-    k = profile.k
-    if k == 0:
-        # Bundles without cycles are stars (K1 and K2 included).
-        if g.m == 0:
-            return BundleSpec((), 0) if g.n == 1 else None
-        centers = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-        if g.m == g.n - 1 and centers:
-            return BundleSpec((), g.n - 1)
+    pendants = max(map(len, g.adj)) - 2 * profile.k
+    if pendants != len(profile.bridges):
         return None
-    rings = profile.cycle_vertex_sets
-    # Two cycles of a cactus share at most one vertex, so a common vertex of
-    # several is the hub; a second vertex of degree > 2 on a single cycle
-    # fails the degree-2 test below.
-    if k == 1:
-        hub = next((v for v in rings[0] if g.degree(v) > 2), next(iter(rings[0])))
-    else:
-        common = set(rings[0])
-        for ring in rings[1:]:
-            common &= ring
-        if not common:
-            return None
-        hub = next(iter(common))
-    # Every non-hub cycle vertex must have degree 2, every other vertex must
-    # be a pendant hanging off the hub.
-    on_ring = set()
-    for ring in rings:
-        for v in ring:
-            if v != hub and g.degree(v) != 2:
-                return None
-        on_ring |= ring
-    pendants = 0
-    for v in range(g.n):
-        if v == hub or v in on_ring:
-            continue
-        if g.degree(v) != 1 or g.adj[v][0] != hub:
-            return None
-        pendants += 1
-    lengths = tuple(sorted(len(ring) for ring in rings))
-    return BundleSpec(lengths, pendants)
+    return BundleSpec(profile.cycle_lengths, pendants)
 
 
 def is_quadrangle_bundle(g: Graph, k: int | None = None) -> bool:

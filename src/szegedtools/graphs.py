@@ -272,16 +272,10 @@ class BlockDecomposition(NamedTuple):
 def _block_kind(block: frozenset[tuple[int, int]]) -> str:
     if len(block) == 1:
         return "edge"
-    verts = cycle_vertices(block)
-    # A block is a cycle exactly when it has as many vertices as edges and
-    # every vertex meets exactly two block edges.
-    if len(verts) != len(block):
-        return "other"
-    deg = dict.fromkeys(verts, 0)
-    for u, v in block:
-        deg[u] += 1
-        deg[v] += 1
-    return "cycle" if all(d == 2 for d in deg.values()) else "other"
+    # A block of two or more edges is 2-connected, so each of its vertices
+    # meets at least two block edges: it is a cycle exactly when it has as
+    # many vertices as edges.
+    return "cycle" if len(cycle_vertices(block)) == len(block) else "other"
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:

@@ -237,6 +237,65 @@ class TestBuild:
         assert body["family"] == "cycle"
         assert (body["n"], body["m"]) == (4, 4)
 
+    # Every family's graph6, plain and in JSON. Empty --lengths items are
+    # skipped, so ",," builds a star.
+    BUILT = [
+        (["c0", "--n", "9", "--k", "2"], "H{eCCA?", 9, 10),
+        (["c1", "--n", "9", "--k", "2"], "Hl_KKA?", 9, 10),
+        (["g_star_1", "--n", "9", "--k", "2"], "Hl_KK?@", 9, 10),
+        (["bundle", "--lengths", "3,4", "--pendants", "2"], "G{EKC?", 8, 9),
+        (["bundle", "--lengths", ",,", "--pendants", "3"], "Cs", 4, 3),
+        (["cycle", "--n", "5"], "Dhc", 5, 5),
+        (["path", "--n", "5"], "DhC", 5, 4),
+        (["star", "--n", "5"], "Ds_", 5, 4),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, want, n, m", BUILT, ids=[" ".join(case[0]) for case in BUILT]
+    )
+    def test_every_family_prints_its_graph6(self, argv, want, n, m):
+        assert run_cli(["build", *argv]) == (0, want + "\n", "")
+        code, out, _ = run_cli(["build", *argv, "--format", "json"])
+        assert code == 0
+        body = json.loads(out)
+        assert (body["graph6"], body["n"], body["m"]) == (want, n, m)
+        assert body["family"] == argv[0]
+
+    # Every way ``build`` refuses its flags: missing or unreadable ones exit
+    # 2, values no graph of the family has exit 4.
+    FAILED = [
+        (["c0", "--n", "9"], 2, "c0 requires --k"),
+        (["c1"], 2, "c1 requires --n, --k"),
+        (["g_star_1", "--k", "2"], 2, "g_star_1 requires --n"),
+        (["cycle"], 2, "cycle requires --n"),
+        (["path"], 2, "path requires --n"),
+        (["star", "--format", "json"], 2, "star requires --n"),
+        (["bundle"], 2, "bundle requires --lengths"),
+        (["bundle", "--pendants", "2"], 2, "bundle requires --lengths"),
+        (["bundle", "--lengths", "3,x"], 2, "bad --lengths value: '3,x'"),
+        (["bundle", "--lengths", "3,4.0"], 2, "bad --lengths value: '3,4.0'"),
+        (["bundle", "--lengths", "2,4"], 4, "cycle length 2 < 3"),
+        (
+            ["bundle", "--lengths", "3", "--pendants", "-1"],
+            4,
+            "negative pendant count -1",
+        ),
+        (
+            ["c0", "--n", "4", "--k", "2"],
+            4,
+            "triangle bundle needs n >= 2k+1, got n=4, k=2",
+        ),
+        (["cycle", "--n", "2"], 4, "cycle needs length >= 3, got 2"),
+        (["path", "--n", "0"], 4, "path needs n >= 1, got 0"),
+        (["star", "--n", "0"], 4, "star needs n >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code, message", FAILED, ids=[" ".join(case[0]) for case in FAILED]
+    )
+    def test_error_exit_codes_and_messages(self, argv, code, message):
+        assert run_cli(["build", *argv]) == (code, "", f"error: {message}\n")
+
 
 class TestEnumerate:
     def test_count(self):

@@ -1,8 +1,12 @@
 """Named extremal families: construction, recognition, feasibility."""
 
+import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import samples
@@ -27,6 +31,7 @@ from szegedtools import (
     is_tailed_quadrangle_bundle,
     path,
     quadrangle_bundle,
+    random_cactus,
     star,
     tailed_quadrangle_bundle,
     triangle_bundle,
@@ -113,6 +118,13 @@ class TestAsBundle:
     def test_single_cycle_hub_is_any_attachment_vertex(self):
         g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4)])
         assert as_bundle(g) == BundleSpec((4,), 1)
+
+    def test_non_cactus_whose_degrees_count_like_a_star(self):
+        # K4 with a four-edge tail: largest degree 4, no cycle block and
+        # four cut edges, as in the star on five vertices.
+        k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        g = graph_from_edges(8, k4 + [(0, 4), (4, 5), (5, 6), (6, 7)])
+        assert as_bundle(g) is None
 
     def test_two_edge_tail_is_not_a_bundle(self):
         # all pendant edges must attach directly to the hub
@@ -253,6 +265,72 @@ class TestRecognizersAgainstOracles:
                         got = is_tailed_quadrangle_bundle(h, want)
                         peeled = oracles.tailed_quadrangle_bundle_by_peeling(h, want)
                         assert got == peeled, (h.edges, want)
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _bundle_by_isomorphism(g):
+    """The bundle that g's cycle lengths and n imply, if networkx finds g
+    isomorphic to it; otherwise None."""
+    lengths = cactus_profile(g).cycle_lengths
+    pendants = g.n - 1 - sum(x - 1 for x in lengths)
+    if pendants < 0:
+        return None
+    spec = BundleSpec(lengths, pendants)
+    # VF2 matches the second graph's vertices in their order. ``bundle``
+    # numbers each ring's vertices consecutively, so a wrong ring fails
+    # within that ring; in breadth-first order the search can take seconds.
+    return spec if nx.is_isomorphic(_nx(g), _nx(bundle(spec))) else None
+
+
+class TestAsBundleAgainstIsomorphism:
+    """``as_bundle`` against networkx isomorphism with the implied bundle,
+    past n = 9 where the certificate oracle above stops."""
+
+    # Their hubs have degree at most 2, so other vertices tie with them;
+    # P4 and P5 are the nearest non-bundles.
+    SMALL = [path(1), path(2), path(3), path(4), path(5)] + [
+        cycle(length) for length in range(3, 7)
+    ]
+
+    @pytest.mark.parametrize("g", SMALL, ids=lambda g: f"{g.n}-{g.m}")
+    def test_every_labeling_of_small_hubs(self, g):
+        want = _bundle_by_isomorphism(g)
+        assert (want is None) == (g.n > 3 and g.m < g.n)
+        for perm in itertools.permutations(range(g.n)):
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert as_bundle(h) == want, h.edges
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_relabeled_cacti_and_bundles(self, data):
+        draw = data.draw
+        shape = draw(st.sampled_from(["random", "bundle", "bundle and a block"]))
+        if shape == "random":
+            n = draw(st.integers(1, 40))
+            k = draw(st.integers(0, (n - 1) // 2))
+            g = random_cactus(n, k, seed=draw(st.integers(0, 2**32 - 1)))
+        else:
+            lengths = draw(st.lists(st.integers(3, 8), max_size=4))
+            g = bundle(BundleSpec(lengths, draw(st.integers(0, 6))))
+        edges = list(g.edges)
+        n = g.n
+        if shape == "bundle and a block":
+            # One more pendant (length 2) or cycle, hung at any vertex.
+            at = draw(st.integers(0, n - 1))
+            ring = [at] + list(range(n, n + draw(st.sampled_from([2, 3, 4, 5])) - 1))
+            n += len(ring) - 1
+            edges += list(zip(ring, ring[1:]))
+            if len(ring) > 2:
+                edges.append((ring[-1], at))
+        perm = draw(st.permutations(range(n)))
+        h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        assert as_bundle(h) == _bundle_by_isomorphism(h)
 
 
 class TestFamilyValuesAgainstOracle:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -322,6 +323,26 @@ class TestBlocksAndBridges:
                 for comp in nx.biconnected_component_edges(h)
             }
             assert got == want
+
+    def test_kinds_match_the_degree_definition(self):
+        # A block of two or more edges is a cycle exactly when every one of
+        # its vertices meets two of its edges.
+        rng = random.Random(2000)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            edges = oracles.random_graph_edges(rng, n, extra=rng.random())
+            bd = block_decomposition(graph_from_edges(n, edges))
+            for block, kind in zip(bd.blocks, bd.kinds):
+                ends = Counter(v for e in block for v in e)
+                want = (
+                    "edge"
+                    if len(block) == 1
+                    else "cycle" if set(ends.values()) == {2} else "other"
+                )
+                assert kind == want, sorted(block)
+                seen.add(kind)
+        assert seen == {"edge", "cycle", "other"}
 
     def test_kind_is_cycle_only_for_cycle_blocks(self):
         # in K4 the single block has more edges than vertices, so it is

@@ -22,6 +22,7 @@ from szegedtools import (
     cycle,
     feasible_pairs,
     graph_from_edges,
+    inner_cut_edge_bound,
     quadrangle_bundle,
     minimum_bound,
     second_minimum_bound,
@@ -412,6 +413,105 @@ class TestTheoremViolations:
         assert report.violations[0]["bound"] == QuarterInt(90).to_dict()
         assert report.violations[0]["second"] == QuarterInt(91).to_dict()
         assert report.equality_audit is None
+
+
+SAMPLED = Universe(samples=100, seed=0)
+
+
+class TestLemmasInTheirDomain:
+    """Lemmas 4.1–4.3 claim their floors only where m > 15 and m > 4k,
+    which needs n >= 14, past the exhaustive cap; random draws with
+    n <= 40 reach it."""
+
+    @pytest.mark.parametrize("claim", ["lemma4.1", "lemma4.2", "lemma4.3"])
+    def test_sampled_sweep_judges_graphs_in_the_domain(self, claim):
+        audits = [AUDITORS[claim](g) for g in SAMPLED.graphs()]
+        applicable = [a for a in audits if a.applicable]
+        judged = [a for a in applicable if a.in_domain]
+        assert judged and all(a.floor is not None and a.holds for a in judged)
+        assert all(a.ok for a in judged)
+        report = verify_claim(claim, SAMPLED)
+        assert report.passed and report.checked == 100
+        assert report.findings == (
+            f"{len(applicable) - len(judged)} applicable graphs fall outside "
+            "the m > 15, m > 4k domain; compared informationally only",
+        )
+
+
+class TestLemmaViolations:
+    """Each violation kind of ``verify_claim``, reached by a wrong floor."""
+
+    def test_raised_floor_is_violated_in_the_domain_only(self, monkeypatch):
+        audits = map(audit_inner_cut_edge_floor, SAMPLED.graphs())
+        applicable = [a for a in audits if a.applicable]
+        top = max(a.value.num for a in applicable)
+        monkeypatch.setattr(
+            verify, "inner_cut_edge_bound", lambda m, k: QuarterInt(top + 1)
+        )
+        report = verify_claim("lemma4.1", SAMPLED)
+        judged = [a.graph6 for a in applicable if a.in_domain]
+        assert judged
+        assert _violations(report) == [("bound violated", g6) for g6 in judged]
+        assert _failures(report) == ([], [])
+
+    def test_floor_at_a_non_family_value(self, monkeypatch):
+        # Equality at a graph outside the tailed quadrangle family breaks
+        # the forward direction; every graph of its (m, k) below that value
+        # breaks the bound.
+        judged = [
+            a
+            for a in map(audit_inner_cut_edge_floor, SAMPLED.graphs())
+            if a.applicable and a.in_domain
+        ]
+        top = max(judged, key=lambda a: a.value)
+        assert not top.matches_family
+        monkeypatch.setattr(
+            verify,
+            "inner_cut_edge_bound",
+            lambda m, k: top.value
+            if (m, k) == (top.m, top.k)
+            else inner_cut_edge_bound(m, k),
+        )
+        report = verify_claim("lemma4.1", SAMPLED)
+        below = [
+            ("bound violated", a.graph6)
+            for a in judged
+            if (a.m, a.k) == (top.m, top.k) and a.value < top.value
+        ]
+        assert sorted(_violations(report)) == sorted(
+            below + [("equality without claimed structure", top.graph6)]
+        )
+        assert _failures(report) == ([top.graph6], [])
+
+    def test_family_member_above_a_lowered_floor(self, monkeypatch):
+        # The tailed quadrangle bundle at (17, 4), m = 20, is in the domain.
+        g = tailed_quadrangle_bundle(17, 4)
+        assert audit_inner_cut_edge_floor(g).ok
+        monkeypatch.setattr(
+            verify,
+            "inner_cut_edge_bound",
+            lambda m, k: QuarterInt(inner_cut_edge_bound(m, k).num - 4),
+        )
+        audit = audit_inner_cut_edge_floor(g)
+        assert (audit.in_domain, audit.matches_family) == (True, True)
+        assert (audit.holds, audit.equality) == (True, False)
+        assert (audit.fwd_ok, audit.bwd_ok, audit.ok) == (True, False, False)
+
+    def test_every_kind_in_one_sweep(self, monkeypatch):
+        # At (4, 0) the star CF (15/4) is the bundle and the path CL (19/4)
+        # is not. A floor at the path's value puts equality on the path and
+        # the star below the floor.
+        monkeypatch.setattr(
+            verify, "bundle_closed_form", lambda lengths, m: QuarterInt(19)
+        )
+        report = verify_claim("lemma3.1", Universe(pairs=((4, 0),)))
+        assert _violations(report) == [
+            ("bound violated", "CF"),
+            ("claimed structure without equality", "CF"),
+            ("equality without claimed structure", "CL"),
+        ]
+        assert _failures(report) == (["CL"], ["CF"])
+        assert not report.passed
 
 
 class TestSecondMinimum:
