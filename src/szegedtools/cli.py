@@ -70,6 +70,13 @@ def _cap_from(args) -> int | None:
     return cap
 
 
+def _refuse(args, command: str, *flags: str) -> None:
+    """Exit 2 on any of ``flags`` given to a command that would not read it."""
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+    if given:
+        raise FormatError(f"{command} takes no {', '.join(given)}")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="szegedtools",
@@ -101,7 +108,7 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument("--n", type=int, help="vertex count (cycle: length)")
     p_build.add_argument("--k", type=int, help="cycle count")
     p_build.add_argument("--lengths", help="bundle cycle lengths, e.g. 3,4,4")
-    p_build.add_argument("--pendants", type=int, default=0)
+    p_build.add_argument("--pendants", type=int, help="bundle pendants (default 0)")
     p_build.add_argument("--format", choices=("g6", "json"), default="g6")
 
     p_enum = sub.add_parser("enumerate", help="stream all cacti at (n, k)")
@@ -289,8 +296,8 @@ def _cmd_compute(args, started: float) -> int:
 
 
 # Each ``build`` family: its constructor in ``szegedtools.families`` and the
-# flags it is built from, in order. ``bundle`` reads its two flags into the
-# one BundleSpec its constructor takes.
+# flags it is built from, in order; any other flag is refused. ``bundle``
+# reads its two flags into the one BundleSpec its constructor takes.
 _FAMILIES = {
     "c0": ("triangle_bundle", ("n", "k")),
     "c1": ("quadrangle_bundle", ("n", "k")),
@@ -307,6 +314,10 @@ def _cmd_build(args, started: float) -> int:
     from .formats import emit_graph6
 
     name, flags = _FAMILIES[args.family]
+    unread = [f"--{x}" for x in ("n", "k", "lengths", "pendants") if x not in flags]
+    _refuse(args, args.family, *unread)
+    if name == "bundle" and args.pendants is None:
+        args.pendants = 0
     values = [getattr(args, x) for x in flags]
     missing = [f"--{x}" for x, value in zip(flags, values) if value is None]
     if missing:
@@ -435,11 +446,14 @@ def _cmd_verify(args, started: float) -> int:
             raise FormatError(f"verify {flag} must be at least {least}, got {value}")
     if claim == "thm3.2" and args.samples is not None:
         raise FormatError("verify thm3.2 checks whole classes; it takes no --samples")
+    # Each mode reads its own flags and refuses the others.
     if claim == "thm3.2" and args.m is not None:
+        _refuse(args, "verify thm3.2 --m", "--n", "--max-n")
         if args.k is None:
             raise FormatError("verify thm3.2 --m needs --k")
         report = verify_minimum_formula(args.m, args.k)
     elif claim == "thm4.4":
+        _refuse(args, "verify thm4.4", "--m", "--max-n")
         if args.n is None or args.k is None:
             raise FormatError("verify thm4.4 needs --n and --k")
         report = verify_second_minimum(
@@ -451,7 +465,9 @@ def _cmd_verify(args, started: float) -> int:
         )
     else:
         pairs = ()
+        _refuse(args, f"verify {claim}", "--m")
         if args.n is not None:
+            _refuse(args, f"verify {claim} --n", "--max-n")
             if args.k is None:
                 raise FormatError(f"verify {claim} --n needs --k")
             if not is_feasible(args.n, args.k):
@@ -459,6 +475,8 @@ def _cmd_verify(args, started: float) -> int:
                     f"no cacti with n = {args.n}, k = {args.k}; nothing to verify"
                 )
             pairs = ((args.n, args.k),)
+        elif args.k is not None:
+            raise FormatError(f"verify {claim} --k needs --n")
         elif args.max_n is not None:
             pairs = feasible_pairs(args.max_n)
         elif claim == "thm3.2":

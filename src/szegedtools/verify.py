@@ -171,55 +171,6 @@ def audit_cycle_gaps(g: Graph) -> GapAudit:
     return GapAudit(graph6=emit_graph6(g), m=m, records=tuple(records))
 
 
-class BundleFloorAudit(NamedTuple):
-    """Whole-graph audit: index ≥ closed form at the graph's own cycle lengths,
-    equality exactly when the graph is a one-hub bundle."""
-
-    graph6: str
-    value: QuarterInt
-    floor: QuarterInt
-    is_bundle: bool
-
-    # An unconditional claim: every graph is in its hypothesis and domain.
-    applicable = in_domain = True
-
-    @property
-    def ok(self) -> bool:
-        return self.holds and self.fwd_ok and self.bwd_ok
-
-    @property
-    def holds(self) -> bool:
-        return self.value >= self.floor
-
-    @property
-    def equality(self) -> bool:
-        return self.value == self.floor
-
-    @property
-    def fwd_ok(self) -> bool:
-        return self.is_bundle if self.equality else True
-
-    @property
-    def bwd_ok(self) -> bool:
-        return self.equality if self.is_bundle else True
-
-    def to_dict(self) -> dict:
-        return record_dict(self, ("holds", "fwd_ok", "bwd_ok"))
-
-
-def audit_bundle_floor(g: Graph) -> BundleFloorAudit:
-    """Compare the index against the closed form at the graph's cycle lengths."""
-    profile = _require_cactus_profile(g, "bundle floor audit")
-    m = len(g.edges)
-    floor = bundle_closed_form(profile.cycle_lengths, m)
-    return BundleFloorAudit(
-        graph6=emit_graph6(g),
-        value=edge_revised_szeged(g),
-        floor=floor,
-        is_bundle=as_bundle(g) is not None,
-    )
-
-
 class StructuralFloorAudit(NamedTuple):
     """Audit of one conditional lower bound for graphs with a named defect.
 
@@ -227,6 +178,10 @@ class StructuralFloorAudit(NamedTuple):
     ``in_domain`` whether the edge count satisfies m > 15 and m > 4k, outside
     of which the comparison is informational only.  ``matches_family`` is
     ``None`` for claims with no equality condition.
+
+    Its properties judge every whole-graph floor, Lemma 3.1's included:
+    value ≥ floor (``holds``), equality implies the family (``fwd_ok``),
+    and the family implies equality (``bwd_ok``).
     """
 
     claim: str
@@ -275,6 +230,42 @@ class StructuralFloorAudit(NamedTuple):
 
     def to_dict(self) -> dict:
         return record_dict(self, ("holds", "equality"))
+
+
+class BundleFloorAudit(NamedTuple):
+    """Whole-graph audit: index ≥ closed form at the graph's own cycle lengths,
+    equality exactly when the graph is a one-hub bundle.  The unconditional
+    case of :class:`StructuralFloorAudit`'s judgement, whose family is the
+    bundle: floor and value are always set."""
+
+    graph6: str
+    value: QuarterInt
+    floor: QuarterInt
+    is_bundle: bool
+
+    applicable = in_domain = True
+    matches_family = property(lambda self: self.is_bundle)
+    holds = StructuralFloorAudit.holds
+    equality = StructuralFloorAudit.equality
+    fwd_ok = StructuralFloorAudit.fwd_ok
+    bwd_ok = StructuralFloorAudit.bwd_ok
+    ok = StructuralFloorAudit.ok
+
+    def to_dict(self) -> dict:
+        return record_dict(self, ("holds", "fwd_ok", "bwd_ok"))
+
+
+def audit_bundle_floor(g: Graph) -> BundleFloorAudit:
+    """Compare the index against the closed form at the graph's cycle lengths."""
+    profile = _require_cactus_profile(g, "bundle floor audit")
+    m = len(g.edges)
+    floor = bundle_closed_form(profile.cycle_lengths, m)
+    return BundleFloorAudit(
+        graph6=emit_graph6(g),
+        value=edge_revised_szeged(g),
+        floor=floor,
+        is_bundle=as_bundle(g) is not None,
+    )
 
 
 def _structural_preamble(g: Graph, claim: str, what: str):
@@ -559,6 +550,16 @@ def verify_claim(claim: str, universe: Universe) -> VerificationReport:
 # minimum theorem
 
 
+def _differ(out: list, kind: str, graph6: str | None, **values: QuarterInt) -> bool:
+    """Whether the two named exact ``values``, which the paper says are equal,
+    differ; if so, ``out`` gains ``{"graph6", "kind", name: value, ...}``."""
+    first, second = values.values()
+    if first != second:
+        named = {name: value.to_dict() for name, value in values.items()}
+        out.append({"graph6": graph6, "kind": kind, **named})
+    return first != second
+
+
 def _case_findings(case: BoundCase, m: int) -> list[str]:
     findings = []
     if case.tied_t and len(case.tied_t) > 1:
@@ -583,23 +584,16 @@ def verify_minimum_formula(m: int, k: int) -> VerificationReport:
     findings = _case_findings(case, m)
     checked = 0
     if value is not None:
-        direct = None
-        for t in range(0, k + 1):
-            if 4 * k - t > m:
-                continue
-            checked += 1
-            candidate = mix_closed_form(t, k, m)
-            if direct is None or candidate < direct:
-                direct = candidate
-        if direct is not None and direct != value:
-            violations.append(
-                {
-                    "graph6": None,
-                    "kind": "case value differs from direct mix minimum",
-                    "case_value": value.to_dict(),
-                    "direct_minimum": direct.to_dict(),
-                }
-            )
+        # A value means 3k <= m, so the all-triangle mix at least is feasible.
+        mixes = [mix_closed_form(t, k, m) for t in range(max(0, 4 * k - m), k + 1)]
+        checked = len(mixes)
+        _differ(
+            violations,
+            "case value differs from direct mix minimum",
+            None,
+            case_value=value,
+            direct_minimum=min(mixes),
+        )
     else:
         findings.append(f"not applicable: {case.note}")
     return VerificationReport(
@@ -634,29 +628,24 @@ def verify_minimum_exhaustive(
     if bound is None:
         findings.append(f"bound not applicable: {case.note}")
     else:
-        if bound != search.min_value:
-            violations.append(
-                {
-                    "graph6": argmin[0],
-                    "kind": "exhaustive minimum differs from bound",
-                    "bound": bound.to_dict(),
-                    "minimum": search.min_value.to_dict(),
-                }
-            )
+        _differ(
+            violations,
+            "exhaustive minimum differs from bound",
+            argmin[0],
+            bound=bound,
+            minimum=search.min_value,
+        )
         if case.family is not None and case.family_feasible:
             ref = case.family.build()
             ref_spec = as_bundle(ref)
-            ref_value = edge_revised_szeged(ref)
-            if ref_value != bound:
+            if _differ(
+                violations,
+                "predicted family misses the bound value",
+                emit_graph6(ref),
+                bound=bound,
+                family_value=edge_revised_szeged(ref),
+            ):
                 bwd_fail.append(emit_graph6(ref))
-                violations.append(
-                    {
-                        "graph6": emit_graph6(ref),
-                        "kind": "predicted family misses the bound value",
-                        "bound": bound.to_dict(),
-                        "family_value": ref_value.to_dict(),
-                    }
-                )
             for g6 in argmin:
                 if as_bundle(parse_graph6(g6)) != ref_spec:
                     fwd_fail.append(g6)
@@ -760,14 +749,13 @@ def _second_minimum_exhaustive(
     else:
         if report.second_value is None:
             findings.append("single class; no second value exists")
-        elif report.second_value != bound:
-            violations.append(
-                {
-                    "graph6": report.second_witnesses[0].graph6,
-                    "kind": "exhaustive second value differs from bound",
-                    "bound": bound.to_dict(),
-                    "second": report.second_value.to_dict(),
-                }
+        else:
+            _differ(
+                violations,
+                "exhaustive second value differs from bound",
+                report.second_witnesses[0].graph6,
+                bound=bound,
+                second=report.second_value,
             )
     return VerificationReport(
         claim="thm4.4",
@@ -791,28 +779,23 @@ def _second_minimum_stress(
     violations = []
     findings = []
     checked = 0
-
+    universe = f"closed forms at (m,k)=({m},{k})"
     if bound is None:
         findings.append(f"bound not applicable at (m,k)=({m},{k}): {case.note}")
     else:
+        universe += f" plus {samples} random cacti at (n,k)=({n},{k})"
         # Closed forms against directly computed values on built families.
         checked += 1
         if case.family is not None and case.family_feasible:
             runner = case.family.build()
-            direct = edge_revised_szeged(runner)
-            if direct != bound:
-                violations.append(
-                    {
-                        "graph6": emit_graph6(runner),
-                        "kind": "runner-up family value differs from closed form",
-                        "bound": bound.to_dict(),
-                        "direct": direct.to_dict(),
-                    }
-                )
-            else:
-                findings.append(
-                    f"runner-up family value confirmed directly: {direct}"
-                )
+            if not _differ(
+                violations,
+                "runner-up family value differs from closed form",
+                emit_graph6(runner),
+                bound=bound,
+                direct=edge_revised_szeged(runner),
+            ):
+                findings.append(f"runner-up family value confirmed directly: {bound}")
         elif case.family is not None:
             findings.append(
                 f"runner-up family infeasible at (n,k)=({n},{k}): {case.note}"
@@ -823,26 +806,23 @@ def _second_minimum_stress(
             findings.append(
                 f"tail floor (all-quadrangle form plus m-2) = {tail_floor}"
             )
-            if case.case == "4.4-big-m" and bound != tail_floor:
-                violations.append(
-                    {
-                        "graph6": None,
-                        "kind": "big-m bound differs from tail floor identity",
-                        "bound": bound.to_dict(),
-                        "tail_floor": tail_floor.to_dict(),
-                    }
+            if case.case == "4.4-big-m":
+                _differ(
+                    violations,
+                    "big-m bound differs from tail floor identity",
+                    None,
+                    bound=bound,
+                    tail_floor=tail_floor,
                 )
         if k >= 1 and m >= 4 * k - 1:
             checked += 1
-            mix_floor = mix_closed_form(1, k, m)
-            if case.case == "4.4-small-m" and bound != mix_floor:
-                violations.append(
-                    {
-                        "graph6": None,
-                        "kind": "small-m bound differs from one-triangle mix",
-                        "bound": bound.to_dict(),
-                        "mix_floor": mix_floor.to_dict(),
-                    }
+            if case.case == "4.4-small-m":
+                _differ(
+                    violations,
+                    "small-m bound differs from one-triangle mix",
+                    None,
+                    bound=bound,
+                    mix_floor=mix_closed_form(1, k, m),
                 )
         checked += 1
         sign = crossover(m)
@@ -883,10 +863,7 @@ def _second_minimum_stress(
 
     return VerificationReport(
         claim="thm4.4",
-        universe=(
-            f"closed forms at (m,k)=({m},{k}) plus {samples} random cacti at "
-            f"(n,k)=({n},{k})"
-        ),
+        universe=universe,
         checked=checked,
         violations=tuple(violations),
         findings=tuple(findings),

@@ -296,6 +296,29 @@ class TestBuild:
     def test_error_exit_codes_and_messages(self, argv, code, message):
         assert run_cli(["build", *argv]) == (code, "", f"error: {message}\n")
 
+    # A flag the family is not built from exits 2 rather than being dropped.
+    UNREAD = [
+        (
+            ["cycle", "--n", "5", "--k", "3", "--pendants", "7", "--lengths", "x"],
+            "cycle takes no --k, --lengths, --pendants",
+        ),
+        (["star", "--n", "5", "--pendants", "3"], "star takes no --pendants"),
+        (["c1", "--n", "9", "--k", "2", "--lengths", "3"], "c1 takes no --lengths"),
+        (["path", "--n", "5", "--pendants", "0"], "path takes no --pendants"),
+        (["bundle", "--lengths", "3", "--n", "4"], "bundle takes no --n"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", UNREAD, ids=[" ".join(case[0]) for case in UNREAD]
+    )
+    def test_unread_flag_is_usage_error(self, argv, message):
+        assert run_cli(["build", *argv]) == (2, "", f"error: {message}\n")
+
+    def test_bundle_pendants_default_to_zero(self):
+        code, out, _ = run_cli(["build", "bundle", "--lengths", "3,4"])
+        assert code == 0
+        assert are_isomorphic(parse_graph6(out.strip()), bundle(BundleSpec((3, 4), 0)))
+
 
 class TestEnumerate:
     def test_count(self):
@@ -545,6 +568,45 @@ class TestVerify:
         code, out, err = run_cli(argv.split())
         assert (code, out) == (2, "")
         assert f"verify {flag} must be at least" in err
+
+    # Each mode reads its own flags; any other one exits 2 and is named.
+    UNREAD = [
+        ("verify thm4.4 --n 5 --k 1 --m 7", "verify thm4.4 takes no --m"),
+        (
+            "verify thm4.4 --n 14 --k 3 --max-n 3 --samples 5",
+            "verify thm4.4 takes no --max-n",
+        ),
+        ("verify thm3.2 --m 16 --k 2 --n 4", "verify thm3.2 --m takes no --n"),
+        (
+            "verify thm3.2 --m 16 --k 2 --max-n 4",
+            "verify thm3.2 --m takes no --max-n",
+        ),
+        (
+            "verify lemma2.1 --max-n 4 --n 4 --k 1",
+            "verify lemma2.1 --n takes no --max-n",
+        ),
+        ("verify lemma2.1 --max-n 5 --k 2", "verify lemma2.1 --k needs --n"),
+        ("verify lemma4.2 --samples 5 --k 1", "verify lemma4.2 --k needs --n"),
+        ("verify thm3.2 --max-n 5 --k 2", "verify thm3.2 --k needs --n"),
+        ("verify lemma4.1 --m 20 --max-n 4", "verify lemma4.1 takes no --m"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", UNREAD)
+    def test_unread_flag_is_usage_error(self, argv, message):
+        assert run_cli(argv.split()) == (2, "", f"error: {message}\n")
+
+    def test_second_minimum_outside_the_domain_names_no_samples(self):
+        # (11, 2) is past the exhaustive cap and m = 12 is outside the
+        # claim's domain, so no sample is drawn.
+        code, out, _ = run_cli(["verify", "thm4.4", "--n", "11", "--k", "2"])
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["universe"] == "closed forms at (m,k)=(12,2)"
+        assert report["checked"] == 0
+        assert report["findings"] == [
+            "bound not applicable at (m,k)=(12,2): "
+            "outside domain m > 15 and m > 4k (m=12, k=2)"
+        ]
 
     def test_byte_determinism_modulo_wall_time(self):
         def normalized():

@@ -20,11 +20,16 @@ from szegedtools import (
     audit_off_quadrangle_floor,
     audit_pendant_edges,
     cycle,
+    edge_revised_szeged,
+    emit_graph6,
     feasible_pairs,
     graph_from_edges,
     inner_cut_edge_bound,
+    is_quadrangle_bundle,
     quadrangle_bundle,
     minimum_bound,
+    mix_closed_form,
+    parse_graph6,
     second_minimum_bound,
     star,
     tailed_quadrangle_bundle,
@@ -413,6 +418,135 @@ class TestTheoremViolations:
         assert report.violations[0]["bound"] == QuarterInt(90).to_dict()
         assert report.violations[0]["second"] == QuarterInt(91).to_dict()
         assert report.equality_audit is None
+
+
+def _records(report):
+    """Each violation's items in order, as the human report prints them."""
+    return [list(v.items()) for v in report.violations]
+
+
+class TestClosedFormViolations:
+    """Every violation kind of the formula audit and the stress check, each
+    reached by a wrong closed form and pinned key by key.  (20, 1) has
+    m = 20, in the big-m case; (14, 3) has m = 16, in the small-m case."""
+
+    def test_case_value_differs_from_direct_mix_minimum(self, monkeypatch):
+        case, bound = minimum_bound(16, 2)
+        wrong = QuarterInt(bound.num + 4)
+        monkeypatch.setattr(verify, "minimum_bound", lambda m, k: (case, wrong))
+        report = verify_minimum_formula(16, 2)
+        assert _records(report) == [
+            [
+                ("graph6", None),
+                ("kind", "case value differs from direct mix minimum"),
+                ("case_value", wrong.to_dict()),
+                ("direct_minimum", bound.to_dict()),
+            ]
+        ]
+        assert report.checked == 3 and not report.passed
+
+    def test_runner_up_family_value_differs(self, monkeypatch):
+        case, bound = second_minimum_bound(20, 1)
+        quadrangles = FamilyRef(kind="quadrangle_bundle", n=20, k=1)
+        monkeypatch.setattr(
+            verify,
+            "second_minimum_bound",
+            lambda m, k: (case._replace(family=quadrangles), bound),
+        )
+        report = verify_second_minimum(20, 1, samples=0)
+        g = quadrangle_bundle(20, 1)
+        assert _records(report) == [
+            [
+                ("graph6", emit_graph6(g)),
+                ("kind", "runner-up family value differs from closed form"),
+                ("bound", bound.to_dict()),
+                ("direct", edge_revised_szeged(g).to_dict()),
+            ]
+        ]
+        assert not any("confirmed directly" in f for f in report.findings)
+
+    def test_big_m_bound_differs_from_tail_floor(self, monkeypatch):
+        _, bound = second_minimum_bound(20, 1)
+        wrong = QuarterInt(inner_cut_edge_bound(20, 1).num + 4)
+        monkeypatch.setattr(verify, "inner_cut_edge_bound", lambda m, k: wrong)
+        report = verify_second_minimum(20, 1, samples=0)
+        assert _records(report) == [
+            [
+                ("graph6", None),
+                ("kind", "big-m bound differs from tail floor identity"),
+                ("bound", bound.to_dict()),
+                ("tail_floor", wrong.to_dict()),
+            ]
+        ]
+        assert f"tail floor (all-quadrangle form plus m-2) = {wrong}" in (
+            report.findings
+        )
+
+    def test_small_m_bound_differs_from_one_triangle_mix(self, monkeypatch):
+        _, bound = second_minimum_bound(16, 3)
+        wrong = QuarterInt(mix_closed_form(1, 3, 16).num + 4)
+        monkeypatch.setattr(verify, "mix_closed_form", lambda t, k, m: wrong)
+        report = verify_second_minimum(14, 3, samples=0)
+        assert _records(report) == [
+            [
+                ("graph6", None),
+                ("kind", "small-m bound differs from one-triangle mix"),
+                ("bound", bound.to_dict()),
+                ("mix_floor", wrong.to_dict()),
+            ]
+        ]
+        assert f"runner-up family value confirmed directly: {bound}" in (
+            report.findings
+        )
+
+    @pytest.mark.parametrize(
+        "n, k, kind",
+        [(20, 1, "crossover not positive at m=20"), (14, 3, "crossover not negative at m=16")],
+    )
+    def test_crossover_sign(self, monkeypatch, n, k, kind):
+        monkeypatch.setattr(verify, "crossover", lambda m: QuarterInt(0))
+        report = verify_second_minimum(n, k, samples=0)
+        assert _records(report) == [[("graph6", None), ("kind", kind)]]
+
+    def test_non_bundle_sample_below_the_bound(self, monkeypatch):
+        # A bound above every sample: each one is a stray, and the runner-up
+        # family and the tail floor miss it too.
+        case, bound = second_minimum_bound(20, 1)
+        high = QuarterInt(4 * 10**6)
+        monkeypatch.setattr(
+            verify, "second_minimum_bound", lambda m, k: (case, high)
+        )
+        report = verify_second_minimum(20, 1, samples=5, seed=2)
+        assert _records(report)[:2] == [
+            [
+                ("graph6", emit_graph6(tailed_quadrangle_bundle(20, 1))),
+                ("kind", "runner-up family value differs from closed form"),
+                ("bound", high.to_dict()),
+                ("direct", bound.to_dict()),
+            ],
+            [
+                ("graph6", None),
+                ("kind", "big-m bound differs from tail floor identity"),
+                ("bound", high.to_dict()),
+                ("tail_floor", bound.to_dict()),
+            ],
+        ]
+        strays = report.violations[2:]
+        assert len(strays) == 5
+        for v in strays:
+            g = parse_graph6(v["graph6"])
+            assert (g.n, len(g.edges)) == (20, 20)
+            assert not is_quadrangle_bundle(g, 1)
+            assert list(v.items()) == [
+                ("graph6", v["graph6"]),
+                ("kind", "non-bundle sample below the runner-up bound"),
+                ("value", edge_revised_szeged(g).to_dict()),
+                ("bound", high.to_dict()),
+            ]
+        assert report.findings[-1] == (
+            "stress search: 5 samples, 5 below the bound, "
+            "5 of them outside the quadrangle bundle family"
+        )
 
 
 SAMPLED = Universe(samples=100, seed=0)
