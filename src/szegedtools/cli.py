@@ -157,8 +157,10 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--samples", type=int, help="random cacti to draw (thm4.4: 10000 by default)"
     )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--sample-max-n", type=int, default=40)
+    p_verify.add_argument("--seed", type=int, help="random draws' seed (0 by default)")
+    p_verify.add_argument(
+        "--sample-max-n", type=int, help="largest n drawn by a lemma (40 by default)"
+    )
     p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--cap", type=int)
     p_verify.add_argument("--format", choices=("json", "human"), default="json")
@@ -447,13 +449,16 @@ def _cmd_verify(args, started: float) -> int:
     if claim == "thm3.2" and args.samples is not None:
         raise FormatError("verify thm3.2 checks whole classes; it takes no --samples")
     # Each mode reads its own flags and refuses the others.
+    if claim != "thm4.4" and not args.samples:
+        _refuse(args, f"verify {claim}", "--seed", "--sample-max-n")
+    args.seed = args.seed or 0  # what meta.seed reports when none is given
     if claim == "thm3.2" and args.m is not None:
         _refuse(args, "verify thm3.2 --m", "--n", "--max-n")
         if args.k is None:
             raise FormatError("verify thm3.2 --m needs --k")
         report = verify_minimum_formula(args.m, args.k)
     elif claim == "thm4.4":
-        _refuse(args, "verify thm4.4", "--m", "--max-n")
+        _refuse(args, "verify thm4.4", "--m", "--max-n", "--sample-max-n")
         if args.n is None or args.k is None:
             raise FormatError("verify thm4.4 needs --n and --k")
         report = verify_second_minimum(
@@ -488,7 +493,7 @@ def _cmd_verify(args, started: float) -> int:
         universe = Universe(
             pairs=pairs,
             samples=args.samples or 0,
-            sample_max_n=args.sample_max_n,
+            sample_max_n=args.sample_max_n or 40,
             seed=args.seed,
             cap=cap,
         )

@@ -146,9 +146,7 @@ def as_bundle(g: Graph) -> BundleSpec | None:
 
 def is_quadrangle_bundle(g: Graph, k: int | None = None) -> bool:
     spec = as_bundle(g)
-    if spec is None:
-        return False
-    if any(length != 4 for length in spec.cycle_lengths):
+    if spec is None or spec.cycle_lengths != (4,) * spec.k:
         return False
     return k is None or spec.k == k
 
@@ -156,31 +154,26 @@ def is_quadrangle_bundle(g: Graph, k: int | None = None) -> bool:
 def is_tailed_quadrangle_bundle(g: Graph, k: int | None = None) -> bool:
     """Exact recognizer for :func:`tailed_quadrangle_bundle` results.
 
-    The tail ends in a leaf whose neighbor ``inner`` has degree 2, and the
-    hub is ``inner``'s other neighbor. Every cycle must be a quadrangle
-    through the hub, and every other vertex must be a leaf at the hub. The
-    other cycle vertices then have degree 2: a third neighbor could be
-    neither a leaf at the hub nor on a second cycle through the hub, which
-    would share two vertices with the first. When ``g`` has this shape, the
-    only other such leaf is the far end of a path on 3 or 4 vertices, which
-    is symmetric; so the first leaf found decides. Raises
+    A connected cactus with k cycles, all quadrangles, and b cut edges is a
+    tailed bundle exactly when one vertex v has degree 2k + b - 1 and every
+    other vertex degree at most 2. deg(v) is 2·(cycles through v) + (cut
+    edges at v), at most 2k + b, so v lies on every cycle and meets every
+    cut edge but one, xy. The other cycle vertices have degree 2, so x and
+    y, which have xy as well, lie on no cycle, and their other edges end at
+    v. xv and yv cannot both be edges (they would close a triangle with xy)
+    nor both be missing (g is connected), so one is a pendant at v and the
+    other a leaf: the tail. Every other vertex is a leaf at v. Conversely, a
+    tailed bundle's hub has degree 2k + b - 1 and the rest degree at most
+    2; the hub has degree 2 or less only on P3 and P4. Raises
     :class:`DisconnectedError` on disconnected input, as :func:`as_bundle`
     does.
     """
     profile = cactus_profile(g)
-    if not profile.is_cactus or (k is not None and profile.k != k):
+    if not profile.is_cactus or k not in (None, profile.k):
         return False
-    tail = next(
-        (b for b in range(g.n) if g.degree(b) == 1 and g.degree(g.adj[b][0]) == 2),
-        None,
-    )
-    if tail is None:
+    if profile.cycle_lengths != (4,) * profile.k:
         return False
-    inner = g.adj[tail][0]
-    hub = next(v for v in g.adj[inner] if v != tail)
-    placed = {hub, inner, tail}
-    for ring in profile.cycle_vertex_sets:
-        if len(ring) != 4 or hub not in ring:
-            return False
-        placed |= ring
-    return all(g.adj[v] == (hub,) for v in range(g.n) if v not in placed)
+    hub = 2 * profile.k + len(profile.bridges) - 1
+    degrees = [len(a) for a in g.adj]
+    big = [d for d in degrees if d > 2]
+    return hub in degrees and big == ([hub] if hub > 2 else [])

@@ -487,14 +487,14 @@ def _cactus_distances(g: Graph) -> _Distances | None:
 class CactusProfile(NamedTuple):
     """Block structure summary produced by :func:`cactus_profile`.
 
-    ``cycle_vertex_sets[i]`` holds the vertices of ``cycle_edge_sets[i]``.
+    ``end_block_flags[i]`` says whether ``cycle_edge_sets[i]`` is an end
+    block; ``bridges`` holds the cut edges.
     """
 
     is_cactus: bool
     cycle_edge_sets: tuple[frozenset[tuple[int, int]], ...]
     end_block_flags: tuple[bool, ...]
     bridges: frozenset[tuple[int, int]]
-    cycle_vertex_sets: tuple[frozenset[int], ...]
 
     @property
     def k(self) -> int:
@@ -550,18 +550,16 @@ def cactus_profile(g: Graph) -> CactusProfile:
                 cycle.append((v, last) if v < last else (last, v))
                 last = v
             cycles.append(frozenset(cycle))
-        vertex_sets = tuple(map(frozenset, found.rings))
         flags = tuple(_is_end_block(g, ring) for ring in found.rings)
         profile = CactusProfile(
-            True, tuple(cycles), flags, g.edge_set.difference(*cycles), vertex_sets
+            True, tuple(cycles), flags, g.edge_set.difference(*cycles)
         )
     else:
         dec = block_decomposition(g)
         ok = all(kind in ("edge", "cycle") for kind in dec.kinds)
         cycles = tuple(b for b, kind in zip(dec.blocks, dec.kinds) if kind == "cycle")
-        vertex_sets = tuple(map(cycle_vertices, cycles))
-        flags = tuple(_is_end_block(g, ring) for ring in vertex_sets)
-        profile = CactusProfile(ok, cycles, flags, dec.bridges, vertex_sets)
+        flags = tuple(_is_end_block(g, cycle_vertices(c)) for c in cycles)
+        profile = CactusProfile(ok, cycles, flags, dec.bridges)
     object.__setattr__(g, "_profile", profile)
     return profile
 

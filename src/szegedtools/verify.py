@@ -56,12 +56,7 @@ from .enumeration import (
     search_extremal,
 )
 from .errors import InfeasibleError, InvalidGraphError
-from .families import (
-    BundleSpec,
-    as_bundle,
-    is_quadrangle_bundle,
-    is_tailed_quadrangle_bundle,
-)
+from .families import as_bundle, is_quadrangle_bundle, is_tailed_quadrangle_bundle
 from .formats import emit_graph6, parse_graph6
 from .graphs import Graph, cactus_profile
 from .indices import QuarterInt, edge_gaps, edge_revised_szeged, record_dict
@@ -287,8 +282,8 @@ def audit_inner_cut_edge_floor(g: Graph) -> StructuralFloorAudit:
     """
     profile, shared = _structural_preamble(g, "lemma4.1", "inner cut edge audit")
     m, k = shared["m"], shared["k"]
-    deg = [len(a) for a in g.adj]
-    if not any(deg[u] > 1 and deg[v] > 1 for u, v in profile.bridges):
+    # Each leaf ends one pendant cut edge, and only K2's has two leaves.
+    if len(profile.bridges) <= sum(len(a) == 1 for a in g.adj):
         return StructuralFloorAudit(
             **shared, applicable=False, reason="every cut edge is pendant"
         )
@@ -336,16 +331,16 @@ def audit_off_quadrangle_floor(g: Graph) -> StructuralFloorAudit:
                 cycle_lengths=oddmix,
                 pendants=pendants,
             ),
-            matches_family=pendants >= 0
-            and as_bundle(g) == BundleSpec(oddmix, pendants),
+            matches_family=as_bundle(g) == (oddmix, pendants),
         )
-    hexmix = (6,) + (4,) * (k - 1)
+    # The cycles, all even and one of length six or more, take at least
+    # 6 + 4(k - 1) of the m edges.
     return StructuralFloorAudit(
         **shared,
         applicable=True,
         reason="all cycles even, one of length six or more",
         value=value,
-        floor=bundle_closed_form(hexmix, m) if sum(hexmix) <= m else None,
+        floor=bundle_closed_form((6,) + (4,) * (k - 1), m),
     )
 
 
@@ -365,10 +360,7 @@ def audit_inner_cycle_floor(g: Graph) -> StructuralFloorAudit:
         )
     floor = None
     if m >= 4 * k:
-        candidates = [inner_cycle_bound(m, k)]
-        if m >= 4 * k - 1 and k >= 1:
-            candidates.append(mix_closed_form(1, k, m))
-        floor = min(candidates)
+        floor = min(inner_cycle_bound(m, k), mix_closed_form(1, k, m))
     return StructuralFloorAudit(
         **shared,
         applicable=True,
@@ -635,23 +627,23 @@ def verify_minimum_exhaustive(
             bound=bound,
             minimum=search.min_value,
         )
-        if case.family is not None and case.family_feasible:
-            ref = case.family.build()
-            ref_spec = as_bundle(ref)
-            if _differ(
-                violations,
-                "predicted family misses the bound value",
-                emit_graph6(ref),
-                bound=bound,
-                family_value=edge_revised_szeged(ref),
-            ):
-                bwd_fail.append(emit_graph6(ref))
-            for g6 in argmin:
-                if as_bundle(parse_graph6(g6)) != ref_spec:
-                    fwd_fail.append(g6)
-                    violations.append(
-                        {"graph6": g6, "kind": "minimizer outside the predicted family"}
-                    )
+        # Every case with a bound names a family that exists at (n, k).
+        ref = case.family.build()
+        ref_spec = as_bundle(ref)
+        if _differ(
+            violations,
+            "predicted family misses the bound value",
+            emit_graph6(ref),
+            bound=bound,
+            family_value=edge_revised_szeged(ref),
+        ):
+            bwd_fail.append(emit_graph6(ref))
+        for g6 in argmin:
+            if as_bundle(parse_graph6(g6)) != ref_spec:
+                fwd_fail.append(g6)
+                violations.append(
+                    {"graph6": g6, "kind": "minimizer outside the predicted family"}
+                )
         if search.min_tied:
             findings.append(
                 f"{len(argmin)} classes tie at the minimum " + ", ".join(argmin)
@@ -775,96 +767,90 @@ def _second_minimum_stress(
     samples: int,
     seed: int,
 ) -> VerificationReport:
+    """Theorem 4.4 past the cap: four closed-form checks and a stress search.
+
+    Without a bound, (m, k) lies outside m > 15, m > 4k, k >= 1: nothing is
+    checked or drawn, and the report has no seed.  With one, the runner-up
+    family's value is computed where the family exists, the tail floor is
+    recorded, and the case decides the rest: for m >= 20 the bound equals
+    the tail floor and the crossover is positive, for 16 <= m <= 19 it
+    equals the one-triangle mix and the crossover is negative.  Then no
+    sample below the bound may be anything but the quadrangle bundle.
+    """
     m = n + k - 1
-    violations = []
-    findings = []
-    checked = 0
     universe = f"closed forms at (m,k)=({m},{k})"
     if bound is None:
-        findings.append(f"bound not applicable at (m,k)=({m},{k}): {case.note}")
+        note = f"bound not applicable at (m,k)=({m},{k}): {case.note}"
+        return VerificationReport("thm4.4", universe, 0, (), findings=(note,))
+    violations = []
+    findings = []
+    if case.family_feasible:
+        runner = case.family.build()
+        if not _differ(
+            violations,
+            "runner-up family value differs from closed form",
+            emit_graph6(runner),
+            bound=bound,
+            direct=edge_revised_szeged(runner),
+        ):
+            findings.append(f"runner-up family value confirmed directly: {bound}")
     else:
-        universe += f" plus {samples} random cacti at (n,k)=({n},{k})"
-        # Closed forms against directly computed values on built families.
-        checked += 1
-        if case.family is not None and case.family_feasible:
-            runner = case.family.build()
-            if not _differ(
-                violations,
-                "runner-up family value differs from closed form",
-                emit_graph6(runner),
-                bound=bound,
-                direct=edge_revised_szeged(runner),
-            ):
-                findings.append(f"runner-up family value confirmed directly: {bound}")
-        elif case.family is not None:
-            findings.append(
-                f"runner-up family infeasible at (n,k)=({n},{k}): {case.note}"
-            )
-        if m > 4 * k:
-            checked += 1
-            tail_floor = inner_cut_edge_bound(m, k)
-            findings.append(
-                f"tail floor (all-quadrangle form plus m-2) = {tail_floor}"
-            )
-            if case.case == "4.4-big-m":
-                _differ(
-                    violations,
-                    "big-m bound differs from tail floor identity",
-                    None,
-                    bound=bound,
-                    tail_floor=tail_floor,
-                )
-        if k >= 1 and m >= 4 * k - 1:
-            checked += 1
-            if case.case == "4.4-small-m":
-                _differ(
-                    violations,
-                    "small-m bound differs from one-triangle mix",
-                    None,
-                    bound=bound,
-                    mix_floor=mix_closed_form(1, k, m),
-                )
-        checked += 1
-        sign = crossover(m)
-        if m >= 20 and not sign > 0:
+        findings.append(f"runner-up family infeasible at (n,k)=({n},{k}): {case.note}")
+    tail_floor = inner_cut_edge_bound(m, k)
+    findings.append(f"tail floor (all-quadrangle form plus m-2) = {tail_floor}")
+    if case.case == "4.4-big-m":
+        _differ(
+            violations,
+            "big-m bound differs from tail floor identity",
+            None,
+            bound=bound,
+            tail_floor=tail_floor,
+        )
+        if not crossover(m) > 0:
             violations.append(
                 {"graph6": None, "kind": f"crossover not positive at m={m}"}
             )
-        if 16 <= m <= 19 and not sign < 0:
+    else:
+        _differ(
+            violations,
+            "small-m bound differs from one-triangle mix",
+            None,
+            bound=bound,
+            mix_floor=mix_closed_form(1, k, m),
+        )
+        if not crossover(m) < 0:
             violations.append(
                 {"graph6": None, "kind": f"crossover not negative at m={m}"}
             )
 
-        # Seeded stress search: nothing but the quadrangle bundle may sit
-        # below the runner-up bound.  Absence of a hit is evidence, not proof.
-        rng = random.Random(seed)
-        below = 0
-        stray = 0
-        for _ in range(samples):
-            g = random_cactus(n, k, seed=rng.randrange(2**63))
-            checked += 1
-            value = edge_revised_szeged(g)
-            if value < bound:
-                below += 1
-                if not is_quadrangle_bundle(g, k):
-                    stray += 1
-                    violations.append(
-                        {
-                            "graph6": emit_graph6(g),
-                            "kind": "non-bundle sample below the runner-up bound",
-                            "value": value.to_dict(),
-                            "bound": bound.to_dict(),
-                        }
-                    )
-        findings.append(
-            f"stress search: {samples} samples, {below} below the bound, "
-            f"{stray} of them outside the quadrangle bundle family"
-        )
-
+    # Seeded stress search: nothing but the quadrangle bundle may sit
+    # below the runner-up bound.  Absence of a hit is evidence, not proof.
+    rng = random.Random(seed)
+    below = 0
+    stray = 0
+    for _ in range(samples):
+        g = random_cactus(n, k, seed=rng.randrange(2**63))
+        value = edge_revised_szeged(g)
+        if value < bound:
+            below += 1
+            if not is_quadrangle_bundle(g, k):
+                stray += 1
+                violations.append(
+                    {
+                        "graph6": emit_graph6(g),
+                        "kind": "non-bundle sample below the runner-up bound",
+                        "value": value.to_dict(),
+                        "bound": bound.to_dict(),
+                    }
+                )
+    findings.append(
+        f"stress search: {samples} samples, {below} below the bound, "
+        f"{stray} of them outside the quadrangle bundle family"
+    )
     return VerificationReport(
         claim="thm4.4",
-        universe=universe,
-        checked=checked,
+        universe=f"{universe} plus {samples} random cacti at (n,k)=({n},{k})",
+        checked=4 + samples,
         violations=tuple(violations),
         findings=tuple(findings),
         seed=seed,

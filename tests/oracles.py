@@ -347,18 +347,18 @@ def tailed_quadrangle_bundle_by_peeling(g, k: int | None = None) -> bool:
 
 def block_profile(g):
     """The ``CactusProfile`` of ``g`` from ``block_decomposition``: cycles in
-    the order the blocks pop, vertex sets read off their edges, and a cycle
-    an end block when at most one of its vertices has degree other than 2."""
+    the order the blocks pop, and a cycle an end block when at most one of
+    its vertices, read off its edges, has degree other than 2."""
     from szegedtools import CactusProfile, block_decomposition
 
     dec = block_decomposition(g)
     cycles = tuple(b for b, kind in zip(dec.blocks, dec.kinds) if kind == "cycle")
-    vertex_sets = tuple(frozenset(v for e in c for v in e) for c in cycles)
     flags = tuple(
-        sum(1 for v in verts if g.degree(v) != 2) <= 1 for verts in vertex_sets
+        sum(1 for v in {v for e in c for v in e} if g.degree(v) != 2) <= 1
+        for c in cycles
     )
     ok = all(kind in ("edge", "cycle") for kind in dec.kinds)
-    return CactusProfile(ok, cycles, flags, dec.bridges, vertex_sets)
+    return CactusProfile(ok, cycles, flags, dec.bridges)
 
 
 def random_graph_edges(rng, n: int, extra: float = 0.3):

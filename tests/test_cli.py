@@ -589,6 +589,22 @@ class TestVerify:
         ("verify lemma4.2 --samples 5 --k 1", "verify lemma4.2 --k needs --n"),
         ("verify thm3.2 --max-n 5 --k 2", "verify thm3.2 --k needs --n"),
         ("verify lemma4.1 --m 20 --max-n 4", "verify lemma4.1 takes no --m"),
+        # thm4.4 samples at exactly n; thm3.2, and lemmas without samples,
+        # draw nothing at all.
+        (
+            "verify thm4.4 --n 20 --k 1 --samples 3 --sample-max-n 12",
+            "verify thm4.4 takes no --sample-max-n",
+        ),
+        ("verify thm3.2 --m 16 --k 2 --seed 5", "verify thm3.2 takes no --seed"),
+        (
+            "verify thm3.2 --max-n 5 --sample-max-n 10",
+            "verify thm3.2 takes no --sample-max-n",
+        ),
+        ("verify lemma4.1 --max-n 5 --seed 3", "verify lemma4.1 takes no --seed"),
+        (
+            "verify lemma3.1 --n 6 --k 1 --sample-max-n 10",
+            "verify lemma3.1 takes no --sample-max-n",
+        ),
     ]
 
     @pytest.mark.parametrize("argv, message", UNREAD)
@@ -607,6 +623,13 @@ class TestVerify:
             "bound not applicable at (m,k)=(12,2): "
             "outside domain m > 15 and m > 4k (m=12, k=2)"
         ]
+        assert report["seed"] is None
+
+    def test_seed_in_meta_is_zero_when_not_given(self):
+        for argv in ("verify thm3.2 --max-n 4", "verify lemma2.1 --samples 3"):
+            code, out, _ = run_cli(argv.split())
+            assert code == 0
+            assert json.loads(out)["meta"]["seed"] == 0
 
     def test_byte_determinism_modulo_wall_time(self):
         def normalized():
@@ -675,6 +698,9 @@ class TestVerifyReportBytes:
             ("verify thm3.2 --n 7 --k 2", "f4f31f6ba0c0f918", "a89670eb5ae47dff"),
             ("verify thm3.2 --m 15 --k 2", "313074d1b4c91caa", "a7526ce203d72fa3"),
             ("verify thm4.4 --n 7 --k 1", "78303c67f4155c29", "a620a505bc25a077"),
+            # Past the cap and outside the claim's domain: nothing is drawn,
+            # so the report names no seed.
+            ("verify thm4.4 --n 11 --k 2", "6c88978f760147e6", "fe4743b408585d4f"),
             # Sampled graphs up to n = 12, where lemma 4.2 once fell back to
             # certificates for every graph that is not a bundle.
             (

@@ -266,6 +266,49 @@ class TestRecognizersAgainstOracles:
                         peeled = oracles.tailed_quadrangle_bundle_by_peeling(h, want)
                         assert got == peeled, (h.edges, want)
 
+    def test_tailed_recognizer_matches_peeling_past_n_9(self):
+        # Each quadrangle bundle, tailed or not, with n <= 40 and k <= 8,
+        # relabeled, alone and with one pendant or one 3-, 4- or 5-cycle
+        # hung at a random vertex.
+        rng = random.Random(1)
+        shapes = []
+        families = ((quadrangle_bundle, 1), (tailed_quadrangle_bundle, 3))
+        for (build, least), k in itertools.product(families, range(9)):
+            for n in range(3 * k + least, 41):
+                g = build(n, k)
+                shapes.append((k, g))
+                for size in (2, 3, 4, 5):
+                    at = rng.randrange(n)
+                    ring = [at] + list(range(n, n + size - 1))
+                    edges = list(g.edges) + list(zip(ring, ring[1:]))
+                    if size > 2:
+                        edges.append((ring[-1], at))
+                    shapes.append((k, Graph(n + size - 1, edges)))
+        for k, g in shapes:
+            h = _relabeled(g, rng)
+            for want in (None, k, k + 1):
+                got = is_tailed_quadrangle_bundle(h, want)
+                peeled = oracles.tailed_quadrangle_bundle_by_peeling(h, want)
+                assert got == peeled, (h.edges, want)
+
+    @pytest.mark.parametrize(
+        "g, tailed",
+        [
+            (path(3), True),
+            (path(4), True),
+            (path(5), False),
+            (path(1), False),
+            (path(2), False),
+        ],
+        ids=["P3", "P4", "P5", "K1", "K2"],
+    )
+    def test_tailed_recognizer_on_short_paths(self, g, tailed):
+        # P3 and P4 are the tailed bundles whose hub has degree 1 and 2.
+        for want in (None, 0, 1):
+            expect = tailed and want in (None, 0)
+            assert is_tailed_quadrangle_bundle(g, want) == expect
+            assert oracles.tailed_quadrangle_bundle_by_peeling(g, want) == expect
+
 
 def _nx(g):
     h = nx.Graph()

@@ -673,3 +673,36 @@ class TestSecondMinimum:
     def test_different_seeds_still_pass(self):
         report = verify_second_minimum(21, 2, samples=40, seed=11)
         assert report.passed
+
+    def test_closed_form_checks_past_the_cap(self):
+        # Every pair past the cap, without samples: inside m > 15, m > 4k
+        # the four closed-form checks run and name the runner-up, the tail
+        # floor and the empty stress search, in that order; outside, none.
+        for n in range(11, 41):
+            for k in range((n - 1) // 2 + 1):
+                m = n + k - 1
+                report = verify_second_minimum(n, k, samples=0, cap=10)
+                assert report.passed, (n, k)
+                case, bound = second_minimum_bound(m, k)
+                if not (m > 15 and m > 4 * k and k >= 1):
+                    assert report.checked == 0, (n, k)
+                    assert report.findings == (
+                        f"bound not applicable at (m,k)=({m},{k}): {case.note}",
+                    )
+                    continue
+                if m >= 20 and n < 3 * k + 3:
+                    runner = (
+                        f"runner-up family infeasible at (n,k)=({n},{k}): "
+                        "predicted runner-up needs n >= 3k+3; no pendant is "
+                        "left to extend at this size"
+                    )
+                else:
+                    runner = f"runner-up family value confirmed directly: {bound}"
+                assert report.checked == 4, (n, k)
+                assert report.findings == (
+                    runner,
+                    "tail floor (all-quadrangle form plus m-2) = "
+                    f"{inner_cut_edge_bound(m, k)}",
+                    "stress search: 0 samples, 0 below the bound, "
+                    "0 of them outside the quadrangle bundle family",
+                ), (n, k)
