@@ -266,6 +266,8 @@ def _compute_csv_row(report: dict) -> list:
 
 
 def _cmd_compute(args, started: float) -> int:
+    if args.format == "csv" and args.edges:
+        raise FormatError("compute --format csv takes no --edges")
     reports = [
         _graph_report(g, source, args.edges) for source, g in _compute_inputs(args)
     ]
@@ -428,6 +430,7 @@ def _cmd_search(args, started: float) -> int:
 
 
 def _cmd_verify(args, started: float) -> int:
+    from .bounds import second_minimum_bound
     from .enumeration import is_feasible
     from .verify import (
         Universe,
@@ -449,7 +452,17 @@ def _cmd_verify(args, started: float) -> int:
     if claim == "thm3.2" and args.samples is not None:
         raise FormatError("verify thm3.2 checks whole classes; it takes no --samples")
     # Each mode reads its own flags and refuses the others.
-    if claim != "thm4.4" and not args.samples:
+    if claim == "thm4.4":
+        _refuse(args, "verify thm4.4", "--m", "--max-n", "--sample-max-n")
+        if args.n is None or args.k is None:
+            raise FormatError("verify thm4.4 needs --n and --k")
+        m = args.n + args.k - 1
+        # Samples are drawn only where the claim gives a bound, which is
+        # past the cap; an infeasible pair is left to exit 4 below.
+        if is_feasible(args.n, args.k) and second_minimum_bound(m, args.k)[1] is None:
+            where = f"verify thm4.4 at (m,k)=({m},{args.k})"
+            _refuse(args, where, "--samples", "--seed")
+    elif not args.samples:
         _refuse(args, f"verify {claim}", "--seed", "--sample-max-n")
     args.seed = args.seed or 0  # what meta.seed reports when none is given
     if claim == "thm3.2" and args.m is not None:
@@ -458,9 +471,6 @@ def _cmd_verify(args, started: float) -> int:
             raise FormatError("verify thm3.2 --m needs --k")
         report = verify_minimum_formula(args.m, args.k)
     elif claim == "thm4.4":
-        _refuse(args, "verify thm4.4", "--m", "--max-n", "--sample-max-n")
-        if args.n is None or args.k is None:
-            raise FormatError("verify thm4.4 needs --n and --k")
         report = verify_second_minimum(
             args.n,
             args.k,

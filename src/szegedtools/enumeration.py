@@ -5,16 +5,17 @@ whose blocks are single edges or cycles, with exactly ``k`` cycles.  Such a
 graph always has ``n + k - 1`` edges, and the pair is feasible only when
 ``n >= 2k + 1`` (each cycle needs at least two private vertices).
 
-Isomorphism classes are grown from smaller ones.  Every cactus with
-``n >= 2`` has a leaf block: a pendant edge or a cycle sharing a single vertex
-with the rest.  So the ``(n, k)`` classes are exactly those obtained by
-hanging a pendant vertex at some vertex of an ``(n - 1, k)`` class, plus
-those obtained by attaching an ``L``-cycle at some vertex of an
-``(n - L + 1, k - 1)`` class.  One vertex per automorphism orbit of the
-smaller class is enough: an automorphism taking ``v`` to ``w`` extends, as
-the identity on the new vertices, to an isomorphism between the graph with
-the block at ``v`` and the graph with it at ``w``.  The orbits' least
-vertices come with each class from its canonical search (``_reps``, see
+Isomorphism classes are grown from smaller ones by one rule.  Every cactus
+with ``n >= 2`` has a leaf block: a pendant edge or a cycle sharing a single
+vertex with the rest.  A leaf block on ``size`` new vertices is a pendant
+edge when ``size`` is 1 and a ``(size + 1)``-cycle otherwise, so the
+``(n, k)`` classes are exactly those obtained by hanging one at some vertex
+of an ``(n - size, k - [size > 1])`` class, for ``size`` from 1 to
+``n - 1``.  One vertex per automorphism orbit of the smaller class is
+enough: an automorphism taking ``v`` to ``w`` extends, as the identity on
+the new vertices, to an isomorphism between the graph with the block at
+``v`` and the graph with it at ``w``.  The orbits' least vertices come with
+each class from its canonical search (``_reps``, see
 :func:`~szegedtools.canon.canonical_pair`).  Candidates are canonicalized
 and one graph is kept per certificate (isomorph rejection in the sense of
 McKay 1998), and class lists come out sorted by certificate.
@@ -49,7 +50,7 @@ from .bounds import BoundCase, minimum_bound, second_minimum_bound
 from .canon import CERT_CAP, canonical_pair
 from .errors import CapError, InfeasibleError
 from .formats import emit_graph6
-from .graphs import Graph, _image
+from .graphs import Graph, _image, _leaf_block
 from .indices import QuarterInt, edge_revised_szeged, record_dict
 
 DEFAULT_CAP = 10
@@ -84,10 +85,13 @@ def cactus_classes(
 ) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class, certificate order.
 
-    Infeasible pairs give an empty tuple.  Results are cached per ``(n, k)``,
-    so repeated queries (counting, extremal search, claim verification) share
-    one enumeration.  ``workers`` is accepted for compatibility and ignored:
-    generation runs in one process.
+    Each class is grown from an ``(n - size, k - [size > 1])`` class by a
+    leaf block on ``size`` new vertices (see the module docstring), hung at
+    one vertex per automorphism orbit.  Infeasible pairs give an empty
+    tuple.  Results are cached per ``(n, k)``, so repeated queries
+    (counting, extremal search, claim verification) share one enumeration.
+    ``workers`` is accepted for compatibility and ignored: generation runs
+    in one process.
     """
     _check_cap(n, cap)
     if not is_feasible(n, k):
@@ -105,17 +109,11 @@ def cactus_classes(
 
     if n == 1:
         keep(())
-    # A leaf block is either a pendant edge ...
-    for g in cactus_classes(n - 1, k, cap=cap):
-        for v in g._reps:
-            keep(g.edges + ((v, n - 1),))
-    # ... or an end-block cycle sharing one vertex with the rest.
-    for length in range(3, n + 1):
-        base = n - length + 1
-        path = tuple(zip(range(base, n - 1), range(base + 1, n)))
-        for g in cactus_classes(base, k - 1, cap=cap):
+    for size in range(1, n):
+        first = n - size
+        for g in cactus_classes(first, k - (size > 1), cap=cap):
             for v in g._reps:
-                keep(g.edges + ((v, base),) + path + ((v, n - 1),))
+                keep(g.edges + _leaf_block(v, first, size))
     result = tuple(found[cert] for cert in sorted(found))
     _class_cache[cache_key] = result
     return result
@@ -256,50 +254,42 @@ def search_extremal(
     """Exhaustively minimize the index over all cacti with ``n`` vertices and
     ``k`` cycles, and compare against the closed-form predictions.
 
-    The runner-up value is the smallest value over classes attaining strictly
-    more than the minimum; it is ``None`` when every class ties.  An
-    infeasible pair has no classes to search and raises ``InfeasibleError``.
+    Each class is scored once.  The runner-up value is the smallest value
+    over classes attaining strictly more than the minimum; it is ``None``
+    when every class ties.  Witness records are built only for the classes
+    at those two values.  An infeasible pair has no classes to search and
+    raises ``InfeasibleError``.
     """
     classes = cactus_classes(n, k, workers=workers, cap=cap)
     if not classes:
         raise InfeasibleError(
             f"no cacti exist with n = {n} and k = {k}; nothing to search"
         )
-    scored = [
-        ExtremalWitness(
-            certificate=g._cert.decode("ascii"),
-            graph6=emit_graph6(g),
-            value=edge_revised_szeged(g),
-        )
-        for g in classes
-    ]
-    min_value = min(w.value for w in scored)
-    min_witnesses = tuple(w for w in scored if w.value == min_value)
-    rest = [w for w in scored if w.value != min_value]
-    second_value: QuarterInt | None = None
-    second_witnesses: tuple[ExtremalWitness, ...] = ()
-    if rest:
-        second_value = min(w.value for w in rest)
-        second_witnesses = tuple(w for w in rest if w.value == second_value)
+    values = [edge_revised_szeged(g) for g in classes]
+    min_value = min(values)
+    second_value = min((v for v in values if v != min_value), default=None)
+
+    def witnesses(value) -> tuple[ExtremalWitness, ...]:
+        # A representative is a canonical form: its graph6 string is its
+        # certificate.
+        lines = [emit_graph6(g) for g, v in zip(classes, values) if v == value]
+        return tuple(ExtremalWitness(line, line, value) for line in lines)
 
     m = n + k - 1
     notes: list[str] = []
+
+    def agrees(bound, value, what: str) -> bool | None:
+        if bound is None or value is None:
+            return None
+        if bound != value:
+            notes.append(f"closed-form {what} disagrees with the exhaustive {what}")
+        return bound == value
+
     min_case, min_bound = minimum_bound(m, k)
-    minimum_agrees: bool | None = None
-    if min_bound is not None:
-        minimum_agrees = min_bound == min_value
-        if not minimum_agrees:
-            notes.append(
-                "closed-form minimum disagrees with the exhaustive minimum"
-            )
     sec_case, sec_bound = second_minimum_bound(m, k)
-    second_agrees: bool | None = None
-    if sec_bound is not None and second_value is not None:
-        second_agrees = sec_bound == second_value
-        if not second_agrees:
-            notes.append(
-                "closed-form runner-up disagrees with the exhaustive runner-up"
-            )
+    min_witnesses = witnesses(min_value)
+    minimum_agrees = agrees(min_bound, min_value, "minimum")
+    second_agrees = agrees(sec_bound, second_value, "runner-up")
     return ExtremalReport(
         n=n,
         k=k,
@@ -308,7 +298,7 @@ def search_extremal(
         min_value=min_value,
         min_witnesses=min_witnesses,
         second_value=second_value,
-        second_witnesses=second_witnesses,
+        second_witnesses=witnesses(second_value),
         min_tied=len(min_witnesses) > 1,
         minimum_case=min_case,
         minimum_agrees=minimum_agrees,
@@ -321,8 +311,9 @@ def search_extremal(
 def random_cactus(n: int, k: int, seed: int = 0) -> Graph:
     """Deterministic random cactus by leaf-block growth.
 
-    Starting from one vertex, each step either hangs a pendant vertex or
-    attaches a cycle at a uniformly chosen existing vertex, in shuffled step
+    Starting from one vertex, each step hangs a leaf block (see
+    :func:`cactus_classes`) at a uniformly chosen existing vertex: a cycle on
+    ``2 + extra`` new vertices or a pendant edge on one, in shuffled step
     order.  Every cactus is the end point of some such sequence (peel its
     leaf blocks in reverse), so every isomorphism class, cycles joined by
     bridges included, has positive probability.  Cycle lengths are at least
@@ -335,24 +326,17 @@ def random_cactus(n: int, k: int, seed: int = 0) -> Graph:
         )
     rng = random.Random(seed)
     spare = n - 1 - 2 * k
-    lengths = []
+    sizes = []
     for _ in range(k):
         extra = rng.randint(0, spare)
         spare -= extra
-        lengths.append(3 + extra)
-    # What is left of ``spare`` is the pendant count; a pendant is a 1-step.
-    steps = lengths + [1] * spare
-    rng.shuffle(steps)
+        sizes.append(2 + extra)
+    # What is left of ``spare`` is the pendant count.
+    sizes += [1] * spare
+    rng.shuffle(sizes)
     edges: list[tuple[int, int]] = []
     verts = 1
-    for length in steps:
-        attach = rng.randrange(verts)
-        if length == 1:
-            edges.append((attach, verts))
-            verts += 1
-            continue
-        ring = [attach] + list(range(verts, verts + length - 1))
-        verts += length - 1
-        for i in range(length):
-            edges.append((ring[i], ring[(i + 1) % length]))
+    for size in sizes:
+        edges += _leaf_block(rng.randrange(verts), verts, size)
+        verts += size
     return Graph(n, edges)

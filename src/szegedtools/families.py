@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InfeasibleError
-from .graphs import Graph, cactus_profile
+from .graphs import Graph, _leaf_block, cactus_profile
 
 
 class _BundleFields(NamedTuple):
@@ -52,18 +52,15 @@ class BundleSpec(_BundleFields):
 
 
 def bundle(spec: BundleSpec) -> Graph:
-    """Build the bundle described by ``spec``."""
+    """Build the bundle described by ``spec``: its cycles, then its
+    pendants, hung at hub 0 in turn as leaf blocks, each on the next free
+    vertices."""
     edges = []
     nxt = 1
-    for length in spec.cycle_lengths:
-        ring = [0] + list(range(nxt, nxt + length - 1))
-        nxt += length - 1
-        for i in range(length):
-            edges.append((ring[i], ring[(i + 1) % length]))
-    for _ in range(spec.pendants):
-        edges.append((0, nxt))
-        nxt += 1
-    return Graph(max(nxt, 1), edges)
+    for size in [length - 1 for length in spec.cycle_lengths] + [1] * spec.pendants:
+        edges += _leaf_block(0, nxt, size)
+        nxt += size
+    return Graph(nxt, edges)
 
 
 def triangle_bundle(n: int, k: int) -> Graph:

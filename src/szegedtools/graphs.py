@@ -220,6 +220,18 @@ def _image(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
     return image
 
 
+def _leaf_block(at: int, first: int, size: int) -> tuple[tuple[int, int], ...]:
+    """The edges of a leaf block hung at vertex ``at`` on the new vertices
+    ``first..first + size - 1``: the pendant edge ``(at, first)`` when
+    ``size`` is 1, else the cycle of length ``size + 1`` through ``at``.
+    Every pair ``(u, v)`` has ``u < v`` when ``at < first``."""
+    if size == 1:
+        return ((at, first),)
+    last = first + size - 1
+    path = zip(range(first, last), range(first + 1, last + 1))
+    return ((at, first), *path, (at, last))
+
+
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a validated Graph from an iterable of vertex pairs."""
     return Graph(n, edges)

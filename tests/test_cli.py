@@ -15,6 +15,7 @@ import pytest
 from spies import count_calls_on
 from szegedtools import (
     BundleSpec,
+    QuarterInt,
     are_isomorphic,
     bundle,
     certificate,
@@ -26,7 +27,7 @@ from szegedtools import (
     triangle_bundle,
 )
 import szegedtools
-from szegedtools import graphs
+from szegedtools import enumeration, graphs
 from szegedtools.cli import main
 
 
@@ -71,6 +72,12 @@ class TestCompute:
             {"edge": [0, 2], "m_u": 1, "m_v": 1, "m_0": 1},
             {"edge": [1, 2], "m_u": 1, "m_v": 1, "m_0": 1},
         ]
+
+    def test_csv_refuses_edges(self):
+        # The CSV has one row per graph and no edge columns.
+        argv = ["compute", "--g6", "Bw", "--edges", "--format", "csv"]
+        message = "error: compute --format csv takes no --edges\n"
+        assert run_cli(argv) == (2, "", message)
 
     def test_csv_output(self):
         code, out, _ = run_cli(["compute", "--g6", "Bw", "--format", "csv"])
@@ -459,6 +466,22 @@ class TestSearch:
     def test_expectation_flag_passes_when_bound_agrees(self):
         assert run_cli(["search", "--n", "4", "--k", "1", "--expect-thm32"])[0] == 0
 
+    @pytest.mark.parametrize(
+        "flag, bound",
+        [
+            ("--expect-thm32", "minimum_bound"),
+            ("--expect-thm44", "second_minimum_bound"),
+        ],
+    )
+    def test_expectation_flag_fails_on_a_wrong_bound(self, monkeypatch, flag, bound):
+        # Each flag reads its own verdict: only its closed form is wrong.
+        case, _ = getattr(enumeration, bound)(5, 1)
+        monkeypatch.setattr(enumeration, bound, lambda m, k: (case, QuarterInt(0)))
+        argv = ["search", "--n", "5", "--k", "1", "--second", flag]
+        code, out, _ = run_cli(argv)
+        assert code == 1
+        assert len(json.loads(out)["notes"]) == 1
+
     def test_human_format(self):
         code, out, _ = run_cli(
             ["search", "--n", "5", "--k", "1", "--format", "human"]
@@ -605,11 +628,38 @@ class TestVerify:
             "verify lemma3.1 --n 6 --k 1 --sample-max-n 10",
             "verify lemma3.1 takes no --sample-max-n",
         ),
+        # thm4.4 draws only inside its domain, m > 15 and m > 4k, which lies
+        # past the cap: under it at (9, 2), past it at (11, 2).
+        (
+            "verify thm4.4 --n 9 --k 2 --seed 5",
+            "verify thm4.4 at (m,k)=(10,2) takes no --seed",
+        ),
+        (
+            "verify thm4.4 --n 9 --k 2 --samples 7",
+            "verify thm4.4 at (m,k)=(10,2) takes no --samples",
+        ),
+        (
+            "verify thm4.4 --n 11 --k 2 --seed 3",
+            "verify thm4.4 at (m,k)=(12,2) takes no --seed",
+        ),
+        (
+            "verify thm4.4 --n 11 --k 2 --samples 7",
+            "verify thm4.4 at (m,k)=(12,2) takes no --samples",
+        ),
+        (
+            "verify thm4.4 --n 11 --k 2 --samples 7 --seed 3",
+            "verify thm4.4 at (m,k)=(12,2) takes no --samples, --seed",
+        ),
     ]
 
     @pytest.mark.parametrize("argv, message", UNREAD)
     def test_unread_flag_is_usage_error(self, argv, message):
         assert run_cli(argv.split()) == (2, "", f"error: {message}\n")
+
+    def test_infeasible_second_minimum_is_not_a_usage_error(self):
+        code, out, err = run_cli("verify thm4.4 --n 4 --k 2 --seed 5".split())
+        assert (code, out) == (4, "")
+        assert err == "error: no cacti with n = 4, k = 2; nothing to verify\n"
 
     def test_second_minimum_outside_the_domain_names_no_samples(self):
         # (11, 2) is past the exhaustive cap and m = 12 is outside the

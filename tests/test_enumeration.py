@@ -384,6 +384,47 @@ class TestSearchExtremal:
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert "53" in text
 
+    def test_reports_are_pinned_through_n10(self):
+        pairs = [(n, k) for n in range(1, 11) for k in range(n) if is_feasible(n, k)]
+        reports = [search_extremal(n, k) for n, k in pairs]
+        lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (
+            30,
+            "55cee1836ab25aa031a40a1eb0c689f7de18f4a822ce0e2f941ecf5095c11d02",
+        )
+        # A representative is a canonical form: its graph6 string is its
+        # certificate.
+        for r in reports:
+            for w in r.min_witnesses + r.second_witnesses:
+                assert w.certificate == w.graph6
+
+    def test_closed_forms_that_miss_the_scan_are_reported(self, monkeypatch):
+        # No pair under the cap is in thm4.4's domain, so the runner-up is
+        # compared only with a closed form put in its place.  At (5, 1) the
+        # minimum is 85/4 and the runner-up 91/4.
+        for name in ("minimum_bound", "second_minimum_bound"):
+            case, _ = getattr(enumeration, name)(5, 1)
+            monkeypatch.setattr(
+                enumeration, name, lambda m, k, case=case: (case, QuarterInt(0))
+            )
+        report = search_extremal(5, 1)
+        assert report.minimum_agrees is False
+        assert report.second_agrees is False
+        assert report.notes == (
+            "closed-form minimum disagrees with the exhaustive minimum",
+            "closed-form runner-up disagrees with the exhaustive runner-up",
+        )
+
+    def test_a_runner_up_closed_form_that_agrees(self, monkeypatch):
+        case, _ = enumeration.second_minimum_bound(5, 1)
+        monkeypatch.setattr(
+            enumeration, "second_minimum_bound", lambda m, k: (case, QuarterInt(91))
+        )
+        report = search_extremal(5, 1)
+        assert (report.minimum_agrees, report.second_agrees) == (True, True)
+        assert report.notes == ()
+
 
 class TestRandomCactus:
     def test_deterministic_per_seed(self):
@@ -416,6 +457,20 @@ class TestRandomCactus:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
             random_cactus(4, 2, seed=0)
+
+    def test_seeded_graphs_are_pinned(self):
+        lines = [
+            emit_graph6(random_cactus(n, k, seed=s))
+            for n in range(1, 41)
+            for k in range(n)
+            if is_feasible(n, k)
+            for s in range(3)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (
+            1260,
+            "69dd5ab6c4d2ddb69fc75e7f29bc781e799e7e48db2edda5a8275d9a1c55d2de",
+        )
 
     @pytest.mark.parametrize(
         "n,k", [(n, k) for n in range(1, 9) for k in range(n) if is_feasible(n, k)]

@@ -1,5 +1,6 @@
 """Named extremal families: construction, recognition, feasibility."""
 
+import hashlib
 import itertools
 import random
 
@@ -24,6 +25,7 @@ from szegedtools import (
     certificate,
     cycle,
     edge_revised_szeged,
+    emit_graph6,
     feasible_pairs,
     graph_from_edges,
     is_cactus,
@@ -77,6 +79,21 @@ class TestBundle:
 
     def test_no_cycles_is_star(self):
         assert are_isomorphic(bundle(BundleSpec((), 3)), star(4))
+
+    def test_numbering_is_pinned(self):
+        # Hub 0, each cycle's vertices in order, pendants last: the graph6
+        # strings of 140 small bundles, newline-joined.
+        lines = [
+            emit_graph6(bundle(BundleSpec(lengths, pendants)))
+            for r in range(4)
+            for lengths in itertools.combinations_with_replacement((3, 4, 5, 6), r)
+            for pendants in range(4)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (
+            140,
+            "49da921b0b5c8556e2c57b7980a4d6ba324169db11cf47ea77e536108314e088",
+        )
 
     def test_rejects_bad_specs(self):
         with pytest.raises(InfeasibleError):

@@ -196,6 +196,18 @@ class TestDeferredAdjacency:
             assert not _is_set(image, "adj")
 
 
+class TestLeafBlock:
+    @pytest.mark.parametrize("size", range(1, 7))
+    @pytest.mark.parametrize("at, first", [(0, 1), (2, 5), (4, 9)])
+    def test_pendant_edge_or_cycle_through_at(self, at, first, size):
+        block = graphs._leaf_block(at, first, size)
+        assert all(u < v for u, v in block)
+        assert len(set(block)) == len(block)
+        assert {x for e in block for x in e} == {at, *range(first, first + size)}
+        shape = nx.path_graph(2) if size == 1 else nx.cycle_graph(size + 1)
+        assert nx.is_isomorphic(nx.Graph(block), shape)
+
+
 class TestDeferredCaches:
     """An image's caches: unset until written or until the adjacency is
     built, read as ``None`` meanwhile, and never reset by the switch to a

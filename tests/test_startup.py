@@ -96,7 +96,8 @@ class TestImportFootprint:
         "argv",
         [
             ["compute", "--g6", "Bw"],
-            ["compute", "--g6", "DQw", "--edges", "--format", "csv"],
+            ["compute", "--g6", "DQw", "--edges", "--format", "human"],
+            ["compute", "--g6", "DQw", "--format", "csv"],
             ["build", "c1", "--n", "9", "--k", "2"],
             ["build", "bundle", "--lengths", "3,4", "--format", "json"],
         ],
