@@ -49,7 +49,7 @@ from __future__ import annotations
 from math import factorial, prod
 
 from .errors import CapError
-from .formats import _graph6
+from .formats import emit_graph6
 from .graphs import Graph
 
 CERT_CAP = 12
@@ -296,13 +296,14 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
 
     Canonicalizing is idempotent (the canonical graph's own identity placement
     already realizes the minimal bit string), so the certificate is cached on
-    both graphs.  The canonical graph also keeps what the search finds of
-    its symmetries: ``_reps``, the least vertex of each automorphism orbit,
-    and ``_orbits[i]``, the orbit of ``i`` under the automorphisms fixing
+    both graphs, and the canonical graph, an image, keeps it as its graph6
+    string too.  It also keeps what the search finds of its symmetries:
+    ``_reps``, the least vertex of each automorphism orbit, and
+    ``_orbits[i]``, the orbit of ``i`` under the automorphisms fixing
     ``0..i-1`` (``i`` and larger vertices), both in increasing order.  A
     permutation ``p`` is the least member of its coset ``p∘Aut`` exactly
     when ``p[i] < p[j]`` for every ``j != i`` in ``_orbits[i]``.  Only
-    ``g.n`` and ``g.edges`` are read, so ``g`` may be an unfilled image.
+    ``g.n`` and ``g.edges`` are read, so an image's adjacency stays unbuilt.
     """
     _require_small(g, "canonical form")
     placement, reps, orbits = _canonical_search(g)
@@ -310,19 +311,11 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
     for pos, orig in enumerate(placement):
         newlabel[orig] = pos
     canon = g._relabeled(newlabel)
-    # Encoded here rather than through emit_graph6, whose read of the new
-    # image's empty cache would fall through to ``_Unfilled.__getattr__``.
-    text = _graph6(canon.n, canon.edges)
-    object.__setattr__(canon, "_g6", text)
-    cert = text.encode("ascii")
+    cert = emit_graph6(canon).encode("ascii")
     object.__setattr__(g, "_cert", cert)
     object.__setattr__(canon, "_cert", cert)
     object.__setattr__(canon, "_reps", reps)
     object.__setattr__(canon, "_orbits", orbits)
-    # Set every cache, so that reading one is a plain slot read rather than
-    # a fall through to ``_Unfilled.__getattr__``.
-    object.__setattr__(canon, "_profile", None)
-    object.__setattr__(canon, "_dist", None)
     return canon, cert
 
 

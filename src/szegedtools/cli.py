@@ -353,6 +353,8 @@ def _cmd_enumerate(args, started: float) -> int:
     from .enumeration import cactus_classes, count_cacti, enumerate_cacti
     from .formats import emit_graph6
 
+    if args.format == "csv" and args.count:
+        raise FormatError("enumerate --format csv takes no --count")
     cap = _cap_from(args)
     if args.count:
         total = (

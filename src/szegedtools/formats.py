@@ -112,14 +112,7 @@ def emit_graph6(g: Graph) -> str:
     cached = g._g6
     if cached is not None:
         return cached
-    text = _graph6(g.n, g.edges)
-    object.__setattr__(g, "_g6", text)
-    return text
-
-
-def _graph6(n: int, edges) -> str:
-    """The graph6 string of the graph on ``0..n-1`` with ``edges``, pairs
-    ``(u, v)`` with ``u < v``; nothing is kept."""
+    n = g.n
     if n > _G6_MAX_N:
         raise FormatError(f"graph6 limited to n <= {_G6_MAX_N}, got n = {n}")
     if n <= 62:
@@ -127,11 +120,13 @@ def _graph6(n: int, edges) -> str:
     else:
         head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
     bits = bytearray((n * (n - 1) // 2 + 7) // 8)
-    for u, v in edges:
+    for u, v in g.edges:
         i = v * (v - 1) // 2 + u
         bits[i >> 3] |= 128 >> (i & 7)
     body = binascii.b2a_base64(bits, newline=False).translate(_BASE64_TO_G6)
-    return head + body[: _payload_len(n)].decode("ascii")
+    text = head + body[: _payload_len(n)].decode("ascii")
+    object.__setattr__(g, "_g6", text)
+    return text
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -37,10 +37,15 @@ m_u - m_v and m_0 of every edge, the sum of the squared gaps, the Szeged and
 the Wiener index. The profile's edge and vertex sets are built from the
 rings on the first read of :func:`cactus_profile`, so a caller that only
 wants indices never pays for them.
+
+Each fact a Graph keeps is a class attribute that reads ``None`` until a
+value is kept in the instance dict. A validated Graph builds its adjacency
+at once, an image made without validation on first read.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DisconnectedError, InvalidGraphError
@@ -53,21 +58,21 @@ class Graph:
     certificate, the graph6 string, the cactus profile, the distance
     analysis (per-edge gaps m_u - m_v and m_0, the Szeged and the Wiener
     index) and, on a canonical form, the least vertex of each automorphism
-    orbit and the orbits of the point stabilizers.  A copy or a pickle
-    keeps the certificate, the graph6 string and those symmetries, and
-    rebuilds the rest when read.
+    orbit and the orbits of the point stabilizers.  Each reads ``None``
+    until ``object.__setattr__`` keeps it in the instance dict.  A copy or
+    a pickle keeps the certificate, the graph6 string and those symmetries,
+    and rebuilds the rest when read.
 
     ``Graph(n, edges)`` validates its input and builds the adjacency tuples
     ``adj`` and the frozenset ``edge_set`` at once.  An image made by
     :meth:`_relabeled` or by the labeled stream sets only ``n`` and
-    ``edges``, and builds the rest when first read (see :class:`_Unfilled`),
-    since most images are only counted or printed.
+    ``edges`` and builds each of the two on its first read, since most
+    images are only counted or printed.
     """
 
-    __slots__ = (
-        "n", "edges", "adj", "edge_set",
-        "_cert", "_g6", "_profile", "_dist", "_reps", "_orbits",
-    )
+    __slots__ = ("n", "edges", "__dict__")
+
+    _cert = _g6 = _profile = _dist = _reps = _orbits = None
 
     def __init__(self, n: int, edges):
         if n < 1:
@@ -86,31 +91,26 @@ class Graph:
             seen.add((u, v))
             norm.append((u, v))
         norm.sort()
-        put = object.__setattr__
-        put(self, "n", n)
-        put(self, "edges", tuple(norm))
-        for name in _CACHES:
-            put(self, name, None)
-        self._fill_adjacency(seen)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(norm))
+        # Through the setter rather than self.__dict__, which would turn
+        # CPython's inline attribute values into a dict that reads slower.
+        object.__setattr__(self, "adj", _adjacency(n, self.edges))
+        object.__setattr__(self, "edge_set", frozenset(seen))
 
-    def _fill_adjacency(self, edge_set) -> None:
-        """Set ``adj`` from ``edges``; ``edge_set`` freezes a collection of
-        the same edges."""
-        # Walking the sorted edges appends each vertex's smaller neighbours,
-        # in increasing order, before its larger ones: every list is sorted.
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
-        object.__setattr__(self, "edge_set", frozenset(edge_set))
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        return _adjacency(self.n, self.edges)
+
+    @cached_property
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.edges)
 
     def _relabeled(self, perm) -> Graph:
         """The image of this graph under the bijection ``v -> perm[v]``.
 
         Skips validation: the image of a valid graph under a bijection of
-        ``0..n-1`` is valid.  ``perm`` must be such a bijection.  The image
-        is an :class:`_Unfilled` graph.
+        ``0..n-1`` is valid.  ``perm`` must be such a bijection.
         """
         norm = []
         for u, v in self.edges:
@@ -121,14 +121,11 @@ class Graph:
         return _image(self.n, tuple(norm))
 
     def __reduce__(self):
-        # The default reduce restores slots through the blocked __setattr__;
-        # rebuilding from n and edges also works on an image not yet filled.
-        kept = tuple(getattr(self, name) for name in _KEPT)
+        # The default reduce would set slots through the blocked __setattr__;
+        # the state carries the facts named in _KEPT into the copy's dict.
+        facts = vars(self)
+        kept = {name: facts[name] for name in _KEPT if name in facts}
         return Graph, (self.n, self.edges), kept
-
-    def __setstate__(self, state):
-        for name, value in zip(_KEPT, state):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -160,48 +157,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# The derived facts a Graph keeps once computed; see :class:`_Unfilled`.
-_CACHES = ("_cert", "_g6", "_profile", "_dist", "_reps", "_orbits")
-# Those a copy or a pickle keeps: the certificate, the graph6 string and the
-# symmetries a canonical form keeps from its search.
+# The kept facts a copy or a pickle keeps: the certificate, the graph6
+# string and the symmetries a canonical form keeps from its search.
 _KEPT = ("_cert", "_g6", "_reps", "_orbits")
 
 
-class _Unfilled(Graph):
-    """A graph with only ``n`` and ``edges`` set: an image made by
-    :meth:`Graph._relabeled` or by the labeled stream, which are mostly only
-    counted or printed.
-
-    Its ``adj`` and ``edge_set`` are built, and its caches set, when first
-    needed.  Reading an unset cache (``_cert``, ``_g6``, ``_profile``,
-    ``_dist``, ``_reps``, ``_orbits``) gives ``None`` and builds nothing; a
-    cache can be set as on any Graph.  The first read of ``adj`` or
-    ``edge_set`` builds both, sets whichever cache is still unset to
-    ``None``, keeps those already set, and turns the object into a plain
-    Graph.  A ``__getattr__`` on Graph itself
-    would slow every attribute read of every graph (about twofold on CPython
-    3.11), not only these.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        # Runs only when normal lookup fails: here, on the read of an unset
-        # slot.
-        if name in _CACHES:
-            return None
-        if name == "adj" or name == "edge_set":
-            self._fill_adjacency(self.edges)
-            for cache in _CACHES:
-                try:
-                    object.__getattribute__(self, cache)
-                except AttributeError:
-                    object.__setattr__(self, cache, None)
-            object.__setattr__(self, "__class__", Graph)
-            return object.__getattribute__(self, name)
-        raise AttributeError(
-            f"'Graph' object has no attribute {name!r}", name=name, obj=self
-        )
+def _adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Neighbour tuples of the graph on ``0..n-1`` with the sorted ``edges``:
+    each vertex meets its smaller neighbours, in order, before its larger."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
 
 
 # The slot descriptors' own setters: about 0.2 us per image less than
@@ -212,9 +180,10 @@ _set_edges = Graph.edges.__set__
 
 
 def _image(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
-    """An :class:`_Unfilled` graph on ``0..n-1`` with ``edges``: sorted,
-    distinct ``(u, v)`` with ``u < v``, not checked again."""
-    image = _new_image(_Unfilled)
+    """A Graph on ``0..n-1`` with ``edges``: sorted, distinct ``(u, v)``
+    with ``u < v``, not checked again.  Its ``adj`` and ``edge_set`` are
+    built on first read."""
+    image = _new_image(Graph)
     _set_n(image, n)
     _set_edges(image, edges)
     return image
@@ -544,8 +513,9 @@ def cactus_profile(g: Graph) -> CactusProfile:
     BFS. Computed once per graph and kept on it, which is safe because a
     Graph never changes.
     """
-    if g._profile is not None:
-        return g._profile
+    profile = g._profile
+    if profile is not None:
+        return profile
     found = g._dist
     if found is None:
         found = _cactus_distances(g)

@@ -281,9 +281,9 @@ def _analysis(g: Graph) -> _Distances:
     the many small graphs that enumeration caches. A kept profile that says
     ``g`` is no cactus spares the cactus DFS, which would only give up.
     """
-    if g._dist is None:
+    found = g._dist
+    if found is None:
         profile = g._profile
-        found = None
         if profile is None or profile.is_cactus:
             found = _cactus_distances(g)
         if found is None:
@@ -298,7 +298,7 @@ def _analysis(g: Graph) -> _Distances:
                 None,
             )
         object.__setattr__(g, "_dist", found)
-    return g._dist
+    return found
 
 
 def edge_partitions(g: Graph) -> list[EdgePartition]:

@@ -600,9 +600,8 @@ def test_cactus_certificate_and_group_order_invariant_under_relabeling(case):
 
 
 def test_class_representatives_keep_every_cache_set(monkeypatch):
-    # Unset caches on an image are read through a fall-back; a freshly
-    # generated representative has all of them set, so its first reads are
-    # plain slot reads.
+    # A freshly generated representative keeps no profile and no distance
+    # analysis: both read None from the class, and nothing builds them.
     monkeypatch.setattr(enumeration, "_class_cache", {})
     for rep in cactus_classes(7, 1):
         for name in ("_dist", "_profile"):

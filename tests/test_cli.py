@@ -377,6 +377,13 @@ class TestEnumerate:
         assert len(lines) == 3
         assert lines[1].startswith("CN,4,4,")
 
+    @pytest.mark.parametrize("labeled", [[], ["--labeled"]])
+    def test_csv_refuses_count(self, labeled):
+        # The CSV has one row per graph; a count has no rows to give.
+        argv = ["enumerate", "--n", "5", "--k", "1", "--count", "--format", "csv"]
+        message = "error: enumerate --format csv takes no --count\n"
+        assert run_cli(argv + labeled) == (2, "", message)
+
     def test_over_cap_exit_code(self):
         code, _, err = run_cli(["enumerate", "--n", "11", "--k", "0", "--count"])
         assert code == 5

@@ -106,12 +106,12 @@ class TestConstruction:
 
 
 def _is_set(g, name):
-    """Whether slot ``name`` is set, read past ``__getattr__``."""
-    try:
-        object.__getattribute__(g, name)
-    except AttributeError:
-        return False
-    return True
+    """Whether ``name`` is kept on ``g``, checked without building it."""
+    return name in vars(g)
+
+
+# The facts a Graph keeps once computed.
+FACTS = ("_cert", "_g6", "_profile", "_dist", "_reps", "_orbits")
 
 
 def _random_images(seed, count):
@@ -157,6 +157,9 @@ class TestDeferredAdjacency:
         assert image.edges == ((0, 3), (1, 2), (1, 3), (2, 3))
         assert not _is_set(image, "adj")
         assert image.adj == ((3,), (2, 3), (1, 3), (0, 1, 2))
+        assert _is_set(image, "adj") and not _is_set(image, "edge_set")
+        assert image.adj is image.adj
+        assert image.edge_set == frozenset(image.edges)
         assert _is_set(image, "edge_set")
         assert type(image) is Graph
 
@@ -209,30 +212,28 @@ class TestLeafBlock:
 
 
 class TestDeferredCaches:
-    """An image's caches: unset until written or until the adjacency is
-    built, read as ``None`` meanwhile, and never reset by the switch to a
-    plain Graph."""
+    """An image's kept facts: read as ``None`` until written, and kept when
+    the adjacency is built later."""
 
     def test_cache_read_before_the_adjacency_builds_nothing(self):
         image = samples.paw()._relabeled([3, 2, 1, 0])
-        for name in graphs._CACHES:
+        for name in FACTS:
             assert getattr(image, name) is None
             assert not _is_set(image, name)
-        assert not _is_set(image, "adj") and not _is_set(image, "edge_set")
-        assert type(image) is graphs._Unfilled
+        assert vars(image) == {}
 
-    @pytest.mark.parametrize("name", graphs._CACHES)
+    @pytest.mark.parametrize("name", FACTS)
     def test_cache_set_before_the_switch_survives_it(self, name):
         image = samples.paw()._relabeled([3, 2, 1, 0])
         kept = object()
         object.__setattr__(image, name, kept)
         assert getattr(image, name) is kept
         assert image.edge_set == samples.paw()._relabeled([3, 2, 1, 0]).edge_set
-        assert type(image) is Graph
+        assert image.adj == samples.paw()._relabeled([3, 2, 1, 0]).adj
         assert getattr(image, name) is kept
-        for other in graphs._CACHES:
+        for other in FACTS:
             if other != name:
-                assert _is_set(image, other) and getattr(image, other) is None
+                assert not _is_set(image, other) and getattr(image, other) is None
 
     def test_graph6_kept_before_the_switch(self):
         for want, image in _random_images(12, 100):
