@@ -18,13 +18,20 @@ in O(n + m) time and memory:
   there. The ring's top vertex takes the complement.
 - A cut edge splits the graph into the two sides of the tree edge, so its
   counts are the subtree counts and m_0 = 1.
-- On an edge of an L-cycle, a branch sides with the nearer endpoint. Prefix
-  sums around the doubled ring add up each side. For even L the antipodal
-  edge is the only other equidistant edge; for odd L the whole branch at the
-  opposite vertex is equidistant, and no ring edge but the edge itself.
-- The Wiener index adds V * V' over cut edges and, per cycle, the sum of
-  V_i V_j d(i, j) over ring pairs, which prefix sums of V_i and i * V_i
-  give in O(L).
+- On an edge of an L-cycle, a branch sides with the nearer endpoint. For
+  even L the antipodal edge is the only other equidistant edge; for odd L
+  the whole branch at the opposite vertex is equidistant, and no ring edge
+  but the edge itself.
+- So the u side of ring edge i is the window of half branches ending at
+  ring[i], and one window sliding around the ring gives every edge's sides
+  in O(L): the next edge's window gains ring[i + 1] and loses
+  ring[i + 1 - half]. The v side is the rest of the graph, less the opposite
+  branch for odd L.
+- The Wiener index adds V * V' over cut edges and, per cycle, half the sum
+  of V_i S(i), where S(i) sums V_j d(i, j) over the ring. S(0) is summed
+  once; then S(i + 1) = S(i) + n_u - n_v for the edge from i to i + 1,
+  since its step takes every vertex on the u side one farther and every
+  vertex on the v side one nearer.
 
 The walk detects a disconnected graph. It gives up at the first tree edge
 covered by two back edges, which happens exactly when the graph is no
@@ -45,10 +52,33 @@ at once, an image made without validation on first read.
 
 from __future__ import annotations
 
-from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DisconnectedError, InvalidGraphError
+
+
+class _kept_on_read:
+    """A non-data descriptor that builds a fact on its first read and keeps
+    it with ``object.__setattr__``, which shadows the descriptor from then
+    on.  ``functools.cached_property`` would keep it through
+    ``instance.__dict__``, which turns CPython's inline attribute values
+    into a dict that takes more memory and reads slower."""
+
+    __slots__ = ("build", "name")
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.build(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
 
 
 class Graph:
@@ -98,11 +128,11 @@ class Graph:
         object.__setattr__(self, "adj", _adjacency(n, self.edges))
         object.__setattr__(self, "edge_set", frozenset(seen))
 
-    @cached_property
+    @_kept_on_read
     def adj(self) -> tuple[tuple[int, ...], ...]:
         return _adjacency(self.n, self.edges)
 
-    @cached_property
+    @_kept_on_read
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
@@ -409,54 +439,69 @@ def _cactus_distances(g: Graph) -> _Distances | None:
     for ring in rings:
         size = len(ring)
         half = size // 2
-        # Branch weights at ring[0] (the top vertex), ring[1], ..., ring[-1].
+        odd = size & 1
+        # Branch weights at ring[0] (the top vertex), ring[1], ..., ring[-1],
+        # and reach = S(0), the sum of V_j d(0, j) over the ring.
         verts = [n - sub_v[ring[1]]]
         edges = [m - sub_e[ring[1]]]
+        reach = 0
         for i in range(1, size - 1):
             x, y = ring[i], ring[i + 1]
-            verts.append(sub_v[x] - sub_v[y])
+            v = sub_v[x] - sub_v[y]
+            verts.append(v)
             edges.append(sub_e[x] - sub_e[y] - 1)
-        verts.append(sub_v[ring[-1]])
+            reach += v * (i if i <= half else size - i)
+        v = sub_v[ring[-1]]
+        verts.append(v)
         edges.append(sub_e[ring[-1]] - 2)
-        # Prefix sums around the doubled ring.
-        pv = [0]
-        pe = [0]
-        for a, b in zip(verts + verts, edges + edges):
-            pv.append(pv[-1] + a)
-            pe.append(pe[-1] + b)
-        # Ring edge i joins ring[i] and ring[i + 1]; ring[i - half + 1 .. i]
-        # side with ring[i], ring[i + 1 .. i + half] with ring[i + 1]. Each
-        # side also holds the same number of ring edges (half for odd L,
-        # half - 1 for even L), so the gap is that of the branch edges.
-        for i in range(size):
-            lo, mid, hi = i + size - half + 1, i + 1, i + half + 1
-            n_u = pv[i + size + 1] - pv[lo]
-            n_v = pv[hi] - pv[mid]
-            gap = pe[i + size + 1] - pe[lo] - pe[hi] + pe[mid]
-            m_0 = 1 + edges[hi % size] if size & 1 else 2
-            a, b = ring[i], ring[(i + 1) % size]
+        reach += v
+        # Ring edge i joins ring[i] and ring[i + 1]. The branches at
+        # ring[i - half + 1 .. i] side with ring[i], those at
+        # ring[i + 1 .. i + half] with ring[i + 1], and for odd L the one at
+        # ring[i - half], opposite the edge, with neither. Each side also
+        # holds the same number of ring edges (half for odd L, half - 1 for
+        # even L), so the gap is that of the m - L branch edges.
+        # The u side starts as the window of edge -1 and slides by one
+        # branch per edge: ring[i] joins it and ring[i - half] leaves, a
+        # negative index counting back from the end of the ring.
+        n_u = sum(verts[size - half:])
+        e_u = sum(edges[size - half:])
+        rest = m - size
+        pairs = 0
+        for i, a in enumerate(ring):
+            v = verts[i]
+            j = i - half
+            v_out = verts[j]
+            e_out = edges[j]
+            n_u += v - v_out
+            e_u += edges[i] - e_out
+            if odd:
+                n_v = n - n_u - v_out
+                e_v = rest - e_u - e_out
+                m_0 = 1 + e_out
+            else:
+                n_v = n - n_u
+                e_v = rest - e_u
+                m_0 = 2
+            gap = e_u - e_v
+            b = ring[i + 1 - size]
             if a < b:
                 split[(a, b)] = (gap, m_0)
             else:
                 split[(b, a)] = (-gap, m_0)
             szeged_total += n_u * n_v
-        # Sum over ring pairs j < i of V_j V_i d(j, i), where pairs at most
-        # half apart take i - j and the rest size - i + j.
-        pw = [0]
-        for i, a in enumerate(verts):
-            pw.append(pw[-1] + i * a)
-        for i, a in enumerate(verts):
-            lo = i - half if i > half else 0
-            near = i * (pv[i] - pv[lo]) - (pw[i] - pw[lo])
-            far = (size - i) * pv[lo] + pw[lo]
-            wiener_total += a * (near + far)
+            # Sum of V_i S(i). The step to ring[i + 1] takes the u side one
+            # farther and the v side one nearer: S(i + 1) = S(i) + n_u - n_v.
+            pairs += v * reach
+            reach += n_u - n_v
+        wiener_total += pairs // 2
 
-    rows = [split[e] for e in g.edges]
-    gaps = tuple(gap for gap, _ in rows)
+    # One C-level pass over the rows; K1 has none to unzip.
+    gaps, zeros = zip(*map(split.__getitem__, g.edges)) if m else ((), ())
     return _Distances(
         gaps,
-        tuple(m_0 for _, m_0 in rows),
-        sum(gap * gap for gap in gaps),
+        zeros,
+        sum(map(mul, gaps, gaps)),
         szeged_total,
         wiener_total,
         # Built as tuples once the walk is done: keeping the lists the walk

@@ -26,6 +26,8 @@ m_u and m_v follow from m, m_0 and the gap.
 from __future__ import annotations
 
 import sys
+from itertools import repeat
+from operator import add, floordiv, sub
 from typing import NamedTuple
 
 from .errors import DisconnectedError, InvalidGraphError
@@ -150,6 +152,10 @@ class QuarterInt:
         return f"QuarterInt({self.num})"
 
 
+# The field types whose JSON form is the value itself, matched exactly.
+_SCALARS = frozenset((int, str, bool, type(None)))
+
+
 def plain(value):
     """The JSON form of one result field.
 
@@ -160,7 +166,7 @@ def plain(value):
     for a plain tuple.
     """
     cls = type(value)
-    if cls is int or cls is str or cls is bool or value is None:
+    if cls in _SCALARS:
         return value
     if cls is QuarterInt:
         return value.to_dict()
@@ -173,8 +179,11 @@ def plain(value):
 
 def record_dict(record, extra: tuple[str, ...] = ()) -> dict:
     """The JSON form of a result record: each field in order, then each
-    property named in ``extra``, all through :func:`plain`."""
-    out = {name: plain(value) for name, value in zip(record._fields, record)}
+    property named in ``extra``, all through :func:`plain`. A scalar field
+    is copied without the call."""
+    out = {}
+    for name, value in zip(record._fields, record):
+        out[name] = value if type(value) in _SCALARS else plain(value)
     for name in extra:
         out[name] = plain(getattr(record, name))
     return out
@@ -305,14 +314,15 @@ def edge_partitions(g: Graph) -> list[EdgePartition]:
     """Edge partition for every edge of ``g``, in ``g.edges`` order.
 
     Rebuilt from the kept analysis: m_u = (m - m_0 + gap) / 2 and
-    m_v = (m - m_0 - gap) / 2.
+    m_v = m_u - gap, in C-level maps with no Python call per edge; each
+    record is made as ``EdgePartition._make`` makes it.
     """
     found = _analysis(g)
-    m = g.m
-    return [
-        EdgePartition((m - m_0 + gap) // 2, (m - m_0 - gap) // 2, m_0)
-        for gap, m_0 in zip(found.gaps, found.zeros)
-    ]
+    gaps, zeros = found.gaps, found.zeros
+    sides = map(sub, repeat(g.m), zeros)
+    mus = list(map(floordiv, map(add, sides, gaps), repeat(2)))
+    rows = zip(mus, map(sub, mus, gaps), zeros)
+    return list(map(tuple.__new__, repeat(EdgePartition), rows))
 
 
 def wiener(g: Graph) -> int:

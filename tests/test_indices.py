@@ -268,6 +268,68 @@ class TestCactusPass:
             assert {(p.m_u, p.m_v, p.m_0) for p in edge_partitions(g)} == {want}
             _assert_matches_bfs_path(g)
 
+    # The ring pass slides one window of branches around each ring; these
+    # shapes make every slip of that window change some edge's counts.
+
+    def test_branched_ring_of_every_length(self):
+        # Both parities, windows that wrap past ring[0], and for odd L an
+        # opposite branch with edges of its own (m_0 = 1 + E_opp > 1).
+        rng = random.Random(4141)
+        for size in range(3, 42):
+            edges = [(i, (i + 1) % size) for i in range(size)]
+            n = size
+            for at in range(size):
+                branch_n = rng.randint(1, 6)
+                branch_k = rng.randint(0, (branch_n - 1) // 2)
+                branch = random_cactus(branch_n, branch_k, seed=rng.randrange(2**32))
+                # The branch's vertex 0 is the ring vertex; the rest are new.
+                place = [at, *range(n, n + branch_n - 1)]
+                edges += [(place[u], place[v]) for u, v in branch.edges]
+                n += branch_n - 1
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _assert_matches_bfs_path(graph_from_edges(n, edges))
+            _assert_matches_bfs_path(
+                graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+            )
+
+    @pytest.mark.parametrize("long_rings", [(242,), (64, 181)])
+    def test_many_triangles_and_long_rings(self, long_rings):
+        # The shape of the index benchmark's inputs at n = 400: k = n / 5
+        # cycles, no cut edges, the spare budget in one or two long rings,
+        # every cycle hung at a random vertex.
+        rng = random.Random(sum(long_rings))
+        sizes = [3] * (80 - len(long_rings)) + list(long_rings)
+        rng.shuffle(sizes)
+        edges = []
+        n = 1
+        for size in sizes:
+            edges += graphs._leaf_block(rng.randrange(n), n, size - 1)
+            n += size - 1
+        assert (n, len(edges)) == (400, 479)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        assert not cactus_profile(g).bridges
+        _assert_matches_bfs_path(g)
+
+    @pytest.mark.parametrize("size", [3, 4, 7, 8, 9, 10])
+    def test_ring_with_a_different_branch_at_every_vertex(self, size):
+        # Ring vertex i carries a path of i vertices and, from i = 2 on, a
+        # triangle at the path's end, so the vertex and edge counts of the
+        # branches all differ and a window one place off moves every sum.
+        edges = [(i, (i + 1) % size) for i in range(size)]
+        n = size
+        for at in range(size):
+            last = at
+            for _ in range(at):
+                edges.append((last, n))
+                last, n = n, n + 1
+            if at >= 2:
+                edges += [(last, n), (n, n + 1), (last, n + 1)]
+                n += 2
+        _assert_matches_bfs_path(graph_from_edges(n, edges))
+
     @pytest.mark.parametrize("factory", [samples.k4, samples.diamond])
     def test_non_cactus_takes_the_bfs_path(self, factory):
         g = factory()
