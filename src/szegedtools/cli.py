@@ -358,7 +358,7 @@ def _cmd_enumerate(args, started: float) -> int:
     cap = _cap_from(args)
     if args.count:
         total = (
-            count_cacti(args.n, args.k, workers=args.workers, cap=cap)
+            count_cacti(args.n, args.k, cap=cap)
             if not args.labeled
             # Orbit-stabilizer: class g has n!/|Aut(g)| labeled copies.
             else sum(map(labeled_copy_count, cactus_classes(args.n, args.k, cap=cap)))
@@ -368,9 +368,7 @@ def _cmd_enumerate(args, started: float) -> int:
         else:
             print(total)
         return EXIT_OK
-    stream = enumerate_cacti(
-        args.n, args.k, dedup=not args.labeled, workers=args.workers, cap=cap
-    )
+    stream = enumerate_cacti(args.n, args.k, dedup=not args.labeled, cap=cap)
     if args.format == "json":
         lines = [emit_graph6(g) for g in stream]
         _print_json(
@@ -394,9 +392,7 @@ def _cmd_enumerate(args, started: float) -> int:
 def _cmd_search(args, started: float) -> int:
     from .enumeration import search_extremal
 
-    report = search_extremal(
-        args.n, args.k, workers=args.workers, cap=_cap_from(args)
-    )
+    report = search_extremal(args.n, args.k, cap=_cap_from(args))
     payload = report.to_dict()
     if not args.second:
         payload.pop("second_value", None)

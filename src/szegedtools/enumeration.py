@@ -80,9 +80,7 @@ def _check_cap(n: int, cap: int | None) -> None:
 _class_cache: dict[tuple[int, int], tuple[Graph, ...]] = {}
 
 
-def cactus_classes(
-    n: int, k: int, *, workers: int = 1, cap: int | None = None
-) -> tuple[Graph, ...]:
+def cactus_classes(n: int, k: int, *, cap: int | None = None) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class, certificate order.
 
     Each class is grown from an ``(n - size, k - [size > 1])`` class by a
@@ -90,8 +88,6 @@ def cactus_classes(
     one vertex per automorphism orbit.  Infeasible pairs give an empty
     tuple.  Results are cached per ``(n, k)``, so repeated queries
     (counting, extremal search, claim verification) share one enumeration.
-    ``workers`` is accepted for compatibility and ignored: generation runs
-    in one process.
     """
     _check_cap(n, cap)
     if not is_feasible(n, k):
@@ -134,9 +130,10 @@ def enumerate_cacti(
     graph on vertex set ``0..n-1`` is yielded once: class by class in
     certificate order, and within a class in lexicographic order of the first
     permutation of the representative that gives it.  Infeasible pairs yield
-    nothing; ``n`` over the cap raises ``CapError``.
+    nothing; ``n`` over the cap raises ``CapError``.  ``workers`` is
+    accepted for compatibility and ignored: generation runs in one process.
     """
-    classes = cactus_classes(n, k, workers=workers, cap=cap)
+    classes = cactus_classes(n, k, cap=cap)
     if dedup:
         yield from classes
         return
@@ -210,11 +207,9 @@ def _coset_prefixes(
     return extend((), list(range(len(orbits))))
 
 
-def count_cacti(
-    n: int, k: int, *, workers: int = 1, cap: int | None = None
-) -> int:
+def count_cacti(n: int, k: int, *, cap: int | None = None) -> int:
     """Number of isomorphism classes of cacti with ``n`` vertices, ``k`` cycles."""
-    return len(cactus_classes(n, k, workers=workers, cap=cap))
+    return len(cactus_classes(n, k, cap=cap))
 
 
 class ExtremalWitness(NamedTuple):
@@ -258,9 +253,10 @@ def search_extremal(
     over classes attaining strictly more than the minimum; it is ``None``
     when every class ties.  Witness records are built only for the classes
     at those two values.  An infeasible pair has no classes to search and
-    raises ``InfeasibleError``.
+    raises ``InfeasibleError``.  ``workers`` is accepted for compatibility
+    and ignored: the search runs in one process.
     """
-    classes = cactus_classes(n, k, workers=workers, cap=cap)
+    classes = cactus_classes(n, k, cap=cap)
     if not classes:
         raise InfeasibleError(
             f"no cacti exist with n = {n} and k = {k}; nothing to search"

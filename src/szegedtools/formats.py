@@ -6,7 +6,8 @@ offset by 63). The short-form header is one byte ``n + 63`` for n <= 62; the
 long form is ``~`` plus ``n`` in three such 6-bit bytes, for
 63 <= n <= 258047. Both forms are emitted and parsed.
 Parsing is strict: bad characters, truncated or oversized payloads, and
-nonzero padding bits are all rejected with the byte offset of the problem.
+nonzero padding bits are all rejected with the byte offset of the problem,
+so a parsed graph keeps its input as its graph6 (see :func:`parse_graph6`).
 
 The edge-list format is one ``n m`` line followed by ``m`` lines ``u v``.
 """
@@ -37,7 +38,12 @@ def _payload_len(n: int) -> int:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string (optional ``>>graph6<<`` header allowed)."""
+    """Decode one graph6 string (optional ``>>graph6<<`` header allowed).
+
+    The graph keeps the string after the header, without trailing newlines,
+    as its graph6: the header form is fixed by ``n``, the payload length is
+    exact and padding bits are 0, so it is what :func:`emit_graph6` writes.
+    """
     base = 0
     if text.startswith(">>graph6<<"):
         base = len(">>graph6<<")
@@ -101,13 +107,16 @@ def parse_graph6(text: str) -> Graph:
                 v = (1 + math.isqrt(8 * i + 1)) // 2
                 edges.append((i - v * (v - 1) // 2, v))
         at = classes.find(1, at + 1)
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    object.__setattr__(g, "_g6", text)
+    return g
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as graph6: short form for n <= 62, long form above.
 
-    The string is kept on the graph, so each graph is encoded once.
+    The string is kept on the graph, and a parsed graph keeps its input, so
+    each graph is encoded at most once.
     """
     cached = g._g6
     if cached is not None:

@@ -257,8 +257,6 @@ def all_bfs_distances(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
     return all(d >= 0 for d in bfs_distances(g, 0))
 
 
@@ -293,9 +291,9 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     """Split ``g`` into biconnected components.
 
     Iterative low-point search with an explicit edge stack; blocks pop when a
-    child's low point reaches back no further than its parent.
+    child's low point reaches back no further than its parent.  A vertex the
+    search from vertex 0 never reaches raises :class:`DisconnectedError`.
     """
-    require_connected(g)
     disc = [-1] * g.n
     low = [0] * g.n
     counter = 0
@@ -337,6 +335,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                         if e == tree_edge:
                             break
                     blocks.append(frozenset(block))
+    if counter < g.n:
+        raise DisconnectedError("graph is not connected")
     kinds = tuple(_block_kind(b) for b in blocks)
     bridges = frozenset(
         next(iter(b)) for b, kind in zip(blocks, kinds) if kind == "edge"

@@ -14,8 +14,9 @@ run no canonical search and work at any size.
 So one table, ``AUDITORS``, maps each lemma's claim id to its audit, and one
 sweep, ``verify_claim``, folds any lemma's audits over a ``Universe`` into a
 report.  Reports carry re-checkable witnesses (graph6 strings) for anything
-that fails, and record ties or boundary behavior as findings rather than
-failures.
+that fails, and record ties and boundary behavior as findings.  A tie whose
+minimizers fall outside the one family a theorem names is also a violation:
+at (n, k) = (12, 4), m = 15, three of Theorem 3.2's four minimizers are.
 
 The two theorems are checked on whole classes instead of per graph, and
 both read one exhaustive scan, ``search_extremal``: Theorem 3.2 its minimum
@@ -604,50 +605,47 @@ def verify_minimum_exhaustive(
 
     Reads the true minimum and its witnesses from :func:`search_extremal`
     and compares value and argmin set against the case prediction.  Every
-    predicted family is a bundle, so a minimizer belongs to it exactly when
-    ``as_bundle`` gives the same shape.  Ties on the minimum are findings.
+    predicted family is one bundle class, so a minimizer is in it exactly
+    when ``as_bundle`` gives its shape, and a tie is a finding and a violation.
     """
     if not is_feasible(n, k):
         raise InfeasibleError(f"no cacti with n = {n}, k = {k}; nothing to verify")
     m = n + k - 1
     search = search_extremal(n, k, cap=cap)
     argmin = [w.graph6 for w in search.min_witnesses]
+    # n >= 2k + 1 gives m >= 3k: a bound exists, and its family at (n, k).
     case, bound = minimum_bound(m, k)
     violations = []
     findings = _case_findings(case, m)
     fwd_fail = []
     bwd_fail = []
-    if bound is None:
-        findings.append(f"bound not applicable: {case.note}")
-    else:
-        _differ(
-            violations,
-            "exhaustive minimum differs from bound",
-            argmin[0],
-            bound=bound,
-            minimum=search.min_value,
-        )
-        # Every case with a bound names a family that exists at (n, k).
-        ref = case.family.build()
-        ref_spec = as_bundle(ref)
-        if _differ(
-            violations,
-            "predicted family misses the bound value",
-            emit_graph6(ref),
-            bound=bound,
-            family_value=edge_revised_szeged(ref),
-        ):
-            bwd_fail.append(emit_graph6(ref))
-        for g6 in argmin:
-            if as_bundle(parse_graph6(g6)) != ref_spec:
-                fwd_fail.append(g6)
-                violations.append(
-                    {"graph6": g6, "kind": "minimizer outside the predicted family"}
-                )
-        if search.min_tied:
-            findings.append(
-                f"{len(argmin)} classes tie at the minimum " + ", ".join(argmin)
+    _differ(
+        violations,
+        "exhaustive minimum differs from bound",
+        argmin[0],
+        bound=bound,
+        minimum=search.min_value,
+    )
+    ref = case.family.build()
+    ref_spec = as_bundle(ref)
+    if _differ(
+        violations,
+        "predicted family misses the bound value",
+        emit_graph6(ref),
+        bound=bound,
+        family_value=edge_revised_szeged(ref),
+    ):
+        bwd_fail.append(emit_graph6(ref))
+    for g6 in argmin:
+        if as_bundle(parse_graph6(g6)) != ref_spec:
+            fwd_fail.append(g6)
+            violations.append(
+                {"graph6": g6, "kind": "minimizer outside the predicted family"}
             )
+    if search.min_tied:
+        findings.append(
+            f"{len(argmin)} classes tie at the minimum " + ", ".join(argmin)
+        )
     return VerificationReport(
         claim="thm3.2",
         universe=f"exhaustive (n,k)=({n},{k}), {search.class_count} classes",

@@ -21,6 +21,8 @@ from szegedtools import (
     certificate,
     cycle,
     edge_revised_szeged,
+    emit_graph6,
+    graph_from_edges,
     minimum_bound,
     parse_graph6,
     path,
@@ -210,6 +212,9 @@ class TestBuild:
         (result,) = json.loads(out)["results"]
         assert (result["n"], result["m"]) == (70, 70)
         assert result["graph6"] == built.strip()
+        # compute echoes the string it read; a fresh copy is encoded.
+        g = parse_graph6(built)
+        assert emit_graph6(graph_from_edges(g.n, g.edges)) == built.strip()
 
     def test_quadrangle_bundle_at_ten_thousand_vertices(self):
         # Case 3.2-i: 2500 quadrangles and 2500 pendants, m = 12500.

@@ -149,9 +149,11 @@ class TestDedupAndDeterminism:
         assert a == b
 
     def test_worker_count_does_not_change_output(self):
-        base = [certificate(g) for g in cactus_classes(6, 1)]
-        split = [certificate(g) for g in cactus_classes(6, 1, workers=3)]
+        # ``workers`` is accepted by these two and ignored.
+        base = [certificate(g) for g in enumerate_cacti(6, 1)]
+        split = [certificate(g) for g in enumerate_cacti(6, 1, workers=3)]
         assert base == split
+        assert search_extremal(6, 1, workers=3) == search_extremal(6, 1)
 
     def test_one_candidate_per_orbit_when_cold(self, monkeypatch):
         # Leaf blocks hang at one vertex per automorphism orbit of each

@@ -117,6 +117,8 @@ class TestGraph6:
         assert g.n == n
         assert g.edge_set == {(min(u, v), max(u, v)) for u, v in h.edges()}
         assert emit_graph6(g) == text
+        # The parsed graph keeps ``text``; a fresh copy is encoded.
+        assert emit_graph6(graph_from_edges(g.n, g.edges)) == text
 
     @pytest.mark.parametrize(
         "bad,offset",
@@ -137,6 +139,29 @@ class TestGraph6:
         assert g._g6 is text
         assert emit_graph6(g) is text
         assert text == emit_graph6(graph_from_edges(g.n, g.edges))
+
+    @pytest.mark.parametrize("text", ["Bw", "Cl", emit_graph6(star(70))])
+    @pytest.mark.parametrize("header", ["", ">>graph6<<"])
+    def test_parse_keeps_its_input_string(self, text, header):
+        g = parse_graph6(header + text + "\n")
+        assert g._g6 == text
+        assert emit_graph6(g) == text
+        assert emit_graph6(graph_from_edges(g.n, g.edges)) == text
+
+    @pytest.mark.parametrize(
+        "bad,offset",
+        [
+            # n = 3 has 3 pair bits and 3 padding bits in its one byte.
+            ("B@", 1),
+            (">>graph6<<B@", 11),
+            # n = 63 has 1953 pair bits in 326 bytes: 3 padding bits.
+            ("~??~" + "?" * 325 + "@", 329),
+        ],
+    )
+    def test_nonzero_padding_bits_are_reported_at_the_last_byte(self, bad, offset):
+        match = f"nonzero padding bits \\(byte offset {offset}\\)"
+        with pytest.raises(FormatError, match=match):
+            parse_graph6(bad)
 
 
 HEADER = ">>graph6<<"

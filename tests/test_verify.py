@@ -384,6 +384,28 @@ class TestTheoremViolations:
         ]
         assert _failures(report) == (["D@{"], [])
 
+    def test_tied_minimum_is_a_finding_and_extra_minimizers_violate(
+        self, monkeypatch
+    ):
+        # As at (12, 4), where four classes tie at m = 15: the tie is a
+        # finding, and each minimizer outside the one family the theorem
+        # names is a violation.  Here the runner-up DBk is made to tie.
+        real = verify.search_extremal(5, 1)
+        (least,) = real.min_witnesses
+        (other,) = real.second_witnesses
+        tied = real._replace(
+            min_witnesses=(least, other._replace(value=least.value)),
+            min_tied=True,
+        )
+        monkeypatch.setattr(verify, "search_extremal", lambda n, k, cap: tied)
+        report = verify_minimum_exhaustive(5, 1)
+        assert not report.passed
+        assert _violations(report) == [
+            ("minimizer outside the predicted family", "DBk")
+        ]
+        assert report.findings == ("2 classes tie at the minimum D@{, DBk",)
+        assert _failures(report) == (["DBk"], [])
+
     def test_merged_sweep_keeps_every_pairs_output(self, monkeypatch):
         def wrong(m, k):
             case, bound = minimum_bound(m, k)
