@@ -30,18 +30,15 @@ by leaf, so sizes are capped; over the cap you get a clean error rather
 than an open-ended search.
 
 Those leaves are not wasted. Two placements with the same string differ by
-an automorphism, so the search joins the vertices each tie leaf maps onto
-each other, starting from the twin classes, and ends with the orbits of the
-whole automorphism group. The canonical graph keeps the least vertex of
-each orbit (``_reps``), where leaf-block growth in
-:mod:`szegedtools.enumeration` attaches its blocks.
-
-A tie leaf that first leaves the best placement at position ``i`` fixes
-``0..i-1`` and moves ``i``, so the same leaves give the orbits of the point
-stabilizers (``_orbits``, also kept). They describe the least member of each
-coset of the group, which is how labeled graphs are enumerated, and their
-sizes multiply to the order of the group, which is how automorphisms are
-counted: one search per graph yields its certificate and its symmetries.
+an automorphism, and a tie leaf that first leaves the best placement at
+position ``i`` fixes ``0..i-1`` and moves ``i``. So the tie leaves give the
+orbits of the point stabilizers (``_orbits``, kept on the canonical graph).
+They describe the least member of each coset of the group, which is how
+labeled graphs are enumerated, and their sizes multiply to the order of the
+group, which is how automorphisms are counted. The positions in no earlier
+stabilizer orbit include the least vertex of every orbit of the whole
+group, and leaf-block growth in :mod:`szegedtools.enumeration` tries only
+those. One search per graph yields its certificate and its symmetries.
 """
 
 from __future__ import annotations
@@ -85,16 +82,13 @@ def _twin_classes(masks: list[int]) -> list[int]:
     return twin
 
 
-def _canonical_search(
-    g: Graph,
-) -> tuple[list[int], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _canonical_search(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """Minimize the column bit string over degree-sorted placements.
 
     Column ``p`` packs position ``p``'s adjacency bits to positions
     ``0..p-1`` (earlier bit = more significant).  Returns a minimal
-    placement (``placement[i]`` is the original vertex at position ``i``),
-    the least position of each automorphism orbit, in increasing order, and
-    the orbits of the point stabilizers (see :func:`canonical_pair`), all in
+    placement (``placement[i]`` is the original vertex at position ``i``)
+    and the orbits of the point stabilizers (see :func:`canonical_pair`), in
     positions of that placement.
 
     Columns are kept, not rebuilt: ``acc[w]`` holds ``w``'s adjacency to
@@ -141,11 +135,7 @@ def _canonical_search(
     Otherwise ``L`` is 0 and every vertex is branched on.
 
     The orbits come from the search itself.  Two leaves with the same column
-    string differ by the automorphism ``best[i] -> perm[i]``, and every
-    minimal leaf is reached up to twin transpositions (a hub's pendants
-    are twins), so those automorphisms and the twin transpositions
-    generate the group.  A union-find seeded with the twin classes and
-    joined at each tie leaf ends as the partition into orbits.  Each
+    string differ by the automorphism ``best[i] -> perm[i]``.  Each
     automorphism fixing ``0..d-1`` and moving ``d`` is a tie leaf first
     leaving ``best`` at ``d``, up to a swap of unplaced twins: the leaf
     that places the automorphism's hubs in its order writes the same
@@ -182,14 +172,6 @@ def _canonical_search(
         h = nbrs[v][0]
         hang[h] += (v,)
         fill[h] = fill[h] << 1 | 1
-    # Each twin class's lowest member is its own root: a valid forest.
-    root = twin.copy()
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
     acc = [0] * n
     best_cols = [_HUGE] * n
     best_perm: list[int] | None = None
@@ -213,10 +195,6 @@ def _canonical_search(
             while perm[d] == best_perm[d]:
                 d += 1
             moved[d] |= 1 << twin[perm[d]]
-            for a, b in zip(best_perm, perm):
-                a, b = find(a), find(b)
-                if a != b:
-                    root[a] = b
             return
         shift = n - 1 - top
         tried = 0
@@ -264,12 +242,10 @@ def _canonical_search(
     # rather than leaving a cycle to the garbage collector.
     del place
     assert best_perm is not None
-    first: dict[int, int] = {}
     # where[c]: the positions of twin class c as a bitmask; being disjoint,
     # distinct classes join by adding.
     where = [0] * n
     for pos, v in enumerate(best_perm):
-        first.setdefault(find(v), pos)
         where[twin[v]] |= 1 << pos
     orbits = []
     for d, v in enumerate(best_perm):
@@ -283,7 +259,7 @@ def _canonical_search(
             orbit = tuple(i for i in range(d, mask.bit_length()) if mask >> i & 1)
             _ORBITS[mask] = orbit
         orbits.append(orbit)
-    return best_perm, tuple(first.values()), tuple(orbits)
+    return best_perm, tuple(orbits)
 
 
 def _require_small(g: Graph, what: str) -> None:
@@ -298,15 +274,14 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
     already realizes the minimal bit string), so the certificate is cached on
     both graphs, and the canonical graph, an image, keeps it as its graph6
     string too.  It also keeps what the search finds of its symmetries:
-    ``_reps``, the least vertex of each automorphism orbit, and
     ``_orbits[i]``, the orbit of ``i`` under the automorphisms fixing
-    ``0..i-1`` (``i`` and larger vertices), both in increasing order.  A
+    ``0..i-1`` (``i`` and larger vertices), in increasing order.  A
     permutation ``p`` is the least member of its coset ``p∘Aut`` exactly
     when ``p[i] < p[j]`` for every ``j != i`` in ``_orbits[i]``.  Only
     ``g.n`` and ``g.edges`` are read, so an image's adjacency stays unbuilt.
     """
     _require_small(g, "canonical form")
-    placement, reps, orbits = _canonical_search(g)
+    placement, orbits = _canonical_search(g)
     newlabel = [0] * g.n
     for pos, orig in enumerate(placement):
         newlabel[orig] = pos
@@ -314,7 +289,6 @@ def canonical_pair(g: Graph) -> tuple[Graph, bytes]:
     cert = emit_graph6(canon).encode("ascii")
     object.__setattr__(g, "_cert", cert)
     object.__setattr__(canon, "_cert", cert)
-    object.__setattr__(canon, "_reps", reps)
     object.__setattr__(canon, "_orbits", orbits)
     return canon, cert
 

@@ -11,14 +11,14 @@ vertex with the rest.  A leaf block on ``size`` new vertices is a pendant
 edge when ``size`` is 1 and a ``(size + 1)``-cycle otherwise, so the
 ``(n, k)`` classes are exactly those obtained by hanging one at some vertex
 of an ``(n - size, k - [size > 1])`` class, for ``size`` from 1 to
-``n - 1``.  One vertex per automorphism orbit of the smaller class is
-enough: an automorphism taking ``v`` to ``w`` extends, as the identity on
-the new vertices, to an isomorphism between the graph with the block at
-``v`` and the graph with it at ``w``.  The orbits' least vertices come with
-each class from its canonical search (``_reps``, see
-:func:`~szegedtools.canon.canonical_pair`).  Candidates are canonicalized
-and one graph is kept per certificate (isomorph rejection in the sense of
-McKay 1998), and class lists come out sorted by certificate.
+``n - 1``.  A block is hung only where it ranks top among the leaf blocks
+of the result, by a rule read off degrees (see :func:`cactus_classes`): a
+cheap, coarser form of McKay 1998's test that a child's new part is the
+one a canonical rule would remove.  It is hung only at the vertices in no
+earlier stabilizer orbit of the smaller class (``_orbits``, see
+:func:`~szegedtools.canon.canonical_pair`), which include the least vertex
+of every automorphism orbit.  Candidates are canonicalized and one graph
+is kept per certificate, and class lists come out sorted by certificate.
 
 Labeled graphs are the relabelings of the class representatives, class by
 class, and within a class in lexicographic order of the first permutation of
@@ -83,11 +83,19 @@ _class_cache: dict[tuple[int, int], tuple[Graph, ...]] = {}
 def cactus_classes(n: int, k: int, *, cap: int | None = None) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class, certificate order.
 
-    Each class is grown from an ``(n - size, k - [size > 1])`` class by a
-    leaf block on ``size`` new vertices (see the module docstring), hung at
-    one vertex per automorphism orbit.  Infeasible pairs give an empty
-    tuple.  Results are cached per ``(n, k)``, so repeated queries
-    (counting, extremal search, claim verification) share one enumeration.
+    Each class is grown from an ``(n - size, k - [size > 1])`` class ``g``
+    by a leaf block on ``size`` new vertices (see the module docstring).  A
+    pendant edge outranks any cycle, and of two pendant edges the one whose
+    hub has the larger degree ranks higher.  The new block at vertex ``v``
+    ranks top when it is a pendant edge and no leaf ``x != v`` of ``g`` has
+    a hub of degree above ``deg(v) + 1``, or a cycle and ``g`` has no leaf
+    but ``v``.  Every class is reached: a cactus less a top-ranked leaf
+    block is a smaller cactus, and an isomorphism onto its representative,
+    then an automorphism of that, takes the block's vertex to the least
+    vertex of its orbit, where the block, its rank kept, makes a copy of
+    the cactus.  Infeasible pairs give an empty tuple.  Results are cached
+    per ``(n, k)``, so repeated queries (counting, extremal search, claim
+    verification) share one enumeration.
     """
     _check_cap(n, cap)
     if not is_feasible(n, k):
@@ -108,8 +116,18 @@ def cactus_classes(n: int, k: int, *, cap: int | None = None) -> tuple[Graph, ..
     for size in range(1, n):
         first = n - size
         for g in cactus_classes(first, k - (size > 1), cap=cap):
-            for v in g._reps:
-                keep(g.edges + _leaf_block(v, first, size))
+            deg = [0] * first
+            for u, w in g.edges:
+                deg[u] += 1
+                deg[w] += 1
+            # hub[x]: the degree, at least 1, of leaf x's neighbour.
+            hub = {x: deg[y] for e in g.edges for x, y in (e, e[::-1]) if deg[x] == 1}
+            for v, above in enumerate(_above(g._orbits)):
+                # A cycle at v ranks top only if no other leaf is left:
+                # no hub degree is at most 0.
+                limit = deg[v] + 1 if size == 1 else 0
+                if above < 0 and all(d <= limit for x, d in hub.items() if x != v):
+                    keep(g.edges + _leaf_block(v, first, size))
     result = tuple(found[cert] for cert in sorted(found))
     _class_cache[cache_key] = result
     return result
@@ -168,6 +186,16 @@ def _class_images(g: Graph) -> Iterator[Graph]:
             yield _image(n, tuple(image))
 
 
+def _above(orbits: tuple[tuple[int, ...], ...]) -> list[int]:
+    """``above[j]``: the last ``i < j`` whose stabilizer orbit ``orbits[i]``
+    holds ``j``, or -1 when no earlier orbit does."""
+    above = [-1] * len(orbits)
+    for i, orbit in enumerate(orbits):
+        for j in orbit[1:]:
+            above[j] = i
+    return above
+
+
 def _coset_prefixes(
     orbits: tuple[tuple[int, ...], ...], d: int
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
@@ -188,10 +216,7 @@ def _coset_prefixes(
     so none carries a constraint, and every ordering of the free values
     completes a prefix.
     """
-    above = [-1] * len(orbits)
-    for i, orbit in enumerate(orbits):
-        for j in orbit[1:]:
-            above[j] = i
+    above = _above(orbits)
 
     def extend(prefix, free):
         pos = len(prefix)

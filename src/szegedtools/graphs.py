@@ -84,14 +84,13 @@ class _kept_on_read:
 class Graph:
     """Immutable simple undirected graph.
 
-    Being immutable, it keeps six derived facts once computed: the
+    Being immutable, it keeps five derived facts once computed: the
     certificate, the graph6 string, the cactus profile, the distance
     analysis (per-edge gaps m_u - m_v and m_0, the Szeged and the Wiener
-    index) and, on a canonical form, the least vertex of each automorphism
-    orbit and the orbits of the point stabilizers.  Each reads ``None``
-    until ``object.__setattr__`` keeps it in the instance dict.  A copy or
-    a pickle keeps the certificate, the graph6 string and those symmetries,
-    and rebuilds the rest when read.
+    index) and, on a canonical form, the orbits of the point stabilizers.
+    Each reads ``None`` until ``object.__setattr__`` keeps it in the
+    instance dict.  A copy or a pickle keeps the certificate, the graph6
+    string and those orbits, and rebuilds the rest when read.
 
     ``Graph(n, edges)`` validates its input and builds the adjacency tuples
     ``adj`` and the frozenset ``edge_set`` at once.  An image made by
@@ -102,7 +101,7 @@ class Graph:
 
     __slots__ = ("n", "edges", "__dict__")
 
-    _cert = _g6 = _profile = _dist = _reps = _orbits = None
+    _cert = _g6 = _profile = _dist = _orbits = None
 
     def __init__(self, n: int, edges):
         if n < 1:
@@ -188,8 +187,8 @@ class Graph:
 
 
 # The kept facts a copy or a pickle keeps: the certificate, the graph6
-# string and the symmetries a canonical form keeps from its search.
-_KEPT = ("_cert", "_g6", "_reps", "_orbits")
+# string and the stabilizer orbits a canonical form keeps from its search.
+_KEPT = ("_cert", "_g6", "_orbits")
 
 
 def _adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:

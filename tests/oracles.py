@@ -8,13 +8,16 @@ automorphisms by exhaustive extension, the unpruned degree-sorted canonical
 search, and labeled copies by walking all n! relabelings.  Slow on purpose;
 sized for the small universes the tests use.
 
-Two exceptions use the package.  ``tailed_quadrangle_bundle_by_peeling``,
+Three exceptions use the package.  ``tailed_quadrangle_bundle_by_peeling``,
 the earlier recognizer of the tailed family, is kept as the oracle for the
 structural one.  It peels the tail's leaf into a new ``Graph`` and asks the
 package's ``as_bundle``, which the tests check against certificates on its
 own.  ``block_profile`` builds a cactus profile from the package's
 ``block_decomposition``, which the tests check against networkx's
 biconnected components; it is the reference for the one-DFS profile.
+``cacti_by_growth`` dedups its unpruned leaf-block growth by the package's
+certificate, which the tests check against the unpruned canonical search
+and the powerset oracle; it is the reference for the pruned growth.
 """
 
 from __future__ import annotations
@@ -312,6 +315,42 @@ def cacti_classes(n: int, k: int) -> set[tuple]:
             marked |= relabelings
             classes.add((n, min(relabelings)))
     return classes
+
+
+def cacti_by_growth(n: int, k: int) -> dict[bytes, tuple]:
+    """Certificate -> sorted edge tuple of one graph of each (n, k) class,
+    grown by hanging every leaf block at every vertex of one graph of each
+    smaller class: no rank rule and no orbit pruning.
+
+    A block on ``size`` new vertices is a pendant edge when ``size`` is 1
+    and a ``(size + 1)``-cycle otherwise, so every cactus with n >= 2 is
+    reached from itself less any one of its leaf blocks.  Candidates are deduped
+    by the package's certificate; each smaller pair is grown once per call.
+    """
+    from szegedtools import certificate, graph_from_edges
+
+    grown: dict[tuple[int, int], dict[bytes, tuple]] = {}
+
+    def classes(n, k):
+        if (n, k) in grown:
+            return grown[(n, k)]
+        found: dict[bytes, tuple] = {}
+        if n == 1 and k == 0:
+            found[certificate(graph_from_edges(1, []))] = ()
+        for size in range(1, n):
+            first = n - size
+            for edges in classes(first, k - (size > 1)).values():
+                for v in range(first):
+                    ring = [v, *range(first, n)]
+                    if size > 1:
+                        ring.append(v)
+                    block = list(zip(ring, ring[1:]))
+                    g = graph_from_edges(n, list(edges) + block)
+                    found.setdefault(certificate(g), g.edges)
+        grown[(n, k)] = found
+        return found
+
+    return classes(n, k)
 
 
 def tailed_quadrangle_bundle_by_peeling(g, k: int | None = None) -> bool:

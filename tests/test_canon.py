@@ -240,24 +240,18 @@ def orbit_minima(g):
     return tuple(sorted({min(a[v] for a in auts) for v in range(g.n)}))
 
 
-class TestOrbitRepresentatives:
-    """``canonical_pair`` keeps the least vertex of each automorphism orbit
-    on the canonical graph, from the tie leaves of its search."""
+class TestGrowthVertices:
+    """Leaf-block growth tries the positions of a canonical graph that lie
+    in no earlier stabilizer orbit; they must include the least vertex of
+    every automorphism orbit."""
 
-    def test_every_class_through_n8(self):
-        rng = random.Random(18)
-        for n in range(1, 9):
-            for k in range(0, (n - 1) // 2 + 1):
-                for g in cactus_classes(n, k):
-                    want = orbit_minima(g)
-                    assert g._reps == want, g.edges
-                    for _ in range(3):
-                        perm = list(range(n))
-                        rng.shuffle(perm)
-                        canon, _ = canonical_pair(relabel(g, perm))
-                        assert canon == g and canon._reps == want, g.edges
-
-    def test_random_general_graphs(self):
+    def test_include_every_orbit_minimum(self):
+        graphs = [
+            g
+            for n in range(1, 9)
+            for k in range(0, (n - 1) // 2 + 1)
+            for g in cactus_classes(n, k)
+        ]
         # Sparse draws are mostly disconnected, dense ones near-complete.
         rng = random.Random(77)
         for _ in range(300):
@@ -266,17 +260,10 @@ class TestOrbitRepresentatives:
             edges = [
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
             ]
-            canon, _ = canonical_pair(graph_from_edges(n, edges))
-            assert canon._reps == orbit_minima(canon), edges
-
-    def test_closed_forms_at_cap(self):
-        # One orbit on the cycle; the path's reversal pairs its vertices;
-        # the star has its centre and its leaves; the bundle its hub, its
-        # triangle vertices and its pendant.
-        assert canonical_form(cycle(12))._reps == (0,)
-        assert len(canonical_form(path(12))._reps) == 6
-        assert len(canonical_form(star(12))._reps) == 2
-        assert len(canonical_form(triangle_bundle(12, 5))._reps) == 3
+            graphs.append(canonical_form(graph_from_edges(n, edges)))
+        for g in graphs:
+            tried = {v for v, a in enumerate(enumeration._above(g._orbits)) if a < 0}
+            assert tried >= set(orbit_minima(g)), g.edges
 
 
 @st.composite
@@ -457,7 +444,7 @@ def pendant_families():
 
 def assert_matches_oracles(g):
     """Certificate and canonical edges as the unpruned search finds them;
-    ``_reps`` and ``_orbits`` as read off the automorphism list."""
+    ``_orbits`` as read off the automorphism list."""
     n = g.n
     edges, ties = oracles.degree_sorted_canonical(n, g.edges)
     canon, cert = canonical_pair(g)
@@ -472,7 +459,6 @@ def assert_matches_oracles(g):
         for a in oracles.automorphisms(n, rev)
     ]
     assert len(auts) == ties
-    assert canon._reps == tuple(sorted({min(a[v] for a in auts) for v in range(n)}))
     assert list(canon._orbits) == [
         tuple(sorted({a[i] for a in auts if a[:i] == tuple(range(i))}))
         for i in range(n)

@@ -132,6 +132,14 @@ class TestClassCounts:
                 }
                 assert got == oracles.cacti_classes(n, k), (n, k)
 
+    def test_matches_unpruned_growth_through_n9(self):
+        # Every leaf block at every vertex of every smaller class, with no
+        # rank rule and no orbit pruning, deduped by certificate.
+        for n in range(1, 10):
+            for k in range(0, (n - 1) // 2 + 1):
+                got = [certificate(g) for g in cactus_classes(n, k)]
+                assert got == sorted(oracles.cacti_by_growth(n, k)), (n, k)
+
 
 class TestDedupAndDeterminism:
     def test_representatives_are_distinct_and_sorted(self):
@@ -155,16 +163,18 @@ class TestDedupAndDeterminism:
         assert base == split
         assert search_extremal(6, 1, workers=3) == search_extremal(6, 1)
 
-    def test_one_candidate_per_orbit_when_cold(self, monkeypatch):
-        # Leaf blocks hang at one vertex per automorphism orbit of each
-        # smaller class: 184 candidates through n = 7, against 317 with one
-        # per vertex.
+    def test_only_top_ranked_leaf_blocks_when_cold(self, monkeypatch):
+        # Leaf blocks hang only where they rank top in the graph they make,
+        # at the vertices in no earlier stabilizer orbit of each smaller
+        # class: 123 candidates through n = 7 (1, 1, 2, 4, 10, 26 and 79
+        # for n = 1..7), against 184 at one vertex per automorphism orbit
+        # with no rank rule, and 317 at every vertex.
         monkeypatch.setattr(enumeration, "_class_cache", {})
         calls = count_calls_on(monkeypatch, canonical_pair)
         for n in range(1, 8):
             for k in range(0, (n - 1) // 2 + 1):
                 cactus_classes(n, k)
-        assert len(calls) == 184
+        assert len(calls) == 123
 
     def test_every_representative_is_a_cactus_with_right_shape(self):
         for n, k in [(6, 1), (6, 2), (7, 3)]:

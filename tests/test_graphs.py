@@ -111,7 +111,7 @@ def _is_set(g, name):
 
 
 # The facts a Graph keeps once computed.
-FACTS = ("_cert", "_g6", "_profile", "_dist", "_reps", "_orbits")
+FACTS = ("_cert", "_g6", "_profile", "_dist", "_orbits")
 
 
 def _random_images(seed, count):
