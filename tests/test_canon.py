@@ -240,18 +240,31 @@ def orbit_minima(g):
     return tuple(sorted({min(a[v] for a in auts) for v in range(g.n)}))
 
 
-class TestGrowthVertices:
-    """Leaf-block growth tries the positions of a canonical graph that lie
-    in no earlier stabilizer orbit; they must include the least vertex of
-    every automorphism orbit."""
+def growth_vertices(g):
+    """The positions of a canonical graph that leaf-block growth tries:
+    those in no earlier stabilizer orbit."""
+    return {v for v, a in enumerate(enumeration._above(g._orbits)) if a < 0}
 
-    def test_include_every_orbit_minimum(self):
-        graphs = [
-            g
-            for n in range(1, 9)
-            for k in range(0, (n - 1) // 2 + 1)
-            for g in cactus_classes(n, k)
-        ]
+
+class TestOrbitRepresentatives:
+    """The positions of a canonical graph that lie in no earlier stabilizer
+    orbit, which leaf-block growth tries, include the least vertex of every
+    automorphism orbit."""
+
+    def test_every_class_through_n8(self):
+        rng = random.Random(18)
+        for n in range(1, 9):
+            for k in range(0, (n - 1) // 2 + 1):
+                for g in cactus_classes(n, k):
+                    want = set(orbit_minima(g))
+                    assert growth_vertices(g) >= want, g.edges
+                    for _ in range(3):
+                        perm = list(range(n))
+                        rng.shuffle(perm)
+                        canon, _ = canonical_pair(relabel(g, perm))
+                        assert canon == g and growth_vertices(canon) >= want, g.edges
+
+    def test_random_general_graphs(self):
         # Sparse draws are mostly disconnected, dense ones near-complete.
         rng = random.Random(77)
         for _ in range(300):
@@ -260,10 +273,8 @@ class TestGrowthVertices:
             edges = [
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
             ]
-            graphs.append(canonical_form(graph_from_edges(n, edges)))
-        for g in graphs:
-            tried = {v for v, a in enumerate(enumeration._above(g._orbits)) if a < 0}
-            assert tried >= set(orbit_minima(g)), g.edges
+            canon, _ = canonical_pair(graph_from_edges(n, edges))
+            assert growth_vertices(canon) >= set(orbit_minima(canon)), edges
 
 
 @st.composite
