@@ -168,6 +168,8 @@ def crossover(m: int) -> QuarterInt:
 
 def _domain_flags(m: int, k: int) -> dict[str, bool]:
     """The thresholds on m that select the cases of thm3.2 and thm4.4."""
+    if k < 0 or m < 0:
+        raise InfeasibleError(f"negative parameters m={m}, k={k}")
     return {
         "m_ge_15": m >= 15,
         "m_ge_4k": m >= 4 * k,
@@ -188,8 +190,6 @@ def minimum_bound(m: int, k: int) -> tuple[BoundCase, QuarterInt | None]:
     exactly when the step vanishes (m = 15, and degenerately m = 3); every
     tied triangle count is reported.
     """
-    if k < 0 or m < 0:
-        raise InfeasibleError(f"negative parameters m={m}, k={k}")
     flags = _domain_flags(m, k)
     if 3 * k > m:
         case = BoundCase(
@@ -242,8 +242,6 @@ def second_minimum_bound(m: int, k: int) -> tuple[BoundCase, QuarterInt | None]:
     the tailed quadrangle bundle; for 16 <= m <= 19 it is the mix with one
     triangle. The crossover value decides which formula is smaller.
     """
-    if k < 0 or m < 0:
-        raise InfeasibleError(f"negative parameters m={m}, k={k}")
     flags = _domain_flags(m, k)
     if not (flags["m_gt_15"] and flags["m_gt_4k"] and k >= 1):
         reason = (

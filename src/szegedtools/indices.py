@@ -47,6 +47,16 @@ _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INV4 = pow(4, -1, _HASH_MODULUS)
 
 
+def _quarters(value) -> int | None:
+    """``value`` in quarters: a QuarterInt's numerator, four times an int,
+    and None for any other type."""
+    if isinstance(value, QuarterInt):
+        return value.num
+    if isinstance(value, int):
+        return 4 * value
+    return None
+
+
 class QuarterInt:
     """Exact multiple of 1/4, stored as the integer numerator over 4."""
 
@@ -64,26 +74,19 @@ class QuarterInt:
     def from_int(cls, value: int) -> "QuarterInt":
         return cls(4 * value)
 
-    def _coerce(self, other) -> "QuarterInt | None":
-        if isinstance(other, QuarterInt):
-            return other
-        if isinstance(other, int):
-            return QuarterInt(4 * other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else QuarterInt(self.num + o.num)
+        q = _quarters(other)
+        return NotImplemented if q is None else QuarterInt(self.num + q)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else QuarterInt(self.num - o.num)
+        q = _quarters(other)
+        return NotImplemented if q is None else QuarterInt(self.num - q)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else QuarterInt(o.num - self.num)
+        q = _quarters(other)
+        return NotImplemented if q is None else QuarterInt(q - self.num)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -95,29 +98,25 @@ class QuarterInt:
     def __neg__(self):
         return QuarterInt(-self.num)
 
-    def _cmp_key(self, other):
-        o = self._coerce(other)
-        return None if o is None else o.num
-
     def __eq__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.num == key
+        q = _quarters(other)
+        return NotImplemented if q is None else self.num == q
 
     def __lt__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.num < key
+        q = _quarters(other)
+        return NotImplemented if q is None else self.num < q
 
     def __le__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.num <= key
+        q = _quarters(other)
+        return NotImplemented if q is None else self.num <= q
 
     def __gt__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.num > key
+        q = _quarters(other)
+        return NotImplemented if q is None else self.num > q
 
     def __ge__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.num >= key
+        q = _quarters(other)
+        return NotImplemented if q is None else self.num >= q
 
     def __hash__(self):
         # Equal to hash(Fraction(self.num, 4)), and so to hash(int) on whole

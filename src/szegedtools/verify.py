@@ -27,6 +27,9 @@ checked exhaustively.  For those the harness verifies the closed forms
 against directly computed values on constructed families and runs a seeded
 random stress search, recording sample count and seed so a negative result
 is reproducible.
+
+An (n, k) pair with no cactus (n < 2k + 1) raises ``InfeasibleError`` for
+every claim, alone or inside a sweep: no claim passes on an empty class.
 """
 
 from __future__ import annotations
@@ -404,8 +407,14 @@ def _equality_audit(
     }
 
 
+def _require_feasible(n: int, k: int) -> None:
+    if not is_feasible(n, k):
+        raise InfeasibleError(f"no cacti with n = {n}, k = {k}; nothing to verify")
+
+
 class Universe(NamedTuple):
-    """Which graphs a sweep touches: exhaustive class lists, random draws, or both."""
+    """Which graphs a sweep touches: exhaustive class lists, random draws, or
+    both.  :meth:`graphs` raises ``InfeasibleError`` at a pair with no cactus."""
 
     pairs: tuple[tuple[int, int], ...] = ()
     samples: int = 0
@@ -430,6 +439,8 @@ class Universe(NamedTuple):
 
     def graphs(self) -> Iterator[Graph]:
         for n, k in self.pairs:
+            # Before cactus_classes, which raises CapError past the cap.
+            _require_feasible(n, k)
             yield from cactus_classes(n, k, cap=self.cap)
         if self.samples:
             # Samples have at least 3 vertices, where every k draws a cactus.
@@ -470,7 +481,8 @@ def verify_claim(claim: str, universe: Universe) -> VerificationReport:
     instead: :func:`verify_minimum_exhaustive` at each of the universe's
     pairs (its samples are not read), merged into one report.  A universe
     with nothing to check (no graphs for a lemma, no pairs for
-    ``"thm3.2"``) raises ``InfeasibleError`` rather than pass vacuously.
+    ``"thm3.2"``), or with a pair that holds no cactus, raises
+    ``InfeasibleError`` rather than pass vacuously.
     Any other claim, ``"thm4.4"`` included, raises ``ValueError``: thm4.4
     is checked one (n, k) at a time by :func:`verify_second_minimum`.
     """
@@ -608,8 +620,7 @@ def verify_minimum_exhaustive(
     predicted family is one bundle class, so a minimizer is in it exactly
     when ``as_bundle`` gives its shape, and a tie is a finding and a violation.
     """
-    if not is_feasible(n, k):
-        raise InfeasibleError(f"no cacti with n = {n}, k = {k}; nothing to verify")
+    _require_feasible(n, k)
     m = n + k - 1
     search = search_extremal(n, k, cap=cap)
     argmin = [w.graph6 for w in search.min_witnesses]
@@ -708,8 +719,7 @@ def verify_second_minimum(
     on the constructed families, audits the crossover sign, and stress-samples
     the class for anything below the bound that is not the quadrangle bundle.
     """
-    if not is_feasible(n, k):
-        raise InfeasibleError(f"no cacti with n = {n}, k = {k}; nothing to verify")
+    _require_feasible(n, k)
     m = n + k - 1
     case, bound = second_minimum_bound(m, k)
     if n <= _effective_cap(cap):
@@ -737,6 +747,7 @@ def _second_minimum_exhaustive(
                 f"{report.class_count} classes"
             )
     else:
+        # Unreached at caps up to 12: m > 15 and m > 4k first hold at n = 14.
         if report.second_value is None:
             findings.append("single class; no second value exists")
         else:

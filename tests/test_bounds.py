@@ -8,6 +8,7 @@ import oracles
 from szegedtools import (
     BoundCase,
     BundleSpec,
+    FamilyRef,
     InfeasibleError,
     QuarterInt,
     bundle,
@@ -258,6 +259,10 @@ class TestSecondMinimumBound:
         assert not case.applicable
         assert value is None
 
+    def test_negative_rejected(self):
+        with pytest.raises(InfeasibleError, match="negative parameters m=0, k=-1"):
+            second_minimum_bound(0, -1)
+
     def test_crossover_orders_the_two_candidates(self):
         # the big-m formula minus the small-m formula equals the crossover
         for m in range(16, 28):
@@ -267,6 +272,12 @@ class TestSecondMinimumBound:
                 big = QuarterInt(2 * m * m + 3 * m + 4 * k * (6 * m - 15) - 8)
                 small = QuarterInt(3 * m * m - 19 * m + 4 * k * (6 * m - 15) + 45)
                 assert small - big == crossover(m)
+
+
+class TestFamilyRef:
+    def test_unknown_kind_is_infeasible(self):
+        with pytest.raises(InfeasibleError, match="unknown family kind 'nope'"):
+            FamilyRef(kind="nope").build()
 
 
 class TestBoundCase:

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ import pytest
 from spies import count_calls_on
 from szegedtools import (
     BundleSpec,
+    Graph,
+    InfeasibleError,
     QuarterInt,
     are_isomorphic,
     bundle,
@@ -29,8 +32,8 @@ from szegedtools import (
     triangle_bundle,
 )
 import szegedtools
-from szegedtools import enumeration, graphs
-from szegedtools.cli import main
+from szegedtools import enumeration, families, graphs, verify
+from szegedtools.cli import _FAMILIES, main
 
 
 def run_cli(argv, stdin=None):
@@ -96,6 +99,16 @@ class TestCompute:
         assert code == 0
         assert "27/4 = 6.75" in out
 
+    def test_human_output_with_edges(self):
+        argv = ["compute", "--g6", "Bw", "--edges", "--format", "human"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-3:] == [
+            "  edge (0,1): m_u=1 m_v=1 m_0=1",
+            "  edge (0,2): m_u=1 m_v=1 m_0=1",
+            "  edge (1,2): m_u=1 m_v=1 m_0=1",
+        ]
+
     def test_stdin_reads_one_graph_per_line(self):
         code, out, _ = run_cli(["compute", "--stdin"], stdin="Bw\nCl\n")
         assert code == 0
@@ -160,6 +173,11 @@ class TestCompute:
             "error: line 3: truncated graph6 payload: "
             "expected 1 bytes, got 0 (byte offset 1)\n"
         )
+
+    def test_blank_stdin_is_usage_error(self):
+        code, out, err = run_cli(["compute", "--stdin"], stdin="\n  \n\n")
+        assert (code, out) == (2, "")
+        assert err == "error: no graph6 lines on standard input\n"
 
     def test_disconnected_graph_exit_code(self):
         code, _, err = run_cli(["compute", "--g6", "A?"])
@@ -326,6 +344,37 @@ class TestBuild:
     def test_unread_flag_is_usage_error(self, argv, message):
         assert run_cli(["build", *argv]) == (2, "", f"error: {message}\n")
 
+    # Bundle cycle lengths: every tuple of up to three of these values.
+    LENGTHS = [
+        lengths
+        for size in range(4)
+        for lengths in itertools.product((-1, 2, 3, 4), repeat=size)
+    ]
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_constructor_gives_a_graph_or_infeasible(self, family):
+        # ``build`` passes any sizes on to the constructor (a bundle's as
+        # one BundleSpec): each checks them before it makes a Graph, so
+        # none reaches the Graph's own validation, which raises
+        # InvalidGraphError (exit 2).
+        name, flags = _FAMILIES[family]
+        if name == "bundle":
+            grid = itertools.product(self.LENGTHS, range(-1, 3))
+            construct = lambda *values: families.bundle(BundleSpec(*values))
+        else:
+            sizes = {"n": range(-1, 13), "k": range(-1, 6)}
+            grid = itertools.product(*(sizes[flag] for flag in flags))
+            construct = getattr(families, name)
+        built = 0
+        for values in grid:
+            try:
+                g = construct(*values)
+            except InfeasibleError:
+                continue
+            assert isinstance(g, Graph)
+            built += 1
+        assert built
+
     def test_bundle_pendants_default_to_zero(self):
         code, out, _ = run_cli(["build", "bundle", "--lengths", "3,4"])
         assert code == 0
@@ -342,6 +391,14 @@ class TestEnumerate:
         code, out, _ = run_cli(["enumerate", "--n", "4", "--k", "1"])
         assert code == 0
         assert out == "CN\nC]\n"
+
+    def test_count_json(self):
+        code, out, _ = run_cli(
+            ["enumerate", "--n", "5", "--k", "1", "--count", "--format", "json"]
+        )
+        assert code == 0
+        body = json.loads(out)
+        assert (body["n"], body["k"], body["count"]) == (5, 1, 5)
 
     def test_labeled_count(self):
         code, out, _ = run_cli(
@@ -501,6 +558,31 @@ class TestSearch:
         assert code == 0
         assert "minimum 85/4" in out
 
+    @pytest.mark.parametrize(
+        "n, k, second",
+        [
+            (3, 0, "  no second value (single class or all tied)"),
+            (5, 1, "  second 91/4 (1 witness(es))"),
+        ],
+    )
+    def test_human_format_with_second(self, n, k, second):
+        argv = ["search", "--n", str(n), "--k", str(k), "--second"]
+        code, out, _ = run_cli([*argv, "--format", "human"])
+        assert code == 0
+        assert out.splitlines()[1:] == [second, "  closed-form minimum agrees: True"]
+
+    def test_human_format_prints_notes(self, monkeypatch):
+        case, _ = enumeration.minimum_bound(5, 1)
+        monkeypatch.setattr(
+            enumeration, "minimum_bound", lambda m, k: (case, QuarterInt(0))
+        )
+        code, out, _ = run_cli(["search", "--n", "5", "--k", "1", "--format", "human"])
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "  closed-form minimum agrees: False",
+            "  note: closed-form minimum disagrees with the exhaustive minimum",
+        ]
+
     def test_single_vertex(self):
         code, out, _ = run_cli(["search", "--n", "1", "--k", "0"])
         assert code == 0
@@ -538,12 +620,36 @@ class TestVerify:
         assert code == 4
         assert "no cacti" in err
 
+    def test_lemma_infeasible_past_the_cap_is_not_a_cap_error(self):
+        # n = 13 is past the default cap, but (13, 7) holds no cactus at all.
+        assert run_cli(["verify", "lemma4.1", "--n", "13", "--k", "7"]) == (
+            4,
+            "",
+            "error: no cacti with n = 13, k = 7; nothing to verify\n",
+        )
+
     def test_random_samples_human(self):
         code, out, _ = run_cli(
             ["verify", "lemma2.2-2.3", "--samples", "10", "--format", "human"]
         )
         assert code == 0
         assert "PASS" in out
+
+    def test_violation_human(self, monkeypatch):
+        case, bound = verify.minimum_bound(16, 2)
+        wrong = QuarterInt(bound.num + 4)
+        monkeypatch.setattr(verify, "minimum_bound", lambda m, k: (case, wrong))
+        argv = ["verify", "thm3.2", "--m", "16", "--k", "2", "--format", "human"]
+        assert run_cli(argv) == (
+            1,
+            "thm3.2: FAIL (3 checked, 1 violations)\n"
+            "  universe: closed forms at m=16, k=2 (3 feasible mixes)\n"
+            "  violation: {'graph6': None, "
+            "'kind': 'case value differs from direct mix minimum', "
+            "'case_value': {'num': 1148, 'den': 4}, "
+            "'direct_minimum': {'num': 1144, 'den': 4}}\n",
+            "",
+        )
 
     def test_minimum_formula_tie_finding(self):
         code, out, _ = run_cli(["verify", "thm3.2", "--m", "15", "--k", "2"])
@@ -604,8 +710,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert f"verify {flag} must be at least" in err
 
-    # Each mode reads its own flags; any other one exits 2 and is named.
+    # Each mode reads its own flags; any other one exits 2 and is named, as
+    # is one that the mode needs and is not given.
     UNREAD = [
+        ("verify thm4.4 --n 20", "verify thm4.4 needs --n and --k"),
+        ("verify thm3.2 --m 16", "verify thm3.2 --m needs --k"),
+        ("verify lemma2.1 --n 5", "verify lemma2.1 --n needs --k"),
+        ("verify thm3.2", "verify thm3.2 needs --max-n, --n/--k, or --m/--k"),
         ("verify thm4.4 --n 5 --k 1 --m 7", "verify thm4.4 takes no --m"),
         (
             "verify thm4.4 --n 14 --k 3 --max-n 3 --samples 5",

@@ -11,6 +11,7 @@ import oracles
 import samples
 from szegedtools import (
     FormatError,
+    Graph,
     cycle,
     emit_edge_list,
     emit_graph6,
@@ -99,6 +100,10 @@ class TestGraph6:
             parse_graph6("B")
         with pytest.raises(FormatError, match="byte offset 2"):
             parse_graph6("Bw junk")
+
+    def test_emit_refuses_more_vertices_than_graph6_holds(self):
+        with pytest.raises(FormatError, match="n <= 258047, got n = 258048"):
+            emit_graph6(Graph(258048, []))
 
     def test_long_form_rejected_both_ways(self):
         with pytest.raises(FormatError):
@@ -247,6 +252,7 @@ class TestEdgeList:
             "3 2\n0 1\n0 1",
             "3 1\n0 1 extra",
             "3 1\n0 9",
+            "2 1\n0 x\n",
         ],
     )
     def test_bad_inputs_raise_format_error(self, bad):

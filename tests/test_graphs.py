@@ -46,6 +46,12 @@ class TestConstruction:
         assert g.neighbors(0) == (1, 2, 3)
         assert g.degree(0) == 3 and g.degree(3) == 1
 
+    def test_hash_and_repr(self):
+        g = samples.paw()
+        assert hash(g) == hash(samples.paw()._relabeled([0, 1, 2, 3]))
+        assert len({g, samples.paw(), samples.paw()._relabeled([3, 2, 1, 0])}) == 2
+        assert repr(g) == "Graph(n=4, m=4)"
+
     def test_single_vertex(self):
         g = graph_from_edges(1, [])
         assert (g.n, g.m) == (1, 0)
@@ -170,6 +176,10 @@ class TestDeferredAdjacency:
             assert read(image) == read(want)
             assert (image.adj, image.edge_set) == (want.adj, want.edge_set)
 
+    def test_class_attribute_is_the_descriptor(self):
+        assert Graph.adj is vars(Graph)["adj"]
+        assert Graph.edge_set is vars(Graph)["edge_set"]
+
     def test_unknown_attribute_raises(self):
         image = samples.paw()._relabeled([1, 0, 2, 3])
         for g in (samples.paw(), image):
@@ -273,6 +283,11 @@ class TestConnectivity:
         assert is_connected(samples.butterfly())
         assert not is_connected(graph_from_edges(4, [(0, 1), (2, 3)]))
         assert not is_connected(graph_from_edges(3, [(0, 1)]))
+
+    def test_bfs_source_out_of_range(self):
+        g = samples.paw()
+        with pytest.raises(InvalidGraphError, match="source 4 out of range"):
+            graphs.bfs_distances(g, g.n)
 
     def test_matches_oracle_on_random_edge_subsets(self):
         rng = random.Random(1984)

@@ -52,6 +52,25 @@ class TestQuarterInt:
         assert a + 1 == QuarterInt(9)
         assert 1 + a == QuarterInt(9)
         assert a - 1 == QuarterInt(1)
+        assert 1 - QuarterInt(2) == QuarterInt(2)
+
+    def test_other_operand_types_are_refused(self):
+        with pytest.raises(TypeError):
+            QuarterInt(4) * 1.5
+        with pytest.raises(TypeError):
+            QuarterInt(4) + 1.5
+        with pytest.raises(TypeError):
+            1.5 - QuarterInt(4)
+        with pytest.raises(TypeError):
+            QuarterInt(4) < "1"
+        assert QuarterInt(4) != "1"
+
+    def test_immutable_with_a_repr(self):
+        q = QuarterInt(5)
+        with pytest.raises(AttributeError, match="QuarterInt is immutable"):
+            q.num = 6
+        assert q.num == 5
+        assert repr(q) == "QuarterInt(5)"
 
     def test_comparisons(self):
         assert QuarterInt(5) < QuarterInt(6)

@@ -234,10 +234,23 @@ class TestEmptyUniverse:
 
     @pytest.mark.parametrize("claim", AUDITORS)
     @pytest.mark.parametrize(
-        "universe", [Universe(), Universe(pairs=((5, 3),))], ids=["empty", "infeasible"]
+        "universe, match",
+        [
+            (Universe(), "holds no graphs"),
+            (Universe(pairs=((5, 3),)), "no cacti with n = 5, k = 3"),
+        ],
+        ids=["empty", "infeasible"],
     )
-    def test_lemma_without_graphs(self, claim, universe):
-        with pytest.raises(InfeasibleError, match="holds no graphs"):
+    def test_lemma_without_graphs(self, claim, universe, match):
+        with pytest.raises(InfeasibleError, match=match):
+            verify_claim(claim, universe)
+
+    @pytest.mark.parametrize("claim", [*AUDITORS, "thm3.2"])
+    def test_sweep_with_an_infeasible_pair(self, claim):
+        # (5, 1) holds five classes, (3, 2) none: no claim passes on the
+        # pair that has no cactus, whatever the other pairs hold.
+        universe = Universe(pairs=((3, 2), (5, 1)))
+        with pytest.raises(InfeasibleError, match="no cacti with n = 3, k = 2"):
             verify_claim(claim, universe)
 
     @pytest.mark.parametrize("universe", [Universe(), Universe(samples=50)])
@@ -285,6 +298,15 @@ class TestMinimumFormula:
         report = verify_minimum_formula(9, 2)
         assert report.passed
 
+    def test_outside_the_domain_checks_nothing(self):
+        # m = 5 edges cannot hold k = 2 cycles: the bound gives no value.
+        report = verify_minimum_formula(5, 2)
+        assert report.passed
+        assert report.checked == 0
+        assert report.findings == (
+            "not applicable: no cactus has 2 cycles with only m=5 edges",
+        )
+
 
 class TestMinimumExhaustive:
     @pytest.mark.parametrize("n, k", [(4, 1), (5, 1), (6, 2), (7, 2)])
@@ -298,6 +320,10 @@ class TestMinimumExhaustive:
     def test_checked_counts_classes(self):
         report = verify_minimum_exhaustive(5, 1)
         assert report.checked == 5
+
+    def test_infeasible_pair_raises(self):
+        with pytest.raises(InfeasibleError, match="no cacti with n = 3, k = 2"):
+            verify_minimum_exhaustive(3, 2)
 
     def test_claim_sweep_of_one_pair_is_that_pairs_report(self):
         report = verify_claim("thm3.2", Universe(pairs=((6, 2),)))
@@ -440,6 +466,18 @@ class TestTheoremViolations:
         assert report.violations[0]["bound"] == QuarterInt(90).to_dict()
         assert report.violations[0]["second"] == QuarterInt(91).to_dict()
         assert report.equality_audit is None
+
+    def test_bound_on_a_single_class(self, monkeypatch):
+        # The path on three vertices is the only class at (3, 0): a bound
+        # there has no runner-up to compare with.
+        case, _ = second_minimum_bound(2, 0)
+        monkeypatch.setattr(
+            verify, "second_minimum_bound", lambda m, k: (case, QuarterInt(1))
+        )
+        report = verify_second_minimum(3, 0)
+        assert report.passed
+        assert report.checked == 1
+        assert report.findings == ("single class; no second value exists",)
 
 
 def _records(report):
@@ -671,6 +709,18 @@ class TestLemmaViolations:
 
 
 class TestSecondMinimum:
+    def test_no_bound_inside_the_cap(self):
+        # m > 15 and m > 4k, with m = n + k - 1, first both hold at n = 14,
+        # so no class that the canonical search can list has a bound: the
+        # exhaustive comparison runs only on a monkeypatched bound today.
+        inside = [
+            (n, k)
+            for n, k in feasible_pairs(16)
+            if second_minimum_bound(n + k - 1, k)[1] is not None
+        ]
+        assert min(n for n, _ in inside) == 14 > canon.CERT_CAP
+        assert (14, 3) in inside and (14, 4) in inside
+
     def test_out_of_domain_is_informational(self):
         report = verify_second_minimum(7, 1)
         assert report.passed
