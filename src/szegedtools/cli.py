@@ -154,9 +154,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--m", type=int, help="formula-level audit at this edge count (with --k)"
     )
-    p_verify.add_argument(
-        "--samples", type=int, help="random cacti to draw (thm4.4: 10000 by default)"
-    )
+    p_verify.add_argument("--samples", type=int, help="random cacti a lemma draws")
     p_verify.add_argument("--seed", type=int, help="random draws' seed (0 by default)")
     p_verify.add_argument(
         "--sample-max-n", type=int, help="largest n drawn by a lemma (40 by default)"
@@ -417,8 +415,6 @@ def _cmd_search(args, started: float) -> int:
 
 
 def _cmd_verify(args, started: float) -> int:
-    from .bounds import second_minimum_bound
-    from .enumeration import is_feasible
     from .verify import (
         Universe,
         feasible_pairs,
@@ -440,15 +436,11 @@ def _cmd_verify(args, started: float) -> int:
         raise FormatError("verify thm3.2 checks whole classes; it takes no --samples")
     # Each mode reads its own flags and refuses the others.
     if claim == "thm4.4":
-        _refuse(args, "verify thm4.4", "--m", "--max-n", "--sample-max-n")
+        _refuse(
+            args, "verify thm4.4", "--m", "--max-n", "--samples", "--seed", "--sample-max-n"
+        )
         if args.n is None or args.k is None:
             raise FormatError("verify thm4.4 needs --n and --k")
-        m = args.n + args.k - 1
-        # Samples are drawn only where the claim gives a bound, which is
-        # past the cap; an infeasible pair is left to exit 4 below.
-        if is_feasible(args.n, args.k) and second_minimum_bound(m, args.k)[1] is None:
-            where = f"verify thm4.4 at (m,k)=({m},{args.k})"
-            _refuse(args, where, "--samples", "--seed")
     elif not args.samples:
         _refuse(args, f"verify {claim}", "--seed", "--sample-max-n")
     args.seed = args.seed or 0  # what meta.seed reports when none is given
@@ -458,13 +450,7 @@ def _cmd_verify(args, started: float) -> int:
             raise FormatError("verify thm3.2 --m needs --k")
         report = verify_minimum_formula(args.m, args.k)
     elif claim == "thm4.4":
-        report = verify_second_minimum(
-            args.n,
-            args.k,
-            samples=10_000 if args.samples is None else args.samples,
-            seed=args.seed,
-            cap=cap,
-        )
+        report = verify_second_minimum(args.n, args.k, cap=cap)
     else:
         pairs = ()
         _refuse(args, f"verify {claim}", "--m")

@@ -46,7 +46,13 @@ import random
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .bounds import BoundCase, minimum_bound, second_minimum_bound
+from .bounds import (
+    BoundCase,
+    cycle_diff_bound,
+    minimum_bound,
+    pendant_diff_bound,
+    second_minimum_bound,
+)
 from .canon import CERT_CAP, canonical_pair
 from .errors import CapError, InfeasibleError
 from .formats import emit_graph6
@@ -327,6 +333,92 @@ def search_extremal(
         second_agrees=second_agrees,
         notes=tuple(notes),
     )
+
+
+def extremal_values(
+    n: int, k: int
+) -> tuple[list[tuple[QuarterInt, tuple[Graph, ...]]], int]:
+    """The least two index values over the cacti with ``n`` vertices and
+    ``k`` cycles, a feasible pair, each with the graphs that attain it (one
+    value when every class ties), and how many block multisets were scored.
+
+    By the block identity (``tests/test_block_identity.py``), the graphs of
+    a multiset M of blocks are worth at least base(M) = m³ − Σ ceil, and
+    only M's bundle is worth that.  Any other is worth at least base(M) plus
+    the least deficiency of a block A with two blocks besides it, with b the
+    fewest edges of another block: 4b(m − 1 − b) for a bridge, and
+    b(m − L − b)(8 − 2[L odd]) for a ring of length L.  It is met exactly
+    when a block of b edges hangs on A one step out from the hub.  Ring
+    lengths go in nondecreasing order, and a branch that cannot reach the
+    runner-up found so far is cut.
+    """
+    m = n + k - 1
+    bridge = pendant_diff_bound(m)
+    # base(M) is floor less gain[L] for each ring: what a ring of length L
+    # adds to the ceilings of the L - 1 bridges it replaces.  A ring is
+    # longest, n - 2k + 2, when every other one is a triangle.
+    floor = m**3 - (n - 1) * bridge
+    lengths = range(3, n - 2 * k + 3) if k else ()
+    gain = {L: cycle_diff_bound(L, m) - (L - 1) * bridge for L in lengths}
+    order = sorted(gain, key=lambda L: (-gain[L], L))
+    kept: dict[int, list] = {}  # the least two values so far, and their shapes
+    scored = 0
+
+    def offer(value: int, blocks: tuple[int, ...], moved=None) -> None:
+        if len(kept) < 2 or value <= max(kept):
+            kept.setdefault(value, []).append((blocks, moved))
+            if len(kept) > 2:
+                del kept[max(kept)]
+
+    def grow(rings: tuple[int, ...], spare: int, gained: int) -> None:
+        nonlocal scored
+        left = k - len(rings)
+        if not left:
+            # Blocks by edge count, least first: a bridge on each spare
+            # vertex, then the rings.  A block of a edges is a bridge or a
+            # ring of length a, and b is the fewest edges of another block.
+            scored += 1
+            blocks = (1,) * spare + rings
+            offer(floor - gained, blocks)
+            if len(blocks) < 3:
+                return
+            for a in sorted(set(blocks)):
+                b = blocks[blocks[0] == a]
+                scale = 4 if a == 1 else 8 - 2 * (a % 2)
+                offer(floor - gained + b * (m - a - b) * scale, blocks, (a, b))
+            return
+        lo = rings[-1] if rings else 3
+        # Every ring left is from lo to top long, and the next, the
+        # shortest of them, at most spare // left + 1.
+        top = spare - (left - 1) * (lo - 1) + 1
+        best = max(gain[L] for L in range(lo, top + 1))
+        for L in order:
+            if lo <= L <= spare // left + 1:
+                reach = floor - gained - gain[L] - (left - 1) * best
+                if len(kept) == 2 and reach > max(kept):
+                    return
+                grow(rings + (L,), spare - L + 1, gained + gain[L])
+
+    grow((), n - 1, 0)
+    return [
+        (QuarterInt(value), tuple(_moved_bundle(*shape) for shape in kept[value]))
+        for value in sorted(kept)
+    ], scored
+
+
+def _moved_bundle(blocks: tuple[int, ...], moved: tuple[int, int] | None) -> Graph:
+    """The bundle of ``blocks``, each given by its edge count (1 for a
+    bridge), with ``moved = (a, b)``, if given, hanging one block of b
+    edges one step out from the hub on one of a edges."""
+    rest = list(blocks)
+    for e in moved or ():
+        rest.remove(e)
+    edges: list[tuple[int, int]] = []
+    nxt = 1
+    for at, e in [*zip((0, 1), moved or ()), *((0, e) for e in rest)]:
+        edges += _leaf_block(at, nxt, e - (e > 1))
+        nxt += e - (e > 1)
+    return Graph(nxt, edges)
 
 
 def random_cactus(n: int, k: int, seed: int = 0) -> Graph:

@@ -22,11 +22,12 @@ The two theorems are checked on whole classes instead of per graph, and
 both read one exhaustive scan, ``search_extremal``: Theorem 3.2 its minimum
 and minimizers, Theorem 4.4 its runner-up.  ``verify_claim`` also takes
 ``"thm3.2"``, checking each of a universe's pairs and merging the reports.
-Claims whose stated domain starts beyond the enumeration cap cannot be
-checked exhaustively.  For those the harness verifies the closed forms
-against directly computed values on constructed families and runs a seeded
-random stress search, recording sample count and seed so a negative result
-is reproducible.
+Theorem 4.4's domain (m > 15, m > 4k) starts at n = 14, past the
+enumeration cap.  There the exact runner-up and the graphs that attain it
+come from the block identity (``extremal_values``), with no graph
+enumerated and nothing sampled, and they are compared with the bound and
+its family as the exhaustive values are.  Both theorems judge their
+family by one check, ``_family_check``.
 
 An (n, k) pair with no cactus (n < 2k + 1) raises ``InfeasibleError`` for
 every claim, alone or inside a sweep: no claim passes on an empty class.
@@ -42,7 +43,6 @@ from .bounds import (
     BoundCase,
     FamilyRef,
     bundle_closed_form,
-    crossover,
     cycle_diff_bound,
     inner_cut_edge_bound,
     inner_cycle_bound,
@@ -55,12 +55,13 @@ from .bounds import (
 from .enumeration import (
     _effective_cap,
     cactus_classes,
+    extremal_values,
     is_feasible,
     random_cactus,
     search_extremal,
 )
 from .errors import InfeasibleError, InvalidGraphError
-from .families import as_bundle, is_quadrangle_bundle, is_tailed_quadrangle_bundle
+from .families import as_bundle, is_tailed_quadrangle_bundle
 from .formats import emit_graph6, parse_graph6
 from .graphs import Graph, cactus_profile
 from .indices import QuarterInt, edge_gaps, edge_revised_szeged, record_dict
@@ -438,9 +439,10 @@ class Universe(NamedTuple):
         return "; ".join(parts) if parts else "empty"
 
     def graphs(self) -> Iterator[Graph]:
+        # Every pair first: cactus_classes raises CapError past the cap.
         for n, k in self.pairs:
-            # Before cactus_classes, which raises CapError past the cap.
             _require_feasible(n, k)
+        for n, k in self.pairs:
             yield from cactus_classes(n, k, cap=self.cap)
         if self.samples:
             # Samples have at least 3 vertices, where every k draws a cactus.
@@ -610,6 +612,41 @@ def verify_minimum_formula(m: int, k: int) -> VerificationReport:
     )
 
 
+def _family_check(
+    case: BoundCase, bound: QuarterInt, graphs, what: str, violations: list
+) -> tuple[list[str], list[str]]:
+    """The graph6 of each of ``graphs`` outside the family that ``case``
+    names, and of the family's graph if it misses ``bound``; each one is
+    also a violation.  Membership is read off block structure: the tailed
+    quadrangle bundle by its recognizer, any other family by its bundle
+    shape.  A family that does not exist at this size holds no graph."""
+    family = case.family
+    bwd_fail = []
+    if case.family_feasible:
+        ref = family.build()
+        spec = as_bundle(ref)
+        if _differ(
+            violations,
+            "predicted family misses the bound value",
+            emit_graph6(ref),
+            bound=bound,
+            family_value=edge_revised_szeged(ref),
+        ):
+            bwd_fail.append(emit_graph6(ref))
+    fwd_fail = []
+    for g in graphs:
+        if family.kind == "tailed_quadrangle_bundle":
+            inside = is_tailed_quadrangle_bundle(g, family.k)
+        else:
+            inside = as_bundle(g) == spec
+        if not inside:
+            fwd_fail.append(emit_graph6(g))
+            violations.append(
+                {"graph6": emit_graph6(g), "kind": f"{what} outside the predicted family"}
+            )
+    return fwd_fail, bwd_fail
+
+
 def verify_minimum_exhaustive(
     n: int, k: int, *, cap: int | None = None
 ) -> VerificationReport:
@@ -617,8 +654,8 @@ def verify_minimum_exhaustive(
 
     Reads the true minimum and its witnesses from :func:`search_extremal`
     and compares value and argmin set against the case prediction.  Every
-    predicted family is one bundle class, so a minimizer is in it exactly
-    when ``as_bundle`` gives its shape, and a tie is a finding and a violation.
+    predicted family is one bundle class, and a tie is a finding and a
+    violation.
     """
     _require_feasible(n, k)
     m = n + k - 1
@@ -628,8 +665,6 @@ def verify_minimum_exhaustive(
     case, bound = minimum_bound(m, k)
     violations = []
     findings = _case_findings(case, m)
-    fwd_fail = []
-    bwd_fail = []
     _differ(
         violations,
         "exhaustive minimum differs from bound",
@@ -637,22 +672,9 @@ def verify_minimum_exhaustive(
         bound=bound,
         minimum=search.min_value,
     )
-    ref = case.family.build()
-    ref_spec = as_bundle(ref)
-    if _differ(
-        violations,
-        "predicted family misses the bound value",
-        emit_graph6(ref),
-        bound=bound,
-        family_value=edge_revised_szeged(ref),
-    ):
-        bwd_fail.append(emit_graph6(ref))
-    for g6 in argmin:
-        if as_bundle(parse_graph6(g6)) != ref_spec:
-            fwd_fail.append(g6)
-            violations.append(
-                {"graph6": g6, "kind": "minimizer outside the predicted family"}
-            )
+    fwd_fail, bwd_fail = _family_check(
+        case, bound, [parse_graph6(g6) for g6 in argmin], "minimizer", violations
+    )
     if search.min_tied:
         findings.append(
             f"{len(argmin)} classes tie at the minimum " + ", ".join(argmin)
@@ -704,28 +726,51 @@ def _minimum_sweep(universe: Universe) -> VerificationReport:
 
 
 def verify_second_minimum(
-    n: int,
-    k: int,
-    *,
-    samples: int = 10_000,
-    seed: int = 0,
-    cap: int | None = None,
+    n: int, k: int, *, cap: int | None = None
 ) -> VerificationReport:
-    """Check the runner-up claim at (n, k), exhaustively when possible.
+    """Check the runner-up claim at (n, k), exactly at every size.
 
     Under the enumeration cap the true second value is compared against the
-    case bound (informational outside the m > 15, m > 4k domain).  Beyond the
-    cap the harness checks the closed forms against directly computed values
-    on the constructed families, audits the crossover sign, and stress-samples
-    the class for anything below the bound that is not the quadrangle bundle.
+    case bound (informational outside the m > 15, m > 4k domain).  Past the
+    cap, inside the domain, :func:`~szegedtools.enumeration.extremal_values`
+    gives the exact runner-up and the graphs that attain it: the value must
+    equal the bound, each of those graphs must be in the case's family, and
+    the family must attain the bound.
     """
     _require_feasible(n, k)
     m = n + k - 1
     case, bound = second_minimum_bound(m, k)
     if n <= _effective_cap(cap):
         return _second_minimum_exhaustive(n, k, case, bound, cap)
-    return _second_minimum_stress(
-        n, k, case, bound, samples=samples, seed=seed
+    if bound is None:
+        note = f"bound not applicable at (m,k)=({m},{k}): {case.note}"
+        return VerificationReport(
+            "thm4.4", f"closed forms at (m,k)=({m},{k})", 0, (), findings=(note,)
+        )
+    values, scored = extremal_values(n, k)
+    second, witnesses = values[1]
+    violations = []
+    findings = []
+    if not case.family_feasible:
+        findings.append(f"runner-up family infeasible at (n,k)=({n},{k}): {case.note}")
+    _differ(
+        violations,
+        "exact second value differs from bound",
+        emit_graph6(witnesses[0]),
+        bound=bound,
+        second=second,
+    )
+    _family_check(case, bound, witnesses, "runner-up", violations)
+    findings.append(
+        f"exact runner-up {second}, attained by " + ", ".join(map(emit_graph6, witnesses))
+    )
+    return VerificationReport(
+        claim="thm4.4",
+        universe=f"exact over (n,k)=({n},{k}) by the block identity, "
+        f"{scored} block multisets",
+        checked=scored,
+        violations=tuple(violations),
+        findings=tuple(findings),
     )
 
 
@@ -764,103 +809,4 @@ def _second_minimum_exhaustive(
         checked=report.class_count,
         violations=tuple(violations),
         findings=tuple(findings),
-    )
-
-
-def _second_minimum_stress(
-    n: int,
-    k: int,
-    case: BoundCase,
-    bound: QuarterInt | None,
-    *,
-    samples: int,
-    seed: int,
-) -> VerificationReport:
-    """Theorem 4.4 past the cap: four closed-form checks and a stress search.
-
-    Without a bound, (m, k) lies outside m > 15, m > 4k, k >= 1: nothing is
-    checked or drawn, and the report has no seed.  With one, the runner-up
-    family's value is computed where the family exists, the tail floor is
-    recorded, and the case decides the rest: for m >= 20 the bound equals
-    the tail floor and the crossover is positive, for 16 <= m <= 19 it
-    equals the one-triangle mix and the crossover is negative.  Then no
-    sample below the bound may be anything but the quadrangle bundle.
-    """
-    m = n + k - 1
-    universe = f"closed forms at (m,k)=({m},{k})"
-    if bound is None:
-        note = f"bound not applicable at (m,k)=({m},{k}): {case.note}"
-        return VerificationReport("thm4.4", universe, 0, (), findings=(note,))
-    violations = []
-    findings = []
-    if case.family_feasible:
-        runner = case.family.build()
-        if not _differ(
-            violations,
-            "runner-up family value differs from closed form",
-            emit_graph6(runner),
-            bound=bound,
-            direct=edge_revised_szeged(runner),
-        ):
-            findings.append(f"runner-up family value confirmed directly: {bound}")
-    else:
-        findings.append(f"runner-up family infeasible at (n,k)=({n},{k}): {case.note}")
-    tail_floor = inner_cut_edge_bound(m, k)
-    findings.append(f"tail floor (all-quadrangle form plus m-2) = {tail_floor}")
-    if case.case == "4.4-big-m":
-        _differ(
-            violations,
-            "big-m bound differs from tail floor identity",
-            None,
-            bound=bound,
-            tail_floor=tail_floor,
-        )
-        if not crossover(m) > 0:
-            violations.append(
-                {"graph6": None, "kind": f"crossover not positive at m={m}"}
-            )
-    else:
-        _differ(
-            violations,
-            "small-m bound differs from one-triangle mix",
-            None,
-            bound=bound,
-            mix_floor=mix_closed_form(1, k, m),
-        )
-        if not crossover(m) < 0:
-            violations.append(
-                {"graph6": None, "kind": f"crossover not negative at m={m}"}
-            )
-
-    # Seeded stress search: nothing but the quadrangle bundle may sit
-    # below the runner-up bound.  Absence of a hit is evidence, not proof.
-    rng = random.Random(seed)
-    below = 0
-    stray = 0
-    for _ in range(samples):
-        g = random_cactus(n, k, seed=rng.randrange(2**63))
-        value = edge_revised_szeged(g)
-        if value < bound:
-            below += 1
-            if not is_quadrangle_bundle(g, k):
-                stray += 1
-                violations.append(
-                    {
-                        "graph6": emit_graph6(g),
-                        "kind": "non-bundle sample below the runner-up bound",
-                        "value": value.to_dict(),
-                        "bound": bound.to_dict(),
-                    }
-                )
-    findings.append(
-        f"stress search: {samples} samples, {below} below the bound, "
-        f"{stray} of them outside the quadrangle bundle family"
-    )
-    return VerificationReport(
-        claim="thm4.4",
-        universe=f"{universe} plus {samples} random cacti at (n,k)=({n},{k})",
-        checked=4 + samples,
-        violations=tuple(violations),
-        findings=tuple(findings),
-        seed=seed,
     )

@@ -23,3 +23,18 @@ def count_calls_on(monkeypatch, fn, g=None):
         if name.startswith("szegedtools") and getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, counting)
     return calls
+
+
+def count_audits(monkeypatch):
+    """Wrap every auditor in ``verify.AUDITORS``; the graphs they audit."""
+    from szegedtools import verify
+
+    audited = []
+    for claim, audit in list(verify.AUDITORS.items()):
+
+        def counting(g, audit=audit):
+            audited.append(g)
+            return audit(g)
+
+        monkeypatch.setitem(verify.AUDITORS, claim, counting)
+    return audited

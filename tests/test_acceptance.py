@@ -218,20 +218,18 @@ def test_08a_boundary_tie_is_reported_at_m15():
     )
 
 
-def test_08b_seeded_stress_finds_nothing_below_the_bound():
-    report = verify_second_minimum(20, 1, samples=10_000, seed=0)
-    assert report.passed
-    assert report.violations == ()
-    assert any(
-        "10000 samples, 0 below the bound, 0 of them outside the "
-        "quadrangle bundle family" in f
-        for f in report.findings
-    )
+def test_08b_exact_runner_up_equals_the_bound_past_the_cap():
+    # Past the cap, by the block identity: the big-m case at (20, 1) and
+    # (17, 4), the small-m case at (14, 3), with no graph enumerated.
+    for (n, k), second in (((20, 1), 1272), ((17, 4), 2532), ((14, 3), 1481)):
+        report = verify_second_minimum(n, k)
+        assert report.passed and report.violations == ()
+        assert report.findings[-1].startswith(f"exact runner-up {second}/4, ")
 
 
-def test_08c_stress_report_is_reproducible_byte_for_byte():
-    first = verify_second_minimum(20, 1, samples=10_000, seed=0)
-    second = verify_second_minimum(20, 1, samples=10_000, seed=0)
+def test_08c_exact_report_is_reproducible_byte_for_byte():
+    first = verify_second_minimum(20, 1)
+    second = verify_second_minimum(20, 1)
     a = json.dumps(first.to_dict(), sort_keys=True).encode("utf-8")
     b = json.dumps(second.to_dict(), sort_keys=True).encode("utf-8")
     assert a == b

@@ -274,6 +274,51 @@ class TestSecondMinimumBound:
                 assert small - big == crossover(m)
 
 
+class TestClosedFormsForEverySize:
+    """Theorem 4.4's closed forms, proved for every size by finitely many
+    values.
+
+    Each form below is, as written, a polynomial in m and k of degree at
+    most 2 in m and at most 1 in k (in quarters).  A polynomial of degree
+    at most d in each variable that vanishes on a grid of d + 1 values per
+    variable is zero (Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1).
+    So two such forms that agree on a grid of 3 values of m by 2 values of
+    k agree at every (m, k), and a change of any one coefficient by 1
+    changes a form by a single nonzero monomial, which no grid point with
+    m, k != 0 hides.
+    """
+
+    MS, KS = (20, 21, 22), (1, 2)
+
+    def test_big_m_value_is_the_tail_floor(self):
+        for m in self.MS:
+            for k in self.KS:
+                assert second_minimum_bound(m, k)[1] == inner_cut_edge_bound(m, k)
+
+    def test_small_m_value_is_the_one_triangle_mix(self):
+        for m in (16, 17, 18):
+            for k in self.KS:
+                assert second_minimum_bound(m, k)[1] == mix_closed_form(1, k, m)
+
+    def test_small_minus_big_is_the_crossover(self):
+        # With the two identities above, the one-triangle mix less the tail
+        # floor is the small-m value less the big-m one, at every m.
+        for m in self.MS:
+            for k in self.KS:
+                small, big = mix_closed_form(1, k, m), inner_cut_edge_bound(m, k)
+                assert small - big == crossover(m)
+
+    def test_crossover_sign_by_completing_the_square(self):
+        # 4·crossover(m) = (m - 11)^2 - 68, a polynomial of degree 2 in m,
+        # and 8^2 < 68 < 9^2: so for integers it is negative exactly when
+        # |m - 11| <= 8, that is 3 <= m <= 19, and positive elsewhere.  The
+        # big-m case starts at m = 20, where the tail floor is the smaller.
+        for m in (0, 1, 2):
+            assert crossover(m) == QuarterInt((m - 11) ** 2 - 68)
+        assert 8**2 < 68 < 9**2
+        assert [m for m in range(-50, 80) if crossover(m) < 0] == list(range(3, 20))
+
+
 class TestFamilyRef:
     def test_unknown_kind_is_infeasible(self):
         with pytest.raises(InfeasibleError, match="unknown family kind 'nope'"):

@@ -662,24 +662,25 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["report"]["violations"] == []
 
-    def test_second_minimum_stress(self):
-        code, out, _ = run_cli(
-            ["verify", "thm4.4", "--n", "20", "--k", "1", "--samples", "20"]
-        )
+    def test_second_minimum_past_the_cap(self):
+        code, out, _ = run_cli(["verify", "thm4.4", "--n", "20", "--k", "1"])
         assert code == 0
         body = json.loads(out)
-        # checked counts formula identities plus the sampled graphs
-        assert body["report"]["checked"] >= 20
-        assert any("20 samples" in f for f in body["report"]["findings"])
+        # checked counts the block multisets scored
+        assert body["report"]["checked"] == 1
+        assert body["report"]["findings"][0].startswith("exact runner-up 1272/4")
+        assert body["report"]["seed"] is None
         assert body["meta"]["seed"] == 0
 
     def test_second_minimum_zero_samples(self):
-        code, out, _ = run_cli(
-            ["verify", "thm4.4", "--n", "20", "--k", "1", "--samples", "0"]
-        )
-        assert code == 0
-        findings = json.loads(out)["report"]["findings"]
-        assert any("0 samples" in f for f in findings)
+        # thm4.4 draws nothing at any (n, k), so it reads neither --samples
+        # nor --seed: under the cap, past it outside the claim's domain,
+        # past it inside, and where no cactus exists.
+        for n, k in ((9, 2), (11, 2), (20, 1), (17, 5), (200, 50), (4, 2)):
+            for flags in ("--samples 0", "--samples 5", "--seed 5"):
+                argv = f"verify thm4.4 --n {n} --k {k} {flags}".split()
+                message = f"error: verify thm4.4 takes no {flags.split()[0]}\n"
+                assert run_cli(argv) == (2, "", message)
 
     def test_unknown_claim_is_usage_error(self):
         assert run_cli(["verify", "bogus"])[0] == 2
@@ -720,7 +721,7 @@ class TestVerify:
         ("verify thm4.4 --n 5 --k 1 --m 7", "verify thm4.4 takes no --m"),
         (
             "verify thm4.4 --n 14 --k 3 --max-n 3 --samples 5",
-            "verify thm4.4 takes no --max-n",
+            "verify thm4.4 takes no --max-n, --samples",
         ),
         ("verify thm3.2 --m 16 --k 2 --n 4", "verify thm3.2 --m takes no --n"),
         (
@@ -735,11 +736,11 @@ class TestVerify:
         ("verify lemma4.2 --samples 5 --k 1", "verify lemma4.2 --k needs --n"),
         ("verify thm3.2 --max-n 5 --k 2", "verify thm3.2 --k needs --n"),
         ("verify lemma4.1 --m 20 --max-n 4", "verify lemma4.1 takes no --m"),
-        # thm4.4 samples at exactly n; thm3.2, and lemmas without samples,
-        # draw nothing at all.
+        # thm4.4 and thm3.2 draw nothing, and lemmas without samples draw
+        # nothing either.
         (
             "verify thm4.4 --n 20 --k 1 --samples 3 --sample-max-n 12",
-            "verify thm4.4 takes no --sample-max-n",
+            "verify thm4.4 takes no --samples, --sample-max-n",
         ),
         ("verify thm3.2 --m 16 --k 2 --seed 5", "verify thm3.2 takes no --seed"),
         (
@@ -751,27 +752,19 @@ class TestVerify:
             "verify lemma3.1 --n 6 --k 1 --sample-max-n 10",
             "verify lemma3.1 takes no --sample-max-n",
         ),
-        # thm4.4 draws only inside its domain, m > 15 and m > 4k, which lies
-        # past the cap: under it at (9, 2), past it at (11, 2).
-        (
-            "verify thm4.4 --n 9 --k 2 --seed 5",
-            "verify thm4.4 at (m,k)=(10,2) takes no --seed",
-        ),
-        (
-            "verify thm4.4 --n 9 --k 2 --samples 7",
-            "verify thm4.4 at (m,k)=(10,2) takes no --samples",
-        ),
-        (
-            "verify thm4.4 --n 11 --k 2 --seed 3",
-            "verify thm4.4 at (m,k)=(12,2) takes no --seed",
-        ),
+        # thm4.4 checks each (n, k) exactly, by enumeration under the cap
+        # and by the block identity past it: it reads no --samples or
+        # --seed, under the cap at (9, 2) or past it at (11, 2).
+        ("verify thm4.4 --n 9 --k 2 --seed 5", "verify thm4.4 takes no --seed"),
+        ("verify thm4.4 --n 9 --k 2 --samples 7", "verify thm4.4 takes no --samples"),
+        ("verify thm4.4 --n 11 --k 2 --seed 3", "verify thm4.4 takes no --seed"),
         (
             "verify thm4.4 --n 11 --k 2 --samples 7",
-            "verify thm4.4 at (m,k)=(12,2) takes no --samples",
+            "verify thm4.4 takes no --samples",
         ),
         (
             "verify thm4.4 --n 11 --k 2 --samples 7 --seed 3",
-            "verify thm4.4 at (m,k)=(12,2) takes no --samples, --seed",
+            "verify thm4.4 takes no --samples, --seed",
         ),
     ]
 
@@ -780,13 +773,13 @@ class TestVerify:
         assert run_cli(argv.split()) == (2, "", f"error: {message}\n")
 
     def test_infeasible_second_minimum_is_not_a_usage_error(self):
-        code, out, err = run_cli("verify thm4.4 --n 4 --k 2 --seed 5".split())
+        code, out, err = run_cli("verify thm4.4 --n 4 --k 2".split())
         assert (code, out) == (4, "")
         assert err == "error: no cacti with n = 4, k = 2; nothing to verify\n"
 
     def test_second_minimum_outside_the_domain_names_no_samples(self):
         # (11, 2) is past the exhaustive cap and m = 12 is outside the
-        # claim's domain, so no sample is drawn.
+        # claim's domain, so nothing is checked.
         code, out, _ = run_cli(["verify", "thm4.4", "--n", "11", "--k", "2"])
         assert code == 0
         report = json.loads(out)["report"]
@@ -806,9 +799,7 @@ class TestVerify:
 
     def test_byte_determinism_modulo_wall_time(self):
         def normalized():
-            _, out, _ = run_cli(
-                ["verify", "thm4.4", "--n", "20", "--k", "1", "--samples", "30"]
-            )
+            _, out, _ = run_cli(["verify", "thm4.4", "--n", "20", "--k", "1"])
             body = json.loads(out)
             body["meta"].pop("wall_ms")
             return json.dumps(body, sort_keys=True)
@@ -855,8 +846,8 @@ def _digest(text):
 
 
 class TestVerifyReportBytes:
-    """Report bytes at exhaustive and sampled universes, JSON and human,
-    frozen."""
+    """Report bytes at exhaustive, exact and sampled universes, JSON and
+    human, frozen."""
 
     @pytest.mark.parametrize(
         "argv, json_digest, human_digest",
@@ -874,6 +865,10 @@ class TestVerifyReportBytes:
             # Past the cap and outside the claim's domain: nothing is drawn,
             # so the report names no seed.
             ("verify thm4.4 --n 11 --k 2", "6c88978f760147e6", "fe4743b408585d4f"),
+            # Past the cap and inside the domain, exact by the block
+            # identity: the big-m case at (17, 4), the small-m one at (14, 3).
+            ("verify thm4.4 --n 17 --k 4", "e83347dbb219e535", "0728662e1a594af3"),
+            ("verify thm4.4 --n 14 --k 3", "3d5baea5e7cd77dd", "11448a60e4f116a2"),
             # Sampled graphs up to n = 12, where lemma 4.2 once fell back to
             # certificates for every graph that is not a bundle.
             (

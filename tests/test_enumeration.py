@@ -438,6 +438,77 @@ class TestSearchExtremal:
         assert report.notes == ()
 
 
+# The frontier past the cap, in quarters (4·Sz_e*): minimum and runner-up
+# at each (n, k), and their source.  "S_tau" marks values that the
+# sublevel search S_τ (ROADMAP item 3), a branch and bound over graphs,
+# found independently of the block identity; "identity" marks (32, 10),
+# which only the identity reached.  At n = 3k + 2 from k = 5 on, the
+# runner-up lies above the paper's value (3157, 4557, 6213, 8125, 10293,
+# 12717).
+FRONTIER = {
+    (13, 3): (1335, 1387, "S_tau"),
+    (13, 4): (1792, 1805, "S_tau"),
+    (14, 3): (1468, 1481, "S_tau"),
+    (15, 2): (1144, 1157, "S_tau"),
+    (16, 1): (820, 833, "S_tau"),
+    (17, 4): (2460, 2532, "S_tau"),
+    (18, 3): (2040, 2112, "S_tau"),
+    (19, 2): (1620, 1692, "S_tau"),
+    (20, 1): (1200, 1272, "S_tau"),
+    (17, 5): (3081, 3189, "S_tau"),
+    (20, 6): (4465, 4625, "S_tau"),
+    (23, 7): (6105, 6297, "S_tau"),
+    (26, 8): (8001, 8225, "S_tau"),
+    (29, 9): (10153, 10409, "S_tau"),
+    (32, 10): (12561, 12849, "identity"),
+    (20, 7): (5780, 6033, "S_tau"),
+    (20, 8): (7575, 7863, "S_tau"),
+}
+
+
+def _checked_values(n, k):
+    """``extremal_values(n, k)`` as ``[(value, graphs), ...]``, each graph
+    checked to be a cactus at (n, k) whose index is its value."""
+    values, scored = enumeration.extremal_values(n, k)
+    assert scored >= 1
+    for value, graphs in values:
+        for g in graphs:
+            assert (g.n, len(g.edges), cactus_profile(g).k) == (n, n + k - 1, k)
+            assert edge_revised_szeged(g) == value, (n, k, g.edges)
+    return values
+
+
+class TestExtremalValues:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_equals_the_exhaustive_search(self, n):
+        for k in range((n - 1) // 2 + 1):
+            report = search_extremal(n, k, cap=11)
+            want = [(report.min_value, report.min_witnesses)]
+            if report.second_value is not None:
+                want.append((report.second_value, report.second_witnesses))
+            got = _checked_values(n, k)
+            assert [v for v, _ in got] == [v for v, _ in want], (n, k)
+            for (_, graphs), (_, witnesses) in zip(got, want):
+                certs = sorted(certificate(g).decode("ascii") for g in graphs)
+                assert certs == sorted(w.certificate for w in witnesses), (n, k)
+
+    @pytest.mark.parametrize("pair", FRONTIER)
+    def test_frontier(self, pair):
+        low, second, _ = FRONTIER[pair]
+        got = _checked_values(*pair)
+        assert [v.num for v, _ in got] == [low, second]
+        if pair == (13, 3):
+            assert [len(graphs) for _, graphs in got] == [4, 4]
+
+    def test_at_200_vertices(self):
+        # Theorem 3.2's quadrangle bundle and Theorem 4.4's tailed one, each
+        # the only graph at its value; one block multiset is scored.
+        values, scored = enumeration.extremal_values(200, 50)
+        assert [len(graphs) for _, graphs in values] == [1, 1]
+        assert [v.num for v, _ in values] == [419553, 420541]
+        assert scored == 1
+
+
 class TestRandomCactus:
     def test_deterministic_per_seed(self):
         a = random_cactus(12, 3, seed=7)

@@ -5,9 +5,11 @@ import json
 import pytest
 
 import samples
+from spies import count_audits
 from spies import count_calls_on as _count_calls_on
 from szegedtools import (
     CLAIM_IDS,
+    BundleSpec,
     FamilyRef,
     InfeasibleError,
     InvalidGraphError,
@@ -19,16 +21,17 @@ from szegedtools import (
     audit_inner_cycle_floor,
     audit_off_quadrangle_floor,
     audit_pendant_edges,
+    as_bundle,
+    bundle,
     cycle,
     edge_revised_szeged,
     emit_graph6,
     feasible_pairs,
     graph_from_edges,
     inner_cut_edge_bound,
-    is_quadrangle_bundle,
+    is_tailed_quadrangle_bundle,
     quadrangle_bundle,
     minimum_bound,
-    mix_closed_form,
     parse_graph6,
     second_minimum_bound,
     star,
@@ -252,6 +255,17 @@ class TestEmptyUniverse:
         universe = Universe(pairs=((3, 2), (5, 1)))
         with pytest.raises(InfeasibleError, match="no cacti with n = 3, k = 2"):
             verify_claim(claim, universe)
+
+    def test_infeasible_pair_is_found_before_any_audit(self, monkeypatch):
+        # (10, 2) holds 859 classes; (3, 2), later in the sweep, none.
+        audited = count_audits(monkeypatch)
+        universe = Universe(pairs=((10, 2), (3, 2)))
+        with pytest.raises(InfeasibleError, match="no cacti with n = 3, k = 2"):
+            verify_claim("lemma2.1", universe)
+        assert audited == []
+        # The spy does count: (5, 1) holds five classes.
+        assert verify_claim("lemma2.1", Universe(pairs=((5, 1),))).passed
+        assert len(audited) == 5
 
     @pytest.mark.parametrize("universe", [Universe(), Universe(samples=50)])
     def test_minimum_without_pairs(self, universe):
@@ -486,9 +500,10 @@ def _records(report):
 
 
 class TestClosedFormViolations:
-    """Every violation kind of the formula audit and the stress check, each
-    reached by a wrong closed form and pinned key by key.  (20, 1) has
-    m = 20, in the big-m case; (14, 3) has m = 16, in the small-m case."""
+    """Every violation kind of the formula audit and the exact runner-up
+    check past the cap, each reached by a wrong closed form, or at (17, 5)
+    by the paper's own, and pinned key by key.  (20, 1) has m = 20, in the
+    big-m case."""
 
     def test_case_value_differs_from_direct_mix_minimum(self, monkeypatch):
         case, bound = minimum_bound(16, 2)
@@ -513,100 +528,69 @@ class TestClosedFormViolations:
             "second_minimum_bound",
             lambda m, k: (case._replace(family=quadrangles), bound),
         )
-        report = verify_second_minimum(20, 1, samples=0)
+        report = verify_second_minimum(20, 1)
         g = quadrangle_bundle(20, 1)
+        witness = report.violations[1]["graph6"]
+        assert is_tailed_quadrangle_bundle(parse_graph6(witness), 1)
         assert _records(report) == [
             [
                 ("graph6", emit_graph6(g)),
-                ("kind", "runner-up family value differs from closed form"),
+                ("kind", "predicted family misses the bound value"),
                 ("bound", bound.to_dict()),
-                ("direct", edge_revised_szeged(g).to_dict()),
-            ]
+                ("family_value", edge_revised_szeged(g).to_dict()),
+            ],
+            [("graph6", witness), ("kind", "runner-up outside the predicted family")],
         ]
-        assert not any("confirmed directly" in f for f in report.findings)
+        assert report.equality_audit is None
 
-    def test_big_m_bound_differs_from_tail_floor(self, monkeypatch):
-        _, bound = second_minimum_bound(20, 1)
-        wrong = QuarterInt(inner_cut_edge_bound(20, 1).num + 4)
-        monkeypatch.setattr(verify, "inner_cut_edge_bound", lambda m, k: wrong)
-        report = verify_second_minimum(20, 1, samples=0)
-        assert _records(report) == [
-            [
-                ("graph6", None),
-                ("kind", "big-m bound differs from tail floor identity"),
-                ("bound", bound.to_dict()),
-                ("tail_floor", wrong.to_dict()),
-            ]
-        ]
-        assert f"tail floor (all-quadrangle form plus m-2) = {wrong}" in (
-            report.findings
-        )
-
-    def test_small_m_bound_differs_from_one_triangle_mix(self, monkeypatch):
-        _, bound = second_minimum_bound(16, 3)
-        wrong = QuarterInt(mix_closed_form(1, 3, 16).num + 4)
-        monkeypatch.setattr(verify, "mix_closed_form", lambda t, k, m: wrong)
-        report = verify_second_minimum(14, 3, samples=0)
-        assert _records(report) == [
-            [
-                ("graph6", None),
-                ("kind", "small-m bound differs from one-triangle mix"),
-                ("bound", bound.to_dict()),
-                ("mix_floor", wrong.to_dict()),
-            ]
-        ]
-        assert f"runner-up family value confirmed directly: {bound}" in (
-            report.findings
-        )
-
-    @pytest.mark.parametrize(
-        "n, k, kind",
-        [(20, 1, "crossover not positive at m=20"), (14, 3, "crossover not negative at m=16")],
-    )
-    def test_crossover_sign(self, monkeypatch, n, k, kind):
-        monkeypatch.setattr(verify, "crossover", lambda m: QuarterInt(0))
-        report = verify_second_minimum(n, k, samples=0)
-        assert _records(report) == [[("graph6", None), ("kind", kind)]]
-
-    def test_non_bundle_sample_below_the_bound(self, monkeypatch):
-        # A bound above every sample: each one is a stray, and the runner-up
-        # family and the tail floor miss it too.
+    def test_exact_second_value_differs_from_bound(self, monkeypatch):
         case, bound = second_minimum_bound(20, 1)
-        high = QuarterInt(4 * 10**6)
-        monkeypatch.setattr(
-            verify, "second_minimum_bound", lambda m, k: (case, high)
-        )
-        report = verify_second_minimum(20, 1, samples=5, seed=2)
-        assert _records(report)[:2] == [
+        wrong = QuarterInt(bound.num + 4)
+        monkeypatch.setattr(verify, "second_minimum_bound", lambda m, k: (case, wrong))
+        report = verify_second_minimum(20, 1)
+        g = tailed_quadrangle_bundle(20, 1)
+        assert _records(report) == [
             [
-                ("graph6", emit_graph6(tailed_quadrangle_bundle(20, 1))),
-                ("kind", "runner-up family value differs from closed form"),
-                ("bound", high.to_dict()),
-                ("direct", bound.to_dict()),
+                ("graph6", report.violations[0]["graph6"]),
+                ("kind", "exact second value differs from bound"),
+                ("bound", wrong.to_dict()),
+                ("second", bound.to_dict()),
             ],
             [
-                ("graph6", None),
-                ("kind", "big-m bound differs from tail floor identity"),
-                ("bound", high.to_dict()),
-                ("tail_floor", bound.to_dict()),
+                ("graph6", emit_graph6(g)),
+                ("kind", "predicted family misses the bound value"),
+                ("bound", wrong.to_dict()),
+                ("family_value", bound.to_dict()),
             ],
         ]
-        strays = report.violations[2:]
-        assert len(strays) == 5
-        for v in strays:
-            g = parse_graph6(v["graph6"])
-            assert (g.n, len(g.edges)) == (20, 20)
-            assert not is_quadrangle_bundle(g, 1)
-            assert list(v.items()) == [
-                ("graph6", v["graph6"]),
-                ("kind", "non-bundle sample below the runner-up bound"),
-                ("value", edge_revised_szeged(g).to_dict()),
-                ("bound", high.to_dict()),
-            ]
-        assert report.findings[-1] == (
-            "stress search: 5 samples, 5 below the bound, "
-            "5 of them outside the quadrangle bundle family"
+        assert report.equality_audit is None
+
+    def test_runner_up_outside_the_predicted_family(self):
+        # At n = 3k + 2 the tailed family does not exist, and from k = 5 the
+        # exact runner-up lies above the paper's value: at (17, 5) it is the
+        # one-triangle mix, 3189/4 against 3157/4.
+        report = verify_second_minimum(17, 5)
+        _, bound = second_minimum_bound(21, 5)
+        mix = bundle(BundleSpec((3, 4, 4, 4, 4), 2))
+        assert _records(report) == [
+            [
+                ("graph6", report.violations[0]["graph6"]),
+                ("kind", "exact second value differs from bound"),
+                ("bound", bound.to_dict()),
+                ("second", QuarterInt(3189).to_dict()),
+            ],
+            [
+                ("graph6", report.violations[0]["graph6"]),
+                ("kind", "runner-up outside the predicted family"),
+            ],
+        ]
+        witness = parse_graph6(report.violations[0]["graph6"])
+        assert as_bundle(witness) == as_bundle(mix)
+        assert report.findings[0] == (
+            "runner-up family infeasible at (n,k)=(17,5): predicted runner-up "
+            "needs n >= 3k+3; no pendant is left to extend at this size"
         )
+        assert report.equality_audit is None
 
 
 SAMPLED = Universe(samples=100, seed=0)
@@ -727,54 +711,48 @@ class TestSecondMinimum:
         assert any("domain" in f for f in report.findings)
         assert any("observed second value 185/4" in f for f in report.findings)
 
-    def test_stress_run_passes_and_reports(self):
-        report = verify_second_minimum(20, 1, samples=60, seed=0)
+    def test_exact_run_passes_and_reports(self):
+        report = verify_second_minimum(20, 1)
         assert report.passed
-        assert report.violations == ()
-        text = " ".join(report.findings)
-        assert "1272/4" in text
-        assert "60 samples" in text
-
-    def test_stress_run_is_reproducible(self):
-        a = verify_second_minimum(20, 1, samples=50, seed=3)
-        b = verify_second_minimum(20, 1, samples=50, seed=3)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
-            b.to_dict(), sort_keys=True
+        assert report.universe == (
+            "exact over (n,k)=(20,1) by the block identity, 1 block multisets"
         )
-
-    def test_different_seeds_still_pass(self):
-        report = verify_second_minimum(21, 2, samples=40, seed=11)
-        assert report.passed
+        (witness,) = report.findings[0].split(", attained by ")[1:]
+        assert report.findings == (f"exact runner-up 1272/4, attained by {witness}",)
+        assert is_tailed_quadrangle_bundle(parse_graph6(witness), 1)
+        assert report.equality_audit is None
+        assert report.seed is None
 
     def test_closed_form_checks_past_the_cap(self):
-        # Every pair past the cap, without samples: inside m > 15, m > 4k
-        # the four closed-form checks run and name the runner-up, the tail
-        # floor and the empty stress search, in that order; outside, none.
+        # Every pair past the cap: outside m > 15, m > 4k nothing is
+        # checked; inside, the bound is the exact runner-up and every graph
+        # attaining it is in the named family, except at n = 3k + 2 from
+        # k = 5 on, where the family does not exist and the runner-up is
+        # higher: the one-triangle mix at k = 5, then 128k^2 + 8k - 31.
+        failed = {}
         for n in range(11, 41):
             for k in range((n - 1) // 2 + 1):
                 m = n + k - 1
-                report = verify_second_minimum(n, k, samples=0, cap=10)
-                assert report.passed, (n, k)
+                report = verify_second_minimum(n, k, cap=10)
                 case, bound = second_minimum_bound(m, k)
-                if not (m > 15 and m > 4 * k and k >= 1):
+                if bound is None:
                     assert report.checked == 0, (n, k)
                     assert report.findings == (
                         f"bound not applicable at (m,k)=({m},{k}): {case.note}",
                     )
                     continue
-                if m >= 20 and n < 3 * k + 3:
-                    runner = (
-                        f"runner-up family infeasible at (n,k)=({n},{k}): "
-                        "predicted runner-up needs n >= 3k+3; no pendant is "
-                        "left to extend at this size"
-                    )
-                else:
-                    runner = f"runner-up family value confirmed directly: {bound}"
-                assert report.checked == 4, (n, k)
-                assert report.findings == (
-                    runner,
-                    "tail floor (all-quadrangle form plus m-2) = "
-                    f"{inner_cut_edge_bound(m, k)}",
-                    "stress search: 0 samples, 0 below the bound, "
-                    "0 of them outside the quadrangle bundle family",
+                assert report.checked >= 1
+                if not report.passed:
+                    assert [v["kind"] for v in report.violations] == [
+                        "exact second value differs from bound",
+                        "runner-up outside the predicted family",
+                    ], (n, k)
+                    failed[n, k] = report.violations[0]["second"]["num"]
+                    continue
+                assert report.findings[-1].startswith(
+                    f"exact runner-up {bound}, attained by "
                 ), (n, k)
+        assert failed == {
+            (3 * k + 2, k): 3189 if k == 5 else 128 * k * k + 8 * k - 31
+            for k in range(5, 13)
+        }
