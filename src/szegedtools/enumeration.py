@@ -161,11 +161,20 @@ def enumerate_cacti(
     if dedup:
         yield from classes
         return
+    pair = _edge_table(n)
     for g in classes:
-        yield from _class_images(g)
+        yield from _class_images(g, pair)
 
 
-def _class_images(g: Graph) -> Iterator[Graph]:
+def _edge_table(n: int) -> list[list[tuple[int, int]]]:
+    """``table[a][b]``: the edge of the vertices ``a`` and ``b`` as a sorted
+    tuple, for every pair in ``0..n-1``."""
+    return [[(a, b) if a < b else (b, a) for b in range(n)] for a in range(n)]
+
+
+def _class_images(
+    g: Graph, pair: list[list[tuple[int, int]]]
+) -> Iterator[Graph]:
     """The images of ``g`` under the least members ``p`` of the cosets
     ``p∘Aut(g)``, in lexicographic order of ``p``.
 
@@ -177,10 +186,10 @@ def _class_images(g: Graph) -> Iterator[Graph]:
     every ordering of the values it leaves free, and
     ``itertools.permutations`` of those values in increasing order gives
     the orderings in lexicographic order.  Every edge of every image is
-    mapped through a table of sorted edge tuples.
+    mapped through ``pair``, the :func:`_edge_table` of ``g.n``, which one
+    labeled stream builds once for all its classes.
     """
     n = g.n
-    pair = [[(a, b) if a < b else (b, a) for b in range(n)] for a in range(n)]
     orbits = g._orbits
     d = max((orbit[-1] + 1 for orbit in orbits if len(orbit) > 1), default=0)
     edges = g.edges

@@ -13,11 +13,18 @@ in O(n + m) time and memory:
   records the ring when it leaves the ring's second vertex, which is when
   :func:`block_decomposition` pops the same block, so both list the cycles
   in the same order. The tree edges on no ring are the cut edges.
-- Subtree vertex and edge counts, summed in post-order, give each ring
-  vertex its branch: the V_i vertices and E_i edges that hang off the ring
-  there. The ring's top vertex takes the complement.
+- Subtree vertex and edge counts, summed in post-order as the DFS pops each
+  vertex, give each ring vertex its branch: the V_i vertices and E_i edges
+  that hang off the ring there. The ring's top vertex takes the complement.
 - A cut edge splits the graph into the two sides of the tree edge, so its
-  counts are the subtree counts and m_0 = 1.
+  counts are the subtree counts and m_0 = 1. They are final when the DFS
+  pops the edge's lower end, so the pop splits it.
+- Each edge's gap and m_0 go to a flat per-vertex slot: the tree edge from
+  x up to its parent at slot x, a ring's back edge at slot n + its bottom
+  vertex. That slot is unique: a second back edge from the same bottom
+  would put the bottom's parent edge on a second ring. One ``itemgetter``
+  over the slots of ``g.edges`` then gathers both rows in edge order, and
+  the sum of the squared gaps is kept as the walk goes.
 - On an edge of an L-cycle, a branch sides with the nearer endpoint. For
   even L the antipodal edge is the only other equidistant edge; for odd L
   the whole branch at the opposite vertex is equidistant, and no ring edge
@@ -52,7 +59,7 @@ at once, an image made without validation on first read.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DisconnectedError, InvalidGraphError
@@ -352,7 +359,10 @@ class _Distances(NamedTuple):
     """What one distance pass knows about a graph: the gap m_u - m_v and the
     m_0 of every edge in ``g.edges`` order, the sum of the squared gaps, the
     Szeged and Wiener index, and the rings in block order (each top vertex
-    first, then ring order), or ``None`` when the graph is no cactus."""
+    first, then ring order), or ``None`` when the graph is no cactus.
+
+    On a cactus the two rows are gathered from the walk's per-vertex slots
+    (see the module docstring); they are plain tuples either way."""
 
     gaps: tuple[int, ...]
     zeros: tuple[int, ...]
@@ -366,6 +376,11 @@ def _cactus_distances(g: Graph) -> _Distances | None:
     """Rings, edge gaps and m_0, Szeged and Wiener index of a cactus in one
     DFS (see the module docstring).
 
+    The walk writes each edge's gap and m_0 to its slot, x for the tree
+    edge up from x and n + x for the back edge from the ring bottom x, and
+    the rows in ``g.edges`` order are gathered from those slots once it is
+    done.
+
     Returns ``None`` when ``g`` is no cactus. Raises
     :class:`DisconnectedError` when ``g`` is a disconnected cactus forest.
     """
@@ -373,7 +388,6 @@ def _cactus_distances(g: Graph) -> _Distances | None:
     parent = [-1] * n
     depth = [-1] * n
     depth[0] = 0
-    order = [0]
     # on_cycle[x]: the tree edge x-parent[x] lies on a cycle.
     on_cycle = [False] * n
     # closes[x]: the ring whose second vertex is x.
@@ -381,7 +395,13 @@ def _cactus_distances(g: Graph) -> _Distances | None:
     # Vertices and edges of each subtree; an edge belongs to its lower end.
     sub_v = [1] * n
     sub_e = [0] * n
+    # The gap and m_0 of each edge (u, v), u < v, by slot: the tree edge
+    # from x up to parent[x] at x, a ring's back edge at n + its bottom.
+    # m_0 starts at 1, a cut edge's; the ring sweep writes its own.
+    gap_at = [0] * (2 * n)
+    zero_at = [1] * (2 * n)
     rings = []
+    squares = cut_pairs = 0
     stack = [(0, iter(adj[0]))]
     while stack:
         v, it = stack[-1]
@@ -389,7 +409,6 @@ def _cactus_distances(g: Graph) -> _Distances | None:
             if depth[w] < 0:
                 parent[w] = v
                 depth[w] = depth[v] + 1
-                order.append(w)
                 stack.append((w, iter(adj[w])))
                 break
             if depth[w] < depth[v] and w != parent[v]:
@@ -407,34 +426,27 @@ def _cactus_distances(g: Graph) -> _Distances | None:
                 closes[ring[1]] = ring
                 sub_e[v] += 1
         else:
+            # Every subtree below v is done: add v's to its parent's, in
+            # post-order, and split v's tree edge if it is a cut edge.
             stack.pop()
+            p = parent[v]
+            if p >= 0:
+                below = sub_e[v] + 1
+                sub_e[v] = below
+                sub_e[p] += below
+                sub_v[p] += sub_v[v]
+                if not on_cycle[v]:
+                    # m_u = below - 1 edges below v, m_v = m - below above.
+                    gap = 2 * below - 1 - m
+                    gap_at[v] = gap if v < p else -gap
+                    squares += gap * gap
+                    cut_pairs += sub_v[v] * (n - sub_v[v])
             if closes[v] is not None:
                 rings.append(closes[v])
-    if len(order) < n:
+    if -1 in depth:
         raise DisconnectedError("graph is not connected")
 
-    for x in reversed(order):
-        p = parent[x]
-        if p >= 0:
-            sub_e[x] += 1
-            sub_v[p] += sub_v[x]
-            sub_e[p] += sub_e[x]
-
-    # (gap, m_0) per edge (u, v) with u < v.
-    split = {}
-    szeged_total = wiener_total = 0
-    for x in order[1:]:
-        if not on_cycle[x]:
-            below = sub_v[x]
-            p = parent[x]
-            # m_u = sub_e[x] - 1 edges below x, m_v = m - sub_e[x] above it.
-            gap = 2 * sub_e[x] - 1 - m
-            if x < p:
-                split[(x, p)] = (gap, 1)
-            else:
-                split[(p, x)] = (-gap, 1)
-            szeged_total += below * (n - below)
-            wiener_total += below * (n - below)
+    szeged_total = wiener_total = cut_pairs
     for ring in rings:
         size = len(ring)
         half = size // 2
@@ -467,6 +479,7 @@ def _cactus_distances(g: Graph) -> _Distances | None:
         e_u = sum(edges[size - half:])
         rest = m - size
         pairs = 0
+        last = size - 1
         for i, a in enumerate(ring):
             v = verts[i]
             j = i - half
@@ -483,11 +496,12 @@ def _cactus_distances(g: Graph) -> _Distances | None:
                 e_v = rest - e_u
                 m_0 = 2
             gap = e_u - e_v
+            squares += gap * gap
             b = ring[i + 1 - size]
-            if a < b:
-                split[(a, b)] = (gap, m_0)
-            else:
-                split[(b, a)] = (-gap, m_0)
+            # The tree edge down to b, or the back edge up from the bottom a.
+            slot = b if i < last else n + a
+            gap_at[slot] = gap if a < b else -gap
+            zero_at[slot] = m_0
             szeged_total += n_u * n_v
             # Sum of V_i S(i). The step to ring[i + 1] takes the u side one
             # farther and the v side one nearer: S(i + 1) = S(i) + n_u - n_v.
@@ -495,12 +509,25 @@ def _cactus_distances(g: Graph) -> _Distances | None:
             reach += n_u - n_v
         wiener_total += pairs // 2
 
-    # One C-level pass over the rows; K1 has none to unzip.
-    gaps, zeros = zip(*map(split.__getitem__, g.edges)) if m else ((), ())
+    # Gather each row into g.edges order: an edge's slot is its lower end's,
+    # offset by n for a back edge. itemgetter returns a bare item for one
+    # key and refuses none; K1 and K2 are the connected graphs with m <= 1.
+    if m > 1:
+        take = itemgetter(
+            *[
+                v if parent[v] == u
+                else u if parent[u] == v
+                else n + (u if depth[u] > depth[v] else v)
+                for u, v in g.edges
+            ]
+        )
+        gaps, zeros = take(gap_at), take(zero_at)
+    else:
+        gaps, zeros = ((0,), (1,)) if m else ((), ())
     return _Distances(
         gaps,
         zeros,
-        sum(map(mul, gaps, gaps)),
+        squares,
         szeged_total,
         wiener_total,
         # Built as tuples once the walk is done: keeping the lists the walk

@@ -10,9 +10,12 @@ any computation here.
 On a cactus every one of these counts follows from block weights, so the
 one DFS that also finds the cactus's cycles and cut edges,
 :func:`szegedtools.graphs._cactus_distances`, gives them all in O(n + m)
-time. Any other graph takes the general path: all-pairs BFS plus a sweep
-over all edges for each edge, O(n m + m^2) time. That path is also the
-reference the cactus pass is tested against.
+time. It writes each edge's gap and m_0 to a flat per-vertex slot (the tree
+edge up from x at x, a ring's back edge at n + its bottom vertex), sums the
+squared gaps as it goes, and gathers the slots into ``g.edges`` order once.
+Any other graph takes the general path: all-pairs BFS plus a sweep over all
+edges for each edge, O(n m + m^2) time. That path is also the reference the
+cactus pass is tested against.
 
 Either way the analysis runs once per graph and is kept on it (a Graph never
 changes): the gap m_u - m_v and m_0 of every edge, the sum of the squared

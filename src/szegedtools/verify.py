@@ -7,6 +7,15 @@ graph with the claimed structure must achieve equality (``bwd_ok``).  The
 conditional floors of Lemmas 4.1–4.3 also say whether their hypothesis
 applies (``applicable``) and whether the edge count lies in the claimed
 domain (``in_domain``); the unconditional lemmas set both to ``True``.
+
+Lemmas 2.1–2.3 and 3.1 also hold at every size, from the block identity
+4·Sz_e* = m³ − Σ ceil + Σ def proved in the docstring of
+``tests/test_block_identity.py``: each deficiency is at least 0, and 0
+exactly on pendant bridges and end-block rings.  That module checks the
+identity against ``edge_revised_szeged`` on every class through n = 10 and
+on relabeled draws up to n = 200, the ring's circulant coefficients for
+lengths 3 to 60, and the deficiencies' signs and zeros through n = 9.
+Their audits stay here, because they check the graphs a caller passes in.
 Family membership is read off each graph's block structure (``as_bundle``,
 ``is_tailed_quadrangle_bundle``), never from canonical forms, so the audits
 run no canonical search and work at any size.

@@ -34,7 +34,7 @@ from szegedtools import (
 )
 from szegedtools import edge_revised_szeged, enumeration
 from szegedtools.canon import canonical_pair
-from szegedtools.enumeration import _class_images
+from szegedtools.enumeration import _class_images, _edge_table
 
 # class counts fixed after cross-checking the n <= 6 slice against the
 # brute-force powerset oracle and n <= 7 against published tree and
@@ -281,7 +281,7 @@ class TestClassImages:
         assert asym
         for g in asym:
             assert all(len(orbit) == 1 for orbit in g._orbits)
-            got = [h.edges for h in _class_images(g)]
+            got = [h.edges for h in _class_images(g, _edge_table(7))]
             assert len(got) == math.factorial(7)
             assert got == oracles.labeled_by_permutations(7, g.edges)
 
@@ -294,7 +294,7 @@ class TestClassImages:
         g = canonical_form(family(n))
         d = max(orbit[-1] + 1 for orbit in g._orbits if len(orbit) > 1)
         assert d == (n if family is cycle else n - 1)
-        got = [image.edges for image in _class_images(g)]
+        got = [image.edges for image in _class_images(g, _edge_table(n))]
         assert got == oracles.labeled_by_permutations(n, g.edges)
 
     @pytest.mark.parametrize(
@@ -314,8 +314,9 @@ class TestClassImages:
         calls = count_calls_on(monkeypatch, canonical_pair)
         for g in classes:
             back = round_trip(g)
-            want = [h.edges for h in _class_images(g)]
-            assert [h.edges for h in _class_images(back)] == want
+            pair = _edge_table(g.n)
+            want = [h.edges for h in _class_images(g, pair)]
+            assert [h.edges for h in _class_images(back, pair)] == want
             assert automorphism_count(back) == automorphism_count(g)
         assert not calls
 

@@ -287,6 +287,63 @@ class TestCactusPass:
             assert {(p.m_u, p.m_v, p.m_0) for p in edge_partitions(g)} == {want}
             _assert_matches_bfs_path(g)
 
+    # The walk keeps each edge's gap and m_0 at the slot of its lower end,
+    # the tree edge up from x at x and a ring's back edge at n + its bottom,
+    # and turns the gap to the sorted edge (u, v), u < v. Each shape puts
+    # one kind of slot on one side of that sort with a nonzero gap, so a
+    # wrong slot or sign changes some edge's counts. The walk starts at
+    # vertex 0 and takes neighbours in increasing order, which fixes its
+    # tree, and ``rings`` (top vertex first, bottom last) pins it.
+
+    @pytest.mark.parametrize(
+        "n, edges, rings",
+        [
+            pytest.param(1, [], (), id="K1"),
+            pytest.param(2, [(0, 1)], (), id="K2"),
+            pytest.param(3, [(0, 1), (1, 2)], (), id="P3"),
+            # Bottom 2, top 0; a path hangs at the bottom.
+            pytest.param(
+                5,
+                [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+                ((0, 1, 2),),
+                id="ring-bottom-above-top",
+            ),
+            # Bottom 2, top 3; a pendant at the top, a path at the bottom.
+            pytest.param(
+                6,
+                [(0, 3), (1, 3), (1, 2), (2, 3), (2, 4), (4, 5)],
+                ((3, 1, 2),),
+                id="ring-bottom-below-top",
+            ),
+            # The cut edge from 1 up to 2.
+            pytest.param(
+                4, [(0, 3), (2, 3), (1, 2)], (), id="bridge-child-below-parent"
+            ),
+            # The cut edges from 1 up to 0 and from 3 up to 2.
+            pytest.param(
+                4, [(0, 1), (0, 2), (2, 3)], (), id="bridge-child-above-parent"
+            ),
+            # The ring's tree edge from 1 up to 2.
+            pytest.param(
+                6,
+                [(0, 2), (1, 2), (1, 3), (0, 3), (3, 4), (4, 5)],
+                ((0, 2, 1, 3),),
+                id="ring-tree-edge-child-below-parent",
+            ),
+            # Every tree edge of the ring runs up to a smaller label.
+            pytest.param(
+                6,
+                [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)],
+                ((0, 1, 2, 3),),
+                id="ring-tree-edge-child-above-parent",
+            ),
+        ],
+    )
+    def test_slot_shapes(self, n, edges, rings):
+        g = graph_from_edges(n, edges)
+        assert graphs._cactus_distances(g).rings == rings
+        _assert_matches_bfs_path(g)
+
     # The ring pass slides one window of branches around each ring; these
     # shapes make every slip of that window change some edge's counts.
 
