@@ -140,7 +140,8 @@ def _parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--expect-thm44",
         action="store_true",
-        help="exit nonzero if the runner-up contradicts the closed form",
+        help="accepted for compatibility; no pair inside the cap has a "
+        "runner-up bound, so it never changes the exit code",
     )
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--cap", type=int)
@@ -387,9 +388,7 @@ def _cmd_search(args, started: float) -> int:
         payload.pop("second_case", None)
         payload.pop("second_agrees", None)
     code = EXIT_OK
-    if args.expect_thm32 and report.minimum_agrees is not True:
-        code = EXIT_VIOLATION
-    if args.expect_thm44 and report.second_agrees is False:
+    if args.expect_thm32 and not report.minimum_agrees:
         code = EXIT_VIOLATION
     if args.format == "json":
         _print_json(payload, args, started)
@@ -407,8 +406,7 @@ def _cmd_search(args, started: float) -> int:
                     f"  second {report.second_value} "
                     f"({len(report.second_witnesses)} witness(es))"
                 )
-        if report.minimum_agrees is not None:
-            print(f"  closed-form minimum agrees: {report.minimum_agrees}")
+        print(f"  closed-form minimum agrees: {report.minimum_agrees}")
         for note in report.notes:
             print(f"  note: {note}")
     return code

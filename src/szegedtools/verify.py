@@ -27,16 +27,16 @@ that fails, and record ties and boundary behavior as findings.  A tie whose
 minimizers fall outside the one family a theorem names is also a violation:
 at (n, k) = (12, 4), m = 15, three of Theorem 3.2's four minimizers are.
 
-The two theorems are checked on whole classes instead of per graph, and
-both read one exhaustive scan, ``search_extremal``: Theorem 3.2 its minimum
-and minimizers, Theorem 4.4 its runner-up.  ``verify_claim`` also takes
-``"thm3.2"``, checking each of a universe's pairs and merging the reports.
-Theorem 4.4's domain (m > 15, m > 4k) starts at n = 14, past the
-enumeration cap.  There the exact runner-up and the graphs that attain it
-come from the block identity (``extremal_values``), with no graph
-enumerated and nothing sampled, and they are compared with the bound and
-its family as the exhaustive values are.  Both theorems judge their
-family by one check, ``_family_check``.
+The two theorems are checked on whole classes instead of per graph.
+Theorem 3.2 reads one exhaustive scan, ``search_extremal``: its minimum
+and minimizers.  ``verify_claim`` also takes ``"thm3.2"``, checking each of
+a universe's pairs and merging the reports.  Theorem 4.4's domain
+(m > 15, m > 4k) starts at n = 14, past the enumeration cap, so inside
+the cap it records the scan's runner-up for information only.  In its
+domain the exact runner-up and the graphs that attain it come from the
+block identity (``extremal_values``), with no graph enumerated and nothing
+sampled, and they are compared with the bound and its family.  Both
+theorems judge their family by one check, ``_family_check``.
 
 An (n, k) pair with no cactus (n < 2k + 1) raises ``InfeasibleError`` for
 every claim, alone or inside a sweep: no claim passes on an empty class.
@@ -739,22 +739,39 @@ def verify_second_minimum(
 ) -> VerificationReport:
     """Check the runner-up claim at (n, k), exactly at every size.
 
-    Under the enumeration cap the true second value is compared against the
-    case bound (informational outside the m > 15, m > 4k domain).  Past the
-    cap, inside the domain, :func:`~szegedtools.enumeration.extremal_values`
-    gives the exact runner-up and the graphs that attain it: the value must
-    equal the bound, each of those graphs must be in the case's family, and
-    the family must attain the bound.
+    Outside the m > 15, m > 4k domain there is no bound: under the
+    enumeration cap the scan's runner-up is recorded for information, past
+    it nothing is checked.  Inside the domain, which starts at n = 14, past
+    the cap, :func:`~szegedtools.enumeration.extremal_values` gives the
+    exact runner-up and the graphs that attain it: the value must equal the
+    bound, each of those graphs must be in the case's family, and the
+    family must attain the bound.
     """
     _require_feasible(n, k)
     m = n + k - 1
     case, bound = second_minimum_bound(m, k)
-    if n <= _effective_cap(cap):
-        return _second_minimum_exhaustive(n, k, case, bound, cap)
     if bound is None:
-        note = f"bound not applicable at (m,k)=({m},{k}): {case.note}"
+        if n > _effective_cap(cap):
+            note = f"bound not applicable at (m,k)=({m},{k}): {case.note}"
+            return VerificationReport(
+                "thm4.4", f"closed forms at (m,k)=({m},{k})", 0, (), findings=(note,)
+            )
+        report = search_extremal(n, k, cap=cap)
+        findings = [
+            f"claim domain does not cover (m,k)=({m},{k}): {case.note}; "
+            "exhaustive values recorded for information only"
+        ]
+        if report.second_value is not None:
+            findings.append(
+                f"observed second value {report.second_value} over "
+                f"{report.class_count} classes"
+            )
         return VerificationReport(
-            "thm4.4", f"closed forms at (m,k)=({m},{k})", 0, (), findings=(note,)
+            claim="thm4.4",
+            universe=f"exhaustive (n,k)=({n},{k}), {report.class_count} classes",
+            checked=report.class_count,
+            violations=(),
+            findings=tuple(findings),
         )
     values, scored = extremal_values(n, k)
     second, witnesses = values[1]
@@ -782,40 +799,3 @@ def verify_second_minimum(
         findings=tuple(findings),
     )
 
-
-def _second_minimum_exhaustive(
-    n: int, k: int, case: BoundCase, bound: QuarterInt | None, cap: int | None
-) -> VerificationReport:
-    m = n + k - 1
-    report = search_extremal(n, k, cap=cap)
-    violations = []
-    findings = []
-    if bound is None:
-        findings.append(
-            f"claim domain does not cover (m,k)=({m},{k}): {case.note}; "
-            "exhaustive values recorded for information only"
-        )
-        if report.second_value is not None:
-            findings.append(
-                f"observed second value {report.second_value} over "
-                f"{report.class_count} classes"
-            )
-    else:
-        # Unreached at caps up to 12: m > 15 and m > 4k first hold at n = 14.
-        if report.second_value is None:
-            findings.append("single class; no second value exists")
-        else:
-            _differ(
-                violations,
-                "exhaustive second value differs from bound",
-                report.second_witnesses[0].graph6,
-                bound=bound,
-                second=report.second_value,
-            )
-    return VerificationReport(
-        claim="thm4.4",
-        universe=f"exhaustive (n,k)=({n},{k}), {report.class_count} classes",
-        checked=report.class_count,
-        violations=tuple(violations),
-        findings=tuple(findings),
-    )

@@ -535,21 +535,29 @@ class TestSearch:
     def test_expectation_flag_passes_when_bound_agrees(self):
         assert run_cli(["search", "--n", "4", "--k", "1", "--expect-thm32"])[0] == 0
 
-    @pytest.mark.parametrize(
-        "flag, bound",
-        [
-            ("--expect-thm32", "minimum_bound"),
-            ("--expect-thm44", "second_minimum_bound"),
-        ],
-    )
+    @pytest.mark.parametrize("flag, bound", [("--expect-thm32", "minimum_bound")])
     def test_expectation_flag_fails_on_a_wrong_bound(self, monkeypatch, flag, bound):
-        # Each flag reads its own verdict: only its closed form is wrong.
         case, _ = getattr(enumeration, bound)(5, 1)
         monkeypatch.setattr(enumeration, bound, lambda m, k: (case, QuarterInt(0)))
         argv = ["search", "--n", "5", "--k", "1", "--second", flag]
         code, out, _ = run_cli(argv)
         assert code == 1
         assert len(json.loads(out)["notes"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--expect-thm44"], ["--expect-thm44", "--expect-thm32"]]
+    )
+    def test_runner_up_flag_reads_nothing_inside_the_cap(self, flags):
+        # No pair inside the cap has a runner-up bound, so --expect-thm44
+        # leaves the exit code and the report as they are without it.
+        argv = ["search", "--n", "9", "--k", "2", "--second"]
+        plain, flagged = run_cli(argv), run_cli([*argv, *flags])
+        assert plain[0] == flagged[0] == 0
+        bodies = [json.loads(out) for _, out, _ in (plain, flagged)]
+        for body in bodies:
+            del body["meta"]["wall_ms"]
+        assert bodies[0] == bodies[1]
+        assert bodies[0]["second_agrees"] is None
 
     def test_human_format(self):
         code, out, _ = run_cli(

@@ -413,30 +413,17 @@ class TestSearchExtremal:
                 assert w.certificate == w.graph6
 
     def test_closed_forms_that_miss_the_scan_are_reported(self, monkeypatch):
-        # No pair under the cap is in thm4.4's domain, so the runner-up is
-        # compared only with a closed form put in its place.  At (5, 1) the
-        # minimum is 85/4 and the runner-up 91/4.
-        for name in ("minimum_bound", "second_minimum_bound"):
-            case, _ = getattr(enumeration, name)(5, 1)
-            monkeypatch.setattr(
-                enumeration, name, lambda m, k, case=case: (case, QuarterInt(0))
-            )
+        # At (5, 1) the minimum is 85/4; a closed form put in its place
+        # that misses it is reported as a note.
+        case, _ = enumeration.minimum_bound(5, 1)
+        monkeypatch.setattr(
+            enumeration, "minimum_bound", lambda m, k: (case, QuarterInt(0))
+        )
         report = search_extremal(5, 1)
         assert report.minimum_agrees is False
-        assert report.second_agrees is False
         assert report.notes == (
             "closed-form minimum disagrees with the exhaustive minimum",
-            "closed-form runner-up disagrees with the exhaustive runner-up",
         )
-
-    def test_a_runner_up_closed_form_that_agrees(self, monkeypatch):
-        case, _ = enumeration.second_minimum_bound(5, 1)
-        monkeypatch.setattr(
-            enumeration, "second_minimum_bound", lambda m, k: (case, QuarterInt(91))
-        )
-        report = search_extremal(5, 1)
-        assert (report.minimum_agrees, report.second_agrees) == (True, True)
-        assert report.notes == ()
 
 
 # The frontier past the cap, in quarters (4·Sz_e*): minimum and runner-up

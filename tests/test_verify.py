@@ -42,7 +42,7 @@ from szegedtools import (
     verify_minimum_formula,
     verify_second_minimum,
 )
-from szegedtools import canon, graphs, verify
+from szegedtools import canon, enumeration, graphs, verify
 from szegedtools.verify import AUDITORS
 
 
@@ -368,7 +368,7 @@ def _failures(report):
 
 
 class TestTheoremViolations:
-    """Every violation kind of the two exhaustive theorem checks, reached at
+    """Every violation kind of the exhaustive Theorem 3.2 check, reached at
     (n, k) = (5, 1) by a wrong closed form.  The class minimum there is the
     paw with a pendant at its hub, D@{ (85/4), and the runner-up is DBk
     (91/4); the triangle bundle builds as D{_, the quadrangle bundle as Dl_
@@ -466,32 +466,6 @@ class TestTheoremViolations:
             "exhaustive (n,k)=(5,1), 5 classes",
         ]
         assert _failures(report) == ([], ["C{", "D{_"])
-
-    def test_wrong_second_value(self, monkeypatch):
-        case, _ = second_minimum_bound(5, 1)
-        monkeypatch.setattr(
-            verify, "second_minimum_bound", lambda m, k: (case, QuarterInt(90))
-        )
-        report = verify_second_minimum(5, 1)
-        assert not report.passed
-        assert _violations(report) == [
-            ("exhaustive second value differs from bound", "DBk")
-        ]
-        assert report.violations[0]["bound"] == QuarterInt(90).to_dict()
-        assert report.violations[0]["second"] == QuarterInt(91).to_dict()
-        assert report.equality_audit is None
-
-    def test_bound_on_a_single_class(self, monkeypatch):
-        # The path on three vertices is the only class at (3, 0): a bound
-        # there has no runner-up to compare with.
-        case, _ = second_minimum_bound(2, 0)
-        monkeypatch.setattr(
-            verify, "second_minimum_bound", lambda m, k: (case, QuarterInt(1))
-        )
-        report = verify_second_minimum(3, 0)
-        assert report.passed
-        assert report.checked == 1
-        assert report.findings == ("single class; no second value exists",)
 
 
 def _records(report):
@@ -695,15 +669,20 @@ class TestLemmaViolations:
 class TestSecondMinimum:
     def test_no_bound_inside_the_cap(self):
         # m > 15 and m > 4k, with m = n + k - 1, first both hold at n = 14,
-        # so no class that the canonical search can list has a bound: the
-        # exhaustive comparison runs only on a monkeypatched bound today.
+        # so no class under the largest cap has a runner-up bound, and
+        # thm4.4 and the search only record the scan's runner-up there.  A
+        # cap of 14 or more would need an in-cap runner-up comparison again.
         inside = [
             (n, k)
             for n, k in feasible_pairs(16)
             if second_minimum_bound(n + k - 1, k)[1] is not None
         ]
-        assert min(n for n, _ in inside) == 14 > canon.CERT_CAP
+        assert min(n for n, _ in inside) == 14 > enumeration.ABSOLUTE_CAP
         assert (14, 3) in inside and (14, 4) in inside
+        for n, k in feasible_pairs(9):
+            report = enumeration.search_extremal(n, k)
+            assert report.second_agrees is None, (n, k)
+            assert not report.second_case.applicable, (n, k)
 
     def test_out_of_domain_is_informational(self):
         report = verify_second_minimum(7, 1)
