@@ -39,6 +39,14 @@ in O(n + m) time and memory:
   once; then S(i + 1) = S(i) + n_u - n_v for the edge from i to i + 1,
   since its step takes every vertex on the u side one farther and every
   vertex on the v side one nearer.
+- A triangle (top, mid, bot), most rings of the paper's minimizers, skips
+  the window: half = 1, so each edge's u side is its own end's branch, its
+  v side the next end's, and the third branch is equidistant. With the
+  branches V_0, V_1, V_2 and E_0, E_1, E_2 at top, mid and bot, the edges
+  top-mid, mid-bot and bot-top have the gaps E_0 - E_1, E_1 - E_2 and
+  E_2 - E_0 and the m_0 1 + E_2, 1 + E_0 and 1 + E_1. Every two branches
+  are one step apart, so the ring's Wiener term equals its Szeged term,
+  V_0 V_1 + V_1 V_2 + V_2 V_0.
 
 The walk detects a disconnected graph. It gives up at the first tree edge
 covered by two back edges, which happens exactly when the graph is no
@@ -379,7 +387,8 @@ def _cactus_distances(g: Graph) -> _Distances | None:
     The walk writes each edge's gap and m_0 to its slot, x for the tree
     edge up from x and n + x for the back edge from the ring bottom x, and
     the rows in ``g.edges`` order are gathered from those slots once it is
-    done.
+    done. A triangle's three edges are written in closed form; longer rings
+    take the sliding window.
 
     Returns ``None`` when ``g`` is no cactus. Raises
     :class:`DisconnectedError` when ``g`` is a disconnected cactus forest.
@@ -449,6 +458,28 @@ def _cactus_distances(g: Graph) -> _Distances | None:
     szeged_total = wiener_total = cut_pairs
     for ring in rings:
         size = len(ring)
+        if size == 3:
+            # A triangle, in closed form (see the module docstring). The
+            # walk takes the top's smaller neighbour first, so mid < bot.
+            top, mid, bot = ring
+            v1 = sub_v[mid] - sub_v[bot]
+            v2 = sub_v[bot]
+            v0 = n - v1 - v2
+            e0 = m - sub_e[mid]
+            e1 = sub_e[mid] - sub_e[bot] - 1
+            e2 = sub_e[bot] - 2
+            gap0, gap1, gap2 = e0 - e1, e1 - e2, e2 - e0
+            squares += gap0 * gap0 + gap1 * gap1 + gap2 * gap2
+            gap_at[mid] = gap0 if top < mid else -gap0
+            gap_at[bot] = gap1
+            gap_at[n + bot] = gap2 if bot < top else -gap2
+            zero_at[mid] = 1 + e2
+            zero_at[bot] = 1 + e0
+            zero_at[n + bot] = 1 + e1
+            pairs = v0 * v1 + v1 * v2 + v2 * v0
+            szeged_total += pairs
+            wiener_total += pairs
+            continue
         half = size // 2
         odd = size & 1
         # Branch weights at ring[0] (the top vertex), ring[1], ..., ring[-1],

@@ -6,7 +6,9 @@ partition counting, Fraction arithmetic, delete-and-retest bridge detection,
 simple-cycle enumeration, min-over-all-relabelings isomorphism,
 automorphisms by exhaustive extension, the unpruned degree-sorted canonical
 search, and labeled copies by walking all n! relabelings.  Slow on purpose;
-sized for the small universes the tests use.
+sized for the small universes the tests use.  ``cactus_with_bridges`` is a
+sampler, not an oracle: it draws cut edges at any cycle count, which the
+package's ``random_cactus`` almost never does once k is more than a few.
 
 Three exceptions use the package.  ``tailed_quadrangle_bundle_by_peeling``,
 the earlier recognizer of the tailed family, is kept as the oracle for the
@@ -416,3 +418,33 @@ def random_graph_edges(rng, n: int, extra: float = 0.3):
     for e in possible[: int(extra * n)]:
         edges.add(e)
     return sorted(edges)
+
+
+def cactus_with_bridges(rng, n: int, k: int) -> list[tuple[int, int]]:
+    """Edges of a random cactus with ``n`` vertices and ``k`` cycles.
+
+    Each step hangs a leaf block at a uniformly chosen vertex: a pendant
+    edge or a ring, by a fair coin while both still fit.  A ring takes two
+    new vertices plus up to its fair share, ``spare // rings left``, of the
+    vertices no ring needs.  So cut edges, pendant or between rings, keep
+    coming at any k, where ``random_cactus`` hands the spare vertices to
+    the rings first.
+    """
+    spare = n - 1 - 2 * k  # vertices no ring needs: n - verts - 2 * rings
+    edges = []
+    verts, rings = 1, k
+    while verts < n:
+        at = rng.randrange(verts)
+        if rings and (not spare or rng.random() < 0.5):
+            size = 2 + rng.randint(0, spare // rings)
+            spare -= size - 2
+            rings -= 1
+        else:
+            size = 1
+            spare -= 1
+        path = [at, *range(verts, verts + size)]
+        edges += zip(path, path[1:])
+        if size > 1:
+            edges.append((at, path[-1]))
+        verts += size
+    return edges

@@ -54,6 +54,7 @@ import random
 
 import pytest
 
+import oracles
 from szegedtools import (
     cactus_classes,
     cactus_profile,
@@ -137,11 +138,17 @@ def _relabeled(g, rng):
 
 
 def _draws():
+    # random_cactus, then a sampler that hangs a pendant edge or a ring by a
+    # fair coin: random_cactus almost never draws a bridge at large k.
     rng = random.Random(12)
     sizes = [rng.randint(3, 200) for _ in range(24)] + [200, 200]
     for n in sizes:
         k = rng.randint(0, (n - 1) // 2)
         yield _relabeled(random_cactus(n, k, seed=rng.randrange(2**32)), rng)
+    for n in sizes:
+        k = rng.randint(0, (n - 1) // 2)
+        g = graph_from_edges(n, oracles.cactus_with_bridges(rng, n, k))
+        yield _relabeled(g, rng)
 
 
 def test_identity_on_every_class_through_n10():
@@ -156,6 +163,9 @@ def test_identity_on_every_class_through_n10():
 def test_identity_on_relabeled_draws_up_to_n200():
     draws = list(_draws())
     assert max(g.n for g in draws) == 200
+    # Bridges at k = m - n + 1 >= n / 5, which random_cactus almost never draws.
+    big_k = [g for g in draws if 5 * (g.m - g.n + 1) >= g.n]
+    assert sum(bool(cactus_profile(g).bridges) for g in big_k) >= 5
     for g in draws:
         assert block_identity(g) == edge_revised_szeged(g), g.edges
 

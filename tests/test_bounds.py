@@ -1,6 +1,7 @@
 """Closed-form values and the two extremal lower bounds."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -275,17 +276,18 @@ class TestSecondMinimumBound:
 
 
 class TestClosedFormsForEverySize:
-    """Theorem 4.4's closed forms, proved for every size by finitely many
-    values.
+    """Theorem 4.4's closed forms and the bundle forms, proved for every
+    size by finitely many values.
 
-    Each form below is, as written, a polynomial in m and k of degree at
-    most 2 in m and at most 1 in k (in quarters).  A polynomial of degree
+    Theorem 4.4's forms are, as written, polynomials in m and k of degree
+    at most 2 in m and at most 1 in k (in quarters).  A polynomial of degree
     at most d in each variable that vanishes on a grid of d + 1 values per
     variable is zero (Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1).
     So two such forms that agree on a grid of 3 values of m by 2 values of
     k agree at every (m, k), and a change of any one coefficient by 1
     changes a form by a single nonzero monomial, which no grid point with
-    m, k != 0 hides.
+    m, k != 0 hides.  The bundle forms are read the same way in the block
+    counts (see the test).
     """
 
     MS, KS = (20, 21, 22), (1, 2)
@@ -307,6 +309,26 @@ class TestClosedFormsForEverySize:
             for k in self.KS:
                 small, big = mix_closed_form(1, k, m), inner_cut_edge_bound(m, k)
                 assert small - big == crossover(m)
+
+    def test_bundle_and_mix_forms_on_every_face(self):
+        # The bundle with t triangles, q quadrangles and p pendants, all at
+        # the hub: each edge's m_u and m_v are linear in (t, q, p), and each
+        # kind of edge comes t, q or p times, so wherever the set of nonzero
+        # counts is fixed the index is a polynomial of degree at most 3 in
+        # each count, and so are both closed forms with m = 3t + 4q + p.
+        # {1..4}^3 proves them for all counts >= 1, and each face where
+        # some counts are 0 is the grid {1..4} in the others: {0..4}^3.
+        for t, q, p in product(range(5), repeat=3):
+            lengths, m = (3,) * t + (4,) * q, 3 * t + 4 * q + p
+            value = edge_revised_szeged(bundle(BundleSpec(lengths, p)))
+            assert bundle_closed_form(lengths, m) == value, (t, q, p)
+            assert mix_closed_form(t, t + q, m) == value, (t, q, p)
+
+    def test_mix_step_factors(self):
+        # Both sides have degree 2 in m: three values prove it, and its
+        # roots give the sign, negative exactly for 3 < m < 15.
+        for m in (0, 1, 2):
+            assert mix_step(m) == QuarterInt((m - 3) * (m - 15))
 
     def test_crossover_sign_by_completing_the_square(self):
         # 4·crossover(m) = (m - 11)^2 - 68, a polynomial of degree 2 in m,

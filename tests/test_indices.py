@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,26 @@ def _relabel(g, perm):
     return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def _triangle_label_orders():
+    """The triangle x-y-z with its labels in all 6 relative orders.
+
+    x hangs on vertex 0, where the walk starts, so it is the top; y carries
+    a triangle of its own (3 vertices, 3 edges) and z nothing. The three
+    branches then differ in vertex and edge counts, and so do the gaps and
+    m_0 of the triangle's three edges, so a swapped slot, sign or m_0, or a
+    wrong branch term, changes some edge. The walk takes the top's smaller
+    neighbour first, so the middle vertex is min(y, z), and y carries the
+    middle's branch or the bottom's.
+    """
+    for x, y, z in permutations((1, 3, 5)):
+        yield pytest.param(
+            6,
+            [(0, x), (x, y), (y, z), (x, z), (y, 2), (2, 4), (y, 4)],
+            ((y, 2, 4), (x, min(y, z), max(y, z))),
+            id=f"triangle-labels-{x}{y}{z}",
+        )
+
+
 def _assert_matches_bfs_path(g):
     # A fresh copy, so no analysis kept by earlier tests stands in for the pass.
     g = Graph(g.n, g.edges)
@@ -270,13 +291,23 @@ class TestCactusPass:
         assert count == 887
 
     def test_random_cacti_through_n200(self):
+        # Every other draw comes from a sampler that hangs a pendant edge or
+        # a ring by a fair coin, so cut edges between rings, which
+        # random_cactus almost never draws at large k, reach the pass too.
         rng = random.Random(7071)
-        for _ in range(300):
+        bridged = 0
+        for i in range(300):
             n = rng.randint(1, 200)
-            g = random_cactus(n, rng.randint(0, (n - 1) // 2), seed=rng.randrange(2**63))
+            k = rng.randint(0, (n - 1) // 2)
+            if i % 2:
+                g = graph_from_edges(n, oracles.cactus_with_bridges(rng, n, k))
+                bridged += 5 * k >= n and bool(cactus_profile(g).bridges)
+            else:
+                g = random_cactus(n, k, seed=rng.randrange(2**63))
             perm = list(range(n))
             rng.shuffle(perm)
             _assert_matches_bfs_path(_relabel(g, perm))
+        assert bridged >= 50
 
     def test_long_cycles(self):
         # Even and odd rings: m_0 is 2, or 1 plus the opposite branch.
@@ -293,7 +324,9 @@ class TestCactusPass:
     # one kind of slot on one side of that sort with a nonzero gap, so a
     # wrong slot or sign changes some edge's counts. The walk starts at
     # vertex 0 and takes neighbours in increasing order, which fixes its
-    # tree, and ``rings`` (top vertex first, bottom last) pins it.
+    # tree, and ``rings`` (top vertex first, bottom last) pins it. The
+    # triangles, which the pass writes in closed form, come with branches
+    # whose vertex and edge counts differ at each of their three vertices.
 
     @pytest.mark.parametrize(
         "n, edges, rings",
@@ -336,6 +369,30 @@ class TestCactusPass:
                 [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)],
                 ((0, 1, 2, 3),),
                 id="ring-tree-edge-child-above-parent",
+            ),
+            pytest.param(3, [(0, 1), (1, 2), (0, 2)], ((0, 1, 2),), id="K3"),
+            *_triangle_label_orders(),
+            # The top is the root, with a pendant; a tailed triangle (4
+            # vertices, 4 edges) on 1 and nothing on 2, then the other way.
+            pytest.param(
+                7,
+                [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (4, 5), (1, 5), (5, 6)],
+                ((1, 4, 5), (0, 1, 2)),
+                id="triangle-at-root-branch-on-mid",
+            ),
+            pytest.param(
+                7,
+                [(0, 1), (1, 2), (0, 2), (0, 3), (2, 4), (4, 5), (2, 5), (5, 6)],
+                ((2, 4, 5), (0, 1, 2)),
+                id="triangle-at-root-branch-on-bottom",
+            ),
+            # A 7-ring with a pendant at 2 and an end triangle at its bottom.
+            pytest.param(
+                10,
+                [(i, (i + 1) % 7) for i in range(7)]
+                + [(2, 9), (6, 7), (7, 8), (6, 8)],
+                ((6, 7, 8), (0, 1, 2, 3, 4, 5, 6)),
+                id="pendant-triangle-at-long-ring-bottom",
             ),
         ],
     )
